@@ -13,11 +13,15 @@ identical configs and inputs regardless of ``--threads``.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import logging
 import os
 import re
 import sys
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,8 +42,9 @@ from .error_analysis import (
     image_abs_errors,
 )
 from .errors import ComputationError, InputError
-from .harness import N_TRIALS, PredictorSpec, default_spec, run_nested_cv
+from .harness import N_TRIALS, PredictionSet, PredictorSpec, default_spec, run_nested_cv
 from .ingest import (
+    RatingsTable,
     first_trial_filter,
     load_categories,
     load_features,
@@ -101,6 +106,128 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# -- option table ------------------------------------------------------------
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _path(value) -> str:
+    value = str(value)
+    if not os.path.exists(value):
+        raise ValueError(f"path does not exist: {value}")
+    return value
+
+
+def _dirs(value) -> list[str]:
+    dirs = [value] if isinstance(value, str) else [str(d) for d in value]
+    for d in dirs:
+        if not os.path.isdir(d):
+            raise ValueError(f"not a directory: {d}")
+    return dirs
+
+
+def _mask_dir(value) -> str:
+    (value,) = _dirs(str(value))
+    if not any(f.endswith(".pgm") for f in os.listdir(value)):
+        raise ValueError(f"no .pgm masks found in {value}")
+    return value
+
+
+def _out_dir(value) -> str:
+    os.makedirs(str(value), exist_ok=True)
+    return str(value)
+
+
+def _sizes(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return tuple(int(v) for v in value)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("must be a JSON object")
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One row of the option table.
+
+    ``name`` is the config key; the flag is ``--name`` with ``_`` written
+    as ``-``. A value resolves as flag, else config key, else ``env``,
+    else ``default``, and ``cast`` runs once on whatever was found: a
+    ValueError, TypeError or OSError it raises, or a value outside
+    ``choices``, is reported as a validation error naming the option.
+    ``help=None`` marks a key that only a config file can set. A ``_path``
+    option names an input file, which the run manifest digests.
+    """
+
+    name: str
+    cast: Callable[[Any], Any]
+    default: Any
+    help: str | None
+    commands: str
+    nargs: str | None = None
+    choices: tuple[str, ...] | None = None
+    env: str | None = None
+
+
+OPTIONS = (
+    Option("out", _out_dir, None, "output directory",
+           "qc split cv metrics icc curve overlap error-analysis prop-ci synth all"),
+    Option("seed", int, None, f"master seed (default: ${SEED_ENV})",
+           "split cv icc error-analysis synth all", env=SEED_ENV),
+    Option("ratings", _path, None, "ratings CSV", "qc split icc all"),
+    Option("plan", _path, None, "cv_plan.json", "cv"),
+    Option("targets", _path, None, "image_targets.csv", "cv metrics error-analysis overlap"),
+    Option("features", _path, None, "features CSV", "cv all"),
+    Option("predictions", _path, None, "predictions.csv", "metrics error-analysis"),
+    Option("categories", _path, None, "categories CSV (enables error analysis)",
+           "error-analysis all"),
+    Option("heatmaps", _dirs, None, "heatmap dirs, averaged (enables overlap)", "overlap all",
+           nargs="+"),
+    Option("masks", _mask_dir, None, "mask dir (enables overlap)", "overlap all"),
+    Option("kind", str, None, "predictor kind", "cv all"),
+    Option("predictor", _object, {}, None, "cv all"),
+    Option("trials", _count, N_TRIALS, "search trials per fold", "cv all"),
+    Option("threads", _count, 1, "worker threads", "cv all"),
+    Option("sizes", _sizes, None, "comma-separated ICC subsample sizes", "icc all"),
+    Option("reps", int, DEFAULT_REPS, "ICC bootstrap repetitions per size", "icc all"),
+    Option("missing", str, "impute", "ICC missing-cell handling", "icc all",
+           choices=MISSING_MODES),
+    Option("bootstrap", int, DEFAULT_BOOTSTRAP, "error-analysis bootstrap replicates",
+           "error-analysis all"),
+    Option("min_cell", int, MIN_CELL, "minimum category size for tests", "error-analysis all"),
+    Option("alpha", float, ALPHA, "FDR significance level", "error-analysis all"),
+    Option("level", float, 0.95, "confidence level", "error-analysis prop-ci all"),
+    Option("points", _path, None, "CSV with header n,y", "curve"),
+    Option("form", str, None, "curve form", "curve", choices=FORMS),
+    Option("model", str, "", "label for the output row", "curve"),
+    Option("metric", str, "", "label for the output row", "curve"),
+    Option("successes", int, None, "number of successes", "prop-ci"),
+    Option("n", int, None, "number of trials", "prop-ci"),
+    Option("images", int, 313, "number of images", "synth"),
+    Option("raters", int, 148, "number of raters", "synth"),
+    Option("var_image", float, 100.0, "image variance component", "synth"),
+    Option("var_rater", float, 25.0, "rater variance component", "synth"),
+    Option("var_residual", float, 25.0, "residual variance", "synth"),
+    Option("mu", float, 50.0, "grand mean rating", "synth"),
+    Option("outliers", int, 0, "number of outlier raters", "synth"),
+    Option("offset", float, 0.0, "rating offset of the outlier raters", "synth"),
+    Option("dim", int, 0, "feature dimension (0: no features)", "synth"),
+)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -111,77 +238,78 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"cannot read config {path}: {exc}", field="config") from exc
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object", field="config")
+    if "icc" in config:
+        raise InputError("config key 'icc' is not supported; set 'reps', 'sizes' and "
+                         "'missing' at the top level", field="icc")
     return config
 
 
-def _opt(args, config: dict, key: str, default=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-    return value
+def _resolve(args) -> SimpleNamespace:
+    """Every option of ``args.command``, resolved and cast once.
 
-
-def _input_path(args, config: dict, key: str, required: bool = True):
-    value = _opt(args, config, key)
-    if value is None:
-        if required:
-            raise InputError(f"missing required option --{key}", field=key)
-        return None
-    if not os.path.exists(str(value)):
-        raise InputError(f"{key} path does not exist: {value}", field=key)
-    return str(value)
-
-
-def _out_dir(args, config: dict) -> str:
-    out = _opt(args, config, "out")
-    if out is None:
-        raise InputError("missing required option --out", field="out")
-    os.makedirs(out, exist_ok=True)
-    return str(out)
-
-
-def _seed(args, config: dict, required: bool = True) -> int | None:
-    value = _opt(args, config, "seed")
-    if value is None:
-        env = os.environ.get(SEED_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise InputError(
-                    f"{SEED_ENV} must be an integer, got {env!r}", field="seed"
-                ) from exc
-    if value is None:
-        if required:
-            raise InputError(
-                f"a seed is required (flag --seed, config key 'seed', or {SEED_ENV})",
-                field="seed",
-            )
-        return None
-    return int(value)
-
-
-def _config_snapshot(args, config: dict, keys: tuple[str, ...]) -> dict:
-    snap = {}
-    for key in keys:
-        value = _opt(args, config, key)
+    ``given`` holds the names set by a flag or config key; manifests
+    record only those. ``inputs`` lists the input files named.
+    """
+    config = _load_config(args.config)
+    required = COMMANDS[args.command][2].split()
+    opts = SimpleNamespace(given=set(), inputs=[])
+    for opt in OPTIONS:
+        if args.command not in opt.commands.split():
+            continue
+        value = getattr(args, opt.name, None)
+        if value is None:
+            value = config.get(opt.name)
         if value is not None:
-            snap[key] = value
-    return snap
+            opts.given.add(opt.name)
+        elif opt.env is not None:
+            value = os.environ.get(opt.env)
+        if value is None:
+            if opt.name in required:
+                raise InputError(f"missing required option {_flag(opt.name)}", field=opt.name)
+            value = opt.default
+        if value is not None:
+            try:
+                value = opt.cast(value)
+                if opt.choices is not None and value not in opt.choices:
+                    raise ValueError(f"must be one of {opt.choices}, got {value!r}")
+            except (TypeError, ValueError, OSError) as exc:
+                raise InputError(f"option {opt.name}: {exc}", field=opt.name) from exc
+            if opt.cast is _path:
+                opts.inputs.append(value)
+        setattr(opts, opt.name, value)
+    return opts
 
 
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "unnamed"
 
 
-# -- subcommand implementations ------------------------------------------
+class _Run:
+    """Output directory of one command plus what its manifest records: the
+    input and output files it digests and config entries beyond the
+    options the command records when set."""
+
+    def __init__(self, out: str | None, inputs: list[str]) -> None:
+        self.out = out
+        self.inputs = list(inputs)
+        self.outputs: list[str] = []
+        self.config: dict = {}
+
+    def path(self, name: str) -> str:
+        """Path of an artifact under the output directory, recorded as an output."""
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
+
+    def write_svg(self, name: str, svg: str) -> None:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            fh.write(svg)
 
 
-def _cmd_qc(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    ratings_path = _input_path(args, config, "ratings")
-    table = load_ratings(ratings_path)
+# -- stages: each writes its artifacts and returns what the next one needs ---
+
+
+def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
     first = first_trial_filter(table)
     report, cleaned = run_qc(table)
     counts = {
@@ -192,248 +320,210 @@ def _cmd_qc(args) -> int:
         "n_participants_input": table.n_participants,
         "n_participants_after": cleaned.n_participants,
     }
-    report_path = os.path.join(out, "qc_report.csv")
-    summary_path = os.path.join(out, "qc_summary.json")
-    filtered_path = os.path.join(out, "ratings_filtered.csv")
-    write_qc_report(report_path, report)
-    write_qc_summary(summary_path, report, counts)
-    write_ratings(cleaned, filtered_path)
-    write_manifest(
-        out,
-        command="qc",
-        config=_config_snapshot(args, config, ("ratings",)),
-        seed=None,
-        inputs=[ratings_path],
-        outputs=[report_path, summary_path, filtered_path],
-    )
+    write_qc_report(run.path("qc_report.csv"), report)
+    write_qc_summary(run.path("qc_summary.json"), report, counts)
+    write_ratings(cleaned, run.path("ratings_filtered.csv"))
     log.info("qc: excluded %d participants", len(report.excluded))
-    return 0
+    return cleaned
 
 
-def _cmd_split(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    seed = _seed(args, config)
-    ratings_path = _input_path(args, config, "ratings")
-    table = first_trial_filter(load_ratings(ratings_path))
+def _split(run: _Run, table: RatingsTable, seed: int):
     split = split_participants(sorted(table.participant_index), seed)
     targets = image_group_means(table, split)
     if not targets.mean_a:
         raise ComputationError("no image has ratings in both participant groups")
     plan = make_cv_plan(targets.image_ids, seed)
     assert_no_leakage(plan, targets)
-    split_path = os.path.join(out, "participant_split.json")
-    targets_path = os.path.join(out, "image_targets.csv")
-    plan_path = os.path.join(out, "cv_plan.json")
-    write_participant_split(split_path, split)
-    write_image_targets(targets_path, targets)
-    write_cv_plan(plan_path, plan)
-    write_manifest(
-        out,
-        command="split",
-        config=_config_snapshot(args, config, ("ratings",)),
-        seed=seed,
-        inputs=[ratings_path],
-        outputs=[split_path, targets_path, plan_path],
-    )
-    log.info(
-        "split: groups %d/%d, %d evaluable images, %d dropped",
-        len(split.group_a), len(split.group_b),
-        len(targets.mean_a), len(targets.dropped),
-    )
-    return 0
+    write_participant_split(run.path("participant_split.json"), split)
+    write_image_targets(run.path("image_targets.csv"), targets)
+    write_cv_plan(run.path("cv_plan.json"), plan)
+    log.info("split: groups %d/%d, %d evaluable images, %d dropped", len(split.group_a),
+             len(split.group_b), len(targets.mean_a), len(targets.dropped))
+    return targets, plan
 
 
-def _predictor_spec(args, config: dict) -> tuple[PredictorSpec, int]:
-    pconf = config.get("predictor", {})
-    if not isinstance(pconf, dict):
-        raise InputError("config key 'predictor' must be an object", field="predictor")
-    kind = _opt(args, config, "kind") or pconf.get("kind", "ridge_closed_form")
+def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
+    """``--kind`` or the config's ``predictor`` object; its ``ranges`` and
+    ``epochs_range`` replace the kind's defaults."""
+    pconf = opts.predictor
+    unknown = sorted(set(pconf) - {"kind", "ranges", "epochs_range"})
+    if unknown:
+        raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
+    kind = opts.kind if opts.kind is not None else pconf.get("kind", "ridge_closed_form")
+    base = default_spec(kind)
     try:
-        if "ranges" in pconf:
-            ranges = {
-                str(name): (float(lo), float(hi), str(scale))
-                for name, (lo, hi, scale) in pconf["ranges"].items()
-            }
-            spec = PredictorSpec(
-                kind=kind,
-                ranges=ranges,
-                epochs_range=tuple(int(v) for v in pconf.get("epochs_range", (10, 50))),
-                batch_size=int(pconf.get("batch_size", 16)),
-                optimizer=str(pconf.get("optimizer", "sgd")),
-            )
-        else:
-            spec = default_spec(kind)
-    except (TypeError, ValueError) as exc:
+        ranges = {
+            str(name): (float(lo), float(hi), str(scale))
+            for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
+        }
+        epochs = tuple(int(v) for v in pconf.get("epochs_range", base.epochs_range))
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
-    trials = int(_opt(args, config, "trials", N_TRIALS))
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}", field="trials")
-    return spec, trials
+    return PredictorSpec(kind=kind, ranges=ranges, epochs_range=epochs)
 
 
-def _cmd_cv(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    plan_path = _input_path(args, config, "plan")
-    targets_path = _input_path(args, config, "targets")
-    features_path = _input_path(args, config, "features")
-    plan = load_cv_plan(plan_path)
-    targets = load_image_targets(targets_path)
-    features = load_features(features_path)
-    spec, trials = _predictor_spec(args, config)
-    seed = _seed(args, config, required=False)
-    threads = int(_opt(args, config, "threads", 1))
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}", field="threads")
+def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
     ps, search_log = run_nested_cv(
-        plan, targets, features, spec, n_trials=trials, seed=seed, threads=threads
+        plan, targets, features, spec,
+        n_trials=opts.trials, seed=opts.seed, threads=opts.threads,
     )
-    pred_path = os.path.join(out, "predictions.csv")
-    log_path = os.path.join(out, "search_log.jsonl")
-    write_predictions(pred_path, ps)
-    write_search_log(log_path, search_log)
-    write_manifest(
-        out,
-        command="cv",
-        config={
-            **_config_snapshot(args, config, ("plan", "targets", "features", "kind", "trials")),
-            "predictor_kind": spec.kind,
-        },
-        seed=plan.seed if seed is None else seed,
-        inputs=[plan_path, targets_path, features_path],
-        outputs=[pred_path, log_path],
-    )
-    return 0
+    write_predictions(run.path("predictions.csv"), ps)
+    write_search_log(run.path("search_log.jsonl"), search_log)
+    return ps
 
 
-def _cmd_metrics(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    pred_path = _input_path(args, config, "predictions")
-    targets_path = _input_path(args, config, "targets")
-    ps = load_predictions(pred_path)
-    targets = load_image_targets(targets_path)
+def _metrics(run: _Run, ps: PredictionSet, targets) -> None:
     report = metric_report(ps, targets.mean_b)
-    metrics_path = os.path.join(out, "metrics.csv")
-    by_rep_path = os.path.join(out, "metrics_by_repetition.csv")
-    write_metrics(metrics_path, report, by_rep_path)
-    write_manifest(
-        out,
-        command="metrics",
-        config=_config_snapshot(args, config, ("predictions", "targets")),
-        seed=None,
-        inputs=[pred_path, targets_path],
-        outputs=[metrics_path, by_rep_path],
-    )
-    return 0
+    write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
 
 
-def _parse_sizes(raw, n_raters: int) -> tuple[int, ...]:
-    if raw is None:
-        sizes = tuple(s for s in DEFAULT_SIZES if s <= n_raters)
-        return sizes or (n_raters,)
-    if isinstance(raw, str):
-        try:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise InputError(f"malformed sizes list {raw!r}", field="sizes") from exc
-    try:
-        return tuple(int(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed sizes list {raw!r}", field="sizes") from exc
-
-
-def _cmd_icc(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    seed = _seed(args, config)
-    ratings_path = _input_path(args, config, "ratings")
-    iconf = config.get("icc", {})
-    missing = _opt(args, config, "missing") or iconf.get("missing", "impute")
-    if missing not in MISSING_MODES:
-        raise InputError(f"unknown missing-data mode {missing!r}", field="missing")
-    table = first_trial_filter(load_ratings(ratings_path))
+def _icc(run: _Run, opts, table: RatingsTable) -> tuple[int, ...]:
     matrix = build_rating_matrix(table)
-    sizes = _parse_sizes(
-        _opt(args, config, "sizes") or iconf.get("sizes"), len(matrix.rater_ids)
+    sizes = opts.sizes
+    if sizes is None:
+        n_raters = len(matrix.rater_ids)
+        sizes = tuple(s for s in DEFAULT_SIZES if s <= n_raters) or (n_raters,)
+    boot = bootstrap_icc(
+        matrix, sizes=sizes, reps=opts.reps, seed=opts.seed, missing=opts.missing
     )
-    reps = int(_opt(args, config, "reps") or iconf.get("reps", DEFAULT_REPS))
-    boot = bootstrap_icc(matrix, sizes=sizes, reps=reps, seed=seed, missing=missing)
-    report_path = os.path.join(out, "icc_report.csv")
-    summary_path = os.path.join(out, "icc_summary.csv")
-    full_path = os.path.join(out, "icc_full.json")
-    svg_path = os.path.join(out, "icc_curve.svg")
-    write_icc_reports(report_path, summary_path, boot)
+    write_icc_reports(run.path("icc_report.csv"), run.path("icc_summary.csv"), boot)
     write_json(
-        full_path,
+        run.path("icc_full.json"),
         {
-            "icc2k": icc2k(matrix, missing=missing),
+            "icc2k": icc2k(matrix, missing=opts.missing),
             "n_images": len(matrix.image_ids),
             "n_raters": len(matrix.rater_ids),
-            "missing_mode": missing,
+            "missing_mode": opts.missing,
         },
     )
-    points = [(s, boot.means[s], boot.sds[s]) for s in boot.sizes]
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(mean_sd_plot(points, "ICC(2,k) by rater subsample size",
-                              "raters", "ICC(2,k)"))
-    write_manifest(
-        out,
-        command="icc",
-        config={
-            **_config_snapshot(args, config, ("ratings", "reps", "missing")),
-            "sizes": list(sizes),
-        },
-        seed=seed,
-        inputs=[ratings_path],
-        outputs=[report_path, summary_path, full_path, svg_path],
+    run.write_svg(
+        "icc_curve.svg",
+        mean_sd_plot(
+            [(s, boot.means[s], boot.sds[s]) for s in boot.sizes],
+            "ICC(2,k) by rater subsample size", "raters", "ICC(2,k)",
+        ),
     )
-    return 0
+    return sizes
+
+
+def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
+    report = analyze_errors(
+        image_abs_errors(ps, targets.mean_b), cats,
+        bootstrap=opts.bootstrap, level=opts.level,
+        min_cell=opts.min_cell, alpha=opts.alpha, seed=opts.seed,
+    )
+    run.outputs += write_error_analysis(run.out, report)
+    for criterion in report.top_criteria:
+        rows = [s for s in report.summaries if s.criterion == criterion]
+        run.write_svg(
+            f"shares_{_sanitize(criterion)}.svg",
+            grouped_bar_plot(
+                [s.category for s in rows],
+                [(s.share, s.freq) for s in rows],
+                ("share", "freq"), criterion, "proportion",
+            ),
+        )
+
+
+def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
+    """Overlap of the averaged heatmaps with each mask; ``fear`` (image ->
+    target) adds the fear filter and the delta-fear correlations."""
+    records = []
+    for fname in sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm")):
+        image_id = fname[: -len(".pgm")]
+        mask_path = os.path.join(masks_dir, fname)
+        mask = load_mask(mask_path)
+        run.inputs.append(mask_path)
+        grids = []
+        for d in heatmap_dirs:
+            hpath = os.path.join(d, image_id + ".pfm")
+            if not os.path.isfile(hpath):
+                raise InputError(
+                    f"missing heatmap for image {image_id} in {d}", field="heatmaps"
+                )
+            grids.append(load_float_grid(hpath))
+            run.inputs.append(hpath)
+        records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
+    ttest = dataclasses.asdict(paired_one_sided_t(records))
+    write_overlap(run.path("overlap.csv"), records)
+    max_id, zero_id, min_id = representative_examples(records, fear=fear)
+    write_json(
+        run.path("representative_examples.json"),
+        {
+            "max_delta": max_id,
+            "nearest_zero": zero_id,
+            "min_delta": min_id,
+            "fear_filter_min": None if fear is None else 40.0,
+        },
+    )
+    if fear is not None:
+        corr = delta_fear_correlations(records, fear)
+        ttest["delta_fear_pearson"] = corr["pearson"]
+        ttest["delta_fear_spearman"] = corr["spearman"]
+        write_csv(
+            run.path("delta_vs_fear.csv"),
+            ["image_id", "delta", "fear"],
+            [[r.image_id, r.delta, fear[r.image_id]] for r in records if r.image_id in fear],
+        )
+    write_json(run.path("ttest.json"), ttest)
+
+
+# -- commands: load inputs and run stages; main writes the manifest ----------
+
+
+def _cmd_qc(opts, run: _Run) -> None:
+    _qc(run, load_ratings(opts.ratings))
+
+
+def _cmd_split(opts, run: _Run) -> None:
+    _split(run, first_trial_filter(load_ratings(opts.ratings)), opts.seed)
+
+
+def _cmd_cv(opts, run: _Run) -> None:
+    spec = _predictor_spec(opts)
+    plan = load_cv_plan(opts.plan)
+    if opts.seed is None:
+        opts.seed = plan.seed  # a stored plan fully determines the run
+    _cv(run, opts, spec, plan, load_image_targets(opts.targets), load_features(opts.features))
+    run.config["predictor_kind"] = spec.kind
+
+
+def _cmd_metrics(opts, run: _Run) -> None:
+    _metrics(run, load_predictions(opts.predictions), load_image_targets(opts.targets))
+
+
+def _cmd_icc(opts, run: _Run) -> None:
+    sizes = _icc(run, opts, first_trial_filter(load_ratings(opts.ratings)))
+    run.config["sizes"] = list(sizes)
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
-    import csv as _csv
-
-    points = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header != ["n", "y"]:
-                raise InputError(f"{path}: expected header n,y, got {header}", field="points")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise InputError(f"{path}:{lineno}: expected 2 fields", field="points")
-                points.append((float(row[0]), float(row[1])))
+            header, *rows = list(csv.reader(fh)) or [None]
+        if header != ["n", "y"]:
+            raise InputError(f"{path}: expected header n,y, got {header}", field="points")
+        points = [(float(n), float(y)) for n, y in rows]
     except OSError as exc:
         raise InputError(f"cannot read points {path}: {exc}", field="points") from exc
     except ValueError as exc:
-        raise InputError(f"{path}: malformed numeric field: {exc}", field="points") from exc
+        raise InputError(f"{path}: rows must be two numbers: {exc}", field="points") from exc
     if len(points) < 4:
         raise InputError(f"{path}: need at least 4 points, got {len(points)}", field="points")
     return points
 
 
-def _cmd_curve(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    points_path = _input_path(args, config, "points")
-    form = _opt(args, config, "form")
-    if form not in FORMS:
-        raise InputError(f"--form must be one of {FORMS}, got {form!r}", field="form")
-    model_label = _opt(args, config, "model", "") or ""
-    metric_label = _opt(args, config, "metric", "") or ""
-    points = _load_points(points_path)
+def _cmd_curve(opts, run: _Run) -> None:
+    form, model_label, metric_label = opts.form, opts.model, opts.metric
+    points = _load_points(opts.points)
     result = fit_curve(form, points)
     if not result.converged:
         raise ComputationError(
             f"curve fit did not converge (stop reason: {result.stop_reason})"
         )
     a, b, c = result.params
-    curve_path = os.path.join(out, "learning_curve.csv")
     write_fit_results(
-        curve_path,
+        run.path("learning_curve.csv"),
         [
             {
                 "model": model_label, "metric": metric_label, "form": form,
@@ -446,226 +536,65 @@ def _cmd_curve(args) -> int:
     grid = np.linspace(float(ns.min()), float(ns.max()), 100)
     fitted = model_value(form, np.array(result.params), grid)
     stem = _sanitize(f"curve_{model_label}_{metric_label}") if (model_label or metric_label) else "curve"
-    svg_path = os.path.join(out, f"{stem}.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            line_plot(
-                [("fit", list(zip(grid.tolist(), fitted.tolist())))],
-                f"{model_label} {metric_label}".strip() or "learning curve",
-                "training images", metric_label or "value",
-                markers=points,
-            )
-        )
-    write_manifest(
-        out,
-        command="curve",
-        config=_config_snapshot(args, config, ("points", "form", "model", "metric")),
-        seed=None,
-        inputs=[points_path],
-        outputs=[curve_path, svg_path],
+    run.write_svg(
+        f"{stem}.svg",
+        line_plot(
+            [("fit", list(zip(grid.tolist(), fitted.tolist())))],
+            f"{model_label} {metric_label}".strip() or "learning curve",
+            "training images", metric_label or "value",
+            markers=points,
+        ),
     )
-    return 0
 
 
-def _heatmap_dirs(args, config: dict) -> list[str]:
-    raw = _opt(args, config, "heatmaps")
-    if raw is None:
-        raise InputError("missing required option --heatmaps", field="heatmaps")
-    dirs = [raw] if isinstance(raw, str) else list(raw)
-    for d in dirs:
-        if not os.path.isdir(str(d)):
-            raise InputError(f"heatmaps path is not a directory: {d}", field="heatmaps")
-    return [str(d) for d in dirs]
+def _cmd_overlap(opts, run: _Run) -> None:
+    fear = None if opts.targets is None else load_image_targets(opts.targets).mean_b
+    _overlap(run, opts.heatmaps, opts.masks, fear)
 
 
-def _cmd_overlap(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    heatmap_dirs = _heatmap_dirs(args, config)
-    masks_dir = _input_path(args, config, "masks")
-    if not os.path.isdir(masks_dir):
-        raise InputError(f"masks path is not a directory: {masks_dir}", field="masks")
-    targets_path = _input_path(args, config, "targets", required=False)
-    fear = None
-    if targets_path is not None:
-        fear = load_image_targets(targets_path).mean_b
-    mask_files = sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm"))
-    if not mask_files:
-        raise InputError(f"no .pgm masks found in {masks_dir}", field="masks")
-    records = []
-    inputs = []
-    for fname in mask_files:
-        image_id = fname[: -len(".pgm")]
-        mask_path = os.path.join(masks_dir, fname)
-        mask = load_mask(mask_path)
-        grids = []
-        for d in heatmap_dirs:
-            hpath = os.path.join(d, image_id + ".pfm")
-            if not os.path.isfile(hpath):
-                raise InputError(
-                    f"missing heatmap for image {image_id} in {d}", field="heatmaps"
-                )
-            grids.append(load_float_grid(hpath))
-            inputs.append(hpath)
-        inputs.append(mask_path)
-        records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
-    test = paired_one_sided_t(records)
-    ttest_doc = {
-        "n": test.n,
-        "mean_diff": test.mean_diff,
-        "sd_diff": test.sd_diff,
-        "t": test.t,
-        "df": test.df,
-        "one_sided_p": test.one_sided_p,
-        "cohen_d": test.cohen_d,
-    }
-    overlap_path = os.path.join(out, "overlap.csv")
-    ttest_path = os.path.join(out, "ttest.json")
-    rep_path = os.path.join(out, "representative_examples.json")
-    outputs = [overlap_path, ttest_path, rep_path]
-    write_overlap(overlap_path, records)
-    max_id, zero_id, min_id = representative_examples(records, fear=fear)
-    write_json(
-        rep_path,
-        {
-            "max_delta": max_id,
-            "nearest_zero": zero_id,
-            "min_delta": min_id,
-            "fear_filter_min": None if fear is None else 40.0,
-        },
+def _cmd_error_analysis(opts, run: _Run) -> None:
+    _error_analysis(
+        run, opts, load_predictions(opts.predictions),
+        load_image_targets(opts.targets), load_categories(opts.categories),
     )
-    if fear is not None:
-        corr = delta_fear_correlations(records, fear)
-        ttest_doc["delta_fear_pearson"] = corr["pearson"]
-        ttest_doc["delta_fear_spearman"] = corr["spearman"]
-        scatter_path = os.path.join(out, "delta_vs_fear.csv")
-        write_csv(
-            scatter_path,
-            ["image_id", "delta", "fear"],
-            [
-                [r.image_id, r.delta, fear[r.image_id]]
-                for r in records
-                if r.image_id in fear
-            ],
-        )
-        outputs.append(scatter_path)
-    write_json(ttest_path, ttest_doc)
-    if targets_path is not None:
-        inputs.append(targets_path)
-    write_manifest(
-        out,
-        command="overlap",
-        config=_config_snapshot(args, config, ("masks", "targets")),
-        seed=None,
-        inputs=inputs,
-        outputs=outputs,
-    )
-    return 0
+    run.config.update(bootstrap=opts.bootstrap, min_cell=opts.min_cell,
+                      alpha=opts.alpha, level=opts.level)
 
 
-def _cmd_error_analysis(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    seed = _seed(args, config)
-    pred_path = _input_path(args, config, "predictions")
-    targets_path = _input_path(args, config, "targets")
-    cats_path = _input_path(args, config, "categories")
-    ps = load_predictions(pred_path)
-    targets = load_image_targets(targets_path)
-    cats = load_categories(cats_path)
-    bootstrap = int(_opt(args, config, "bootstrap", DEFAULT_BOOTSTRAP))
-    min_cell = int(_opt(args, config, "min_cell", MIN_CELL))
-    alpha = float(_opt(args, config, "alpha", ALPHA))
-    level = float(_opt(args, config, "level", 0.95))
-    errors = image_abs_errors(ps, targets.mean_b)
-    report = analyze_errors(
-        errors, cats, bootstrap=bootstrap, level=level,
-        min_cell=min_cell, alpha=alpha, seed=seed,
-    )
-    outputs = write_error_analysis(out, report)
-    for criterion in report.top_criteria:
-        rows = [s for s in report.summaries if s.criterion == criterion]
-        svg = grouped_bar_plot(
-            [s.category for s in rows],
-            [(s.share, s.freq) for s in rows],
-            ("share", "freq"),
-            criterion,
-            "proportion",
-        )
-        svg_path = os.path.join(out, f"shares_{_sanitize(criterion)}.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        outputs.append(svg_path)
-    write_manifest(
-        out,
-        command="error-analysis",
-        config={
-            **_config_snapshot(args, config, ("predictions", "targets", "categories")),
-            "bootstrap": bootstrap, "min_cell": min_cell,
-            "alpha": alpha, "level": level,
-        },
-        seed=seed,
-        inputs=[pred_path, targets_path, cats_path],
-        outputs=outputs,
-    )
-    return 0
-
-
-def _cmd_prop_ci(args) -> int:
-    config = _load_config(args.config)
-    successes = _opt(args, config, "successes")
-    n = _opt(args, config, "n")
-    if successes is None or n is None:
-        missing = "successes" if successes is None else "n"
-        raise InputError(f"missing required option --{missing}", field=missing)
-    level = float(_opt(args, config, "level", 0.95))
-    low, high = wilson_ci(int(successes), int(n), level)
+def _cmd_prop_ci(opts, run: _Run) -> None:
+    low, high = wilson_ci(opts.successes, opts.n, opts.level)
     doc = {
-        "successes": int(successes),
-        "n": int(n),
-        "level": level,
-        "estimate": int(successes) / int(n),
+        "successes": opts.successes,
+        "n": opts.n,
+        "level": opts.level,
+        "estimate": opts.successes / opts.n,
         "low": low,
         "high": high,
     }
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-    if _opt(args, config, "out") is not None:
-        out = _out_dir(args, config)
-        ci_path = os.path.join(out, "prop_ci.json")
-        write_json(ci_path, doc)
-        write_manifest(
-            out, command="prop-ci", config=doc, seed=None, inputs=[], outputs=[ci_path]
-        )
-    return 0
+    if opts.out is not None:
+        write_json(run.path("prop_ci.json"), doc)
+        run.config.update(doc)
 
 
-def _cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    seed = _seed(args, config)
-    spec = SynthSpec(
-        n_images=int(_opt(args, config, "images", 313)),
-        n_raters=int(_opt(args, config, "raters", 148)),
-        var_image=float(_opt(args, config, "var_image", 100.0)),
-        var_rater=float(_opt(args, config, "var_rater", 25.0)),
-        var_residual=float(_opt(args, config, "var_residual", 25.0)),
-        mu=float(_opt(args, config, "mu", 50.0)),
-        n_outliers=int(_opt(args, config, "outliers", 0)),
-        outlier_offset=float(_opt(args, config, "offset", 0.0)),
-        feature_dim=int(_opt(args, config, "dim", 0)),
-        seed=seed,
-    )
+# synth option -> SynthSpec field
+_SYNTH_FIELDS = {
+    "images": "n_images", "raters": "n_raters", "var_image": "var_image",
+    "var_rater": "var_rater", "var_residual": "var_residual", "mu": "mu",
+    "outliers": "n_outliers", "offset": "outlier_offset", "dim": "feature_dim",
+}
+
+
+def _cmd_synth(opts, run: _Run) -> None:
+    run.config.update({name: getattr(opts, name) for name in _SYNTH_FIELDS})
+    spec = SynthSpec(seed=opts.seed,
+                     **{field: getattr(opts, name) for name, field in _SYNTH_FIELDS.items()})
     table, features, truth = generate(spec)
-    ratings_path = os.path.join(out, "ratings.csv")
-    write_ratings(table, ratings_path)
-    outputs = [ratings_path]
+    write_ratings(table, run.path("ratings.csv"))
     if features is not None:
-        features_path = os.path.join(out, "features.csv")
-        write_features(features, features_path)
-        outputs.append(features_path)
-    truth_path = os.path.join(out, "ground_truth.json")
+        write_features(features, run.path("features.csv"))
     write_json(
-        truth_path,
+        run.path("ground_truth.json"),
         {
             "mu": truth.mu,
             "image_effects": truth.image_effects,
@@ -674,347 +603,65 @@ def _cmd_synth(args) -> int:
             "weights": None if truth.weights is None else truth.weights.tolist(),
         },
     )
-    outputs.append(truth_path)
-    write_manifest(
-        out,
-        command="synth",
-        config={
-            "images": spec.n_images, "raters": spec.n_raters,
-            "var_image": spec.var_image, "var_rater": spec.var_rater,
-            "var_residual": spec.var_residual, "mu": spec.mu,
-            "outliers": spec.n_outliers, "offset": spec.outlier_offset,
-            "dim": spec.feature_dim,
-        },
-        seed=seed,
-        inputs=[],
-        outputs=outputs,
-    )
-    return 0
 
 
-def _cmd_all(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    seed = _seed(args, config)
-    threads = int(_opt(args, config, "threads", 1))
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}", field="threads")
-    ratings_path = _input_path(args, config, "ratings")
-    features_path = _input_path(args, config, "features")
-    cats_path = _input_path(args, config, "categories", required=False)
-    masks_dir = _input_path(args, config, "masks", required=False)
-    heatmaps = _opt(args, config, "heatmaps")
-    inputs = [ratings_path, features_path]
-    outputs: list[str] = []
-
-    # quality control
-    table = load_ratings(ratings_path)
-    first = first_trial_filter(table)
-    report, cleaned = run_qc(table)
-    counts = {
-        "n_ratings_input": len(table.records),
-        "n_ratings_first_trial": len(first.records),
-        "n_ratings_removed": len(first.records) - len(cleaned.records),
-        "n_ratings_after": len(cleaned.records),
-        "n_participants_input": table.n_participants,
-        "n_participants_after": cleaned.n_participants,
-    }
-    qc_report_path = os.path.join(out, "qc_report.csv")
-    qc_summary_path = os.path.join(out, "qc_summary.json")
-    filtered_path = os.path.join(out, "ratings_filtered.csv")
-    write_qc_report(qc_report_path, report)
-    write_qc_summary(qc_summary_path, report, counts)
-    write_ratings(cleaned, filtered_path)
-    outputs += [qc_report_path, qc_summary_path, filtered_path]
-
-    # participant split, targets, cv plan
-    split = split_participants(sorted(cleaned.participant_index), seed)
-    targets = image_group_means(cleaned, split)
-    if not targets.mean_a:
-        raise ComputationError("no image has ratings in both participant groups")
-    plan = make_cv_plan(targets.image_ids, seed)
-    assert_no_leakage(plan, targets)
-    split_path = os.path.join(out, "participant_split.json")
-    targets_path = os.path.join(out, "image_targets.csv")
-    plan_path = os.path.join(out, "cv_plan.json")
-    write_participant_split(split_path, split)
-    write_image_targets(targets_path, targets)
-    write_cv_plan(plan_path, plan)
-    outputs += [split_path, targets_path, plan_path]
-
-    # nested cv and metrics
-    features = load_features(features_path)
-    spec, trials = _predictor_spec(args, config)
-    ps, search_log = run_nested_cv(
-        plan, targets, features, spec, n_trials=trials, seed=seed, threads=threads
-    )
-    pred_path = os.path.join(out, "predictions.csv")
-    log_path = os.path.join(out, "search_log.jsonl")
-    write_predictions(pred_path, ps)
-    write_search_log(log_path, search_log)
-    outputs += [pred_path, log_path]
-    mreport = metric_report(ps, targets.mean_b)
-    metrics_path = os.path.join(out, "metrics.csv")
-    by_rep_path = os.path.join(out, "metrics_by_repetition.csv")
-    write_metrics(metrics_path, mreport, by_rep_path)
-    outputs += [metrics_path, by_rep_path]
-
-    # reliability
-    matrix = build_rating_matrix(cleaned)
-    iconf = config.get("icc", {})
-    missing = _opt(args, config, "missing") or iconf.get("missing", "impute")
-    if missing not in MISSING_MODES:
-        raise InputError(f"unknown missing-data mode {missing!r}", field="missing")
-    sizes = _parse_sizes(
-        _opt(args, config, "sizes") or iconf.get("sizes"), len(matrix.rater_ids)
-    )
-    reps = int(_opt(args, config, "reps") or iconf.get("reps", DEFAULT_REPS))
-    boot = bootstrap_icc(matrix, sizes=sizes, reps=reps, seed=seed, missing=missing)
-    icc_report_path = os.path.join(out, "icc_report.csv")
-    icc_summary_path = os.path.join(out, "icc_summary.csv")
-    icc_full_path = os.path.join(out, "icc_full.json")
-    icc_svg_path = os.path.join(out, "icc_curve.svg")
-    write_icc_reports(icc_report_path, icc_summary_path, boot)
-    write_json(
-        icc_full_path,
-        {
-            "icc2k": icc2k(matrix, missing=missing),
-            "n_images": len(matrix.image_ids),
-            "n_raters": len(matrix.rater_ids),
-            "missing_mode": missing,
-        },
-    )
-    with open(icc_svg_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            mean_sd_plot(
-                [(s, boot.means[s], boot.sds[s]) for s in boot.sizes],
-                "ICC(2,k) by rater subsample size", "raters", "ICC(2,k)",
-            )
+def _cmd_all(opts, run: _Run) -> None:
+    if (opts.masks is None) != (opts.heatmaps is None):
+        absent = "masks" if opts.masks is None else "heatmaps"
+        raise InputError(
+            f"overlap needs both --masks and --heatmaps; {_flag(absent)} is missing",
+            field=absent,
         )
-    outputs += [icc_report_path, icc_summary_path, icc_full_path, icc_svg_path]
-
-    # error analysis
-    if cats_path is not None:
-        cats = load_categories(cats_path)
-        inputs.append(cats_path)
-        errors = image_abs_errors(ps, targets.mean_b)
-        ereport = analyze_errors(
-            errors,
-            cats,
-            bootstrap=int(_opt(args, config, "bootstrap", DEFAULT_BOOTSTRAP)),
-            level=float(_opt(args, config, "level", 0.95)),
-            min_cell=int(_opt(args, config, "min_cell", MIN_CELL)),
-            alpha=float(_opt(args, config, "alpha", ALPHA)),
-            seed=seed,
-        )
-        outputs += write_error_analysis(out, ereport)
-        for criterion in ereport.top_criteria:
-            rows = [s for s in ereport.summaries if s.criterion == criterion]
-            svg_path = os.path.join(out, f"shares_{_sanitize(criterion)}.svg")
-            with open(svg_path, "w", encoding="utf-8") as fh:
-                fh.write(
-                    grouped_bar_plot(
-                        [s.category for s in rows],
-                        [(s.share, s.freq) for s in rows],
-                        ("share", "freq"), criterion, "proportion",
-                    )
-                )
-            outputs.append(svg_path)
-
-    # attribution overlap
-    if masks_dir is not None and heatmaps is not None:
-        heatmap_dirs = _heatmap_dirs(args, config)
-        mask_files = sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm"))
-        records = []
-        for fname in mask_files:
-            image_id = fname[: -len(".pgm")]
-            mask = load_mask(os.path.join(masks_dir, fname))
-            inputs.append(os.path.join(masks_dir, fname))
-            grids = []
-            for d in heatmap_dirs:
-                hpath = os.path.join(d, image_id + ".pfm")
-                if not os.path.isfile(hpath):
-                    raise InputError(
-                        f"missing heatmap for image {image_id} in {d}", field="heatmaps"
-                    )
-                grids.append(load_float_grid(hpath))
-                inputs.append(hpath)
-            records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
-        test = paired_one_sided_t(records)
-        fear = targets.mean_b
-        corr = delta_fear_correlations(records, fear)
-        overlap_path = os.path.join(out, "overlap.csv")
-        ttest_path = os.path.join(out, "ttest.json")
-        rep_path = os.path.join(out, "representative_examples.json")
-        scatter_path = os.path.join(out, "delta_vs_fear.csv")
-        write_overlap(overlap_path, records)
-        write_json(
-            ttest_path,
-            {
-                "n": test.n, "mean_diff": test.mean_diff, "sd_diff": test.sd_diff,
-                "t": test.t, "df": test.df, "one_sided_p": test.one_sided_p,
-                "cohen_d": test.cohen_d,
-                "delta_fear_pearson": corr["pearson"],
-                "delta_fear_spearman": corr["spearman"],
-            },
-        )
-        max_id, zero_id, min_id = representative_examples(records, fear=fear)
-        write_json(
-            rep_path,
-            {
-                "max_delta": max_id, "nearest_zero": zero_id, "min_delta": min_id,
-                "fear_filter_min": 40.0,
-            },
-        )
-        write_csv(
-            scatter_path,
-            ["image_id", "delta", "fear"],
-            [[r.image_id, r.delta, fear[r.image_id]] for r in records if r.image_id in fear],
-        )
-        outputs += [overlap_path, ttest_path, rep_path, scatter_path]
-
-    write_manifest(
-        out,
-        command="all",
-        config={
-            **_config_snapshot(
-                args, config,
-                ("ratings", "features", "categories", "masks", "kind", "trials"),
-            ),
-            "predictor_kind": spec.kind,
-            "threads_note": "outputs are independent of thread count",
-        },
-        seed=seed,
-        inputs=inputs,
-        outputs=outputs,
-    )
-    return 0
+    spec = _predictor_spec(opts)
+    cleaned = _qc(run, load_ratings(opts.ratings))
+    targets, plan = _split(run, cleaned, opts.seed)
+    ps = _cv(run, opts, spec, plan, targets, load_features(opts.features))
+    _metrics(run, ps, targets)
+    _icc(run, opts, cleaned)
+    if opts.categories is not None:
+        _error_analysis(run, opts, ps, targets, load_categories(opts.categories))
+    if opts.masks is not None:
+        _overlap(run, opts.heatmaps, opts.masks, targets.mean_b)
+    run.config.update(predictor_kind=spec.kind,
+                      threads_note="outputs are independent of thread count")
 
 
-# -- parser wiring ---------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--out", help="output directory")
-    if seed:
-        sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
+# name -> (implementation, help, options that must be set, options the
+# manifest records when set)
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, _Run], None], str, str, str]] = {
+    "qc": (_cmd_qc, "rater screening", "out ratings", "ratings"),
+    "split": (_cmd_split, "participant split, targets, CV plan", "out seed ratings", "ratings"),
+    "cv": (_cmd_cv, "nested cross-validation", "out plan targets features",
+           "plan targets features kind trials"),
+    "metrics": (_cmd_metrics, "per-repetition and ensemble metrics",
+                "out predictions targets", "predictions targets"),
+    "icc": (_cmd_icc, "ICC(2,k) rater-subsample bootstrap", "out seed ratings",
+            "ratings reps missing"),
+    "curve": (_cmd_curve, "learning-curve fit", "out points form", "points form model metric"),
+    "overlap": (_cmd_overlap, "heatmap/mask overlap", "out heatmaps masks", "masks targets"),
+    "error-analysis": (_cmd_error_analysis, "category-wise error decomposition",
+                       "out seed predictions targets categories",
+                       "predictions targets categories"),
+    "prop-ci": (_cmd_prop_ci, "Wilson score interval", "successes n", ""),
+    "synth": (_cmd_synth, "synthetic data with known truth", "out seed", ""),
+    "all": (_cmd_all, "full pipeline on one ratings set", "out seed ratings features",
+            "ratings features categories masks kind trials"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spidereval", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("qc", help="rater screening", parents=[], description="Screen raters and write the filtered table.")
-    _add_common(p, seed=False)
-    p.add_argument("--ratings", help="ratings CSV")
-    p.set_defaults(func=_cmd_qc)
-
-    p = subs.add_parser("split", help="participant split, targets, and CV plan")
-    _add_common(p)
-    p.add_argument("--ratings", help="QC-filtered ratings CSV")
-    p.set_defaults(func=_cmd_split)
-
-    p = subs.add_parser("cv", help="nested cross-validation")
-    _add_common(p)
-    p.add_argument("--plan", help="cv_plan.json")
-    p.add_argument("--targets", help="image_targets.csv")
-    p.add_argument("--features", help="features CSV")
-    p.add_argument("--kind", help="predictor kind")
-    p.add_argument("--trials", type=int, help="search trials per fold")
-    p.add_argument("--threads", type=int, help="worker threads")
-    p.set_defaults(func=_cmd_cv)
-
-    p = subs.add_parser("metrics", help="per-repetition and ensemble metrics")
-    _add_common(p, seed=False)
-    p.add_argument("--predictions", help="predictions.csv")
-    p.add_argument("--targets", help="image_targets.csv")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = subs.add_parser("icc", help="ICC(2,k) bootstrap over rater subsamples")
-    _add_common(p)
-    p.add_argument("--ratings", help="QC-filtered ratings CSV")
-    p.add_argument("--sizes", help="comma-separated subsample sizes")
-    p.add_argument("--reps", type=int, help="bootstrap repetitions per size")
-    p.add_argument("--missing", choices=MISSING_MODES, help="missing-cell handling")
-    p.set_defaults(func=_cmd_icc)
-
-    p = subs.add_parser("curve", help="learning-curve fit")
-    _add_common(p, seed=False)
-    p.add_argument("--points", help="CSV with header n,y")
-    p.add_argument("--form", choices=FORMS, help="curve form")
-    p.add_argument("--model", help="label for the output row")
-    p.add_argument("--metric", help="label for the output row")
-    p.set_defaults(func=_cmd_curve)
-
-    p = subs.add_parser("overlap", help="heatmap/mask overlap statistics")
-    _add_common(p, seed=False)
-    p.add_argument("--heatmaps", nargs="+", help="heatmap directories (averaged)")
-    p.add_argument("--masks", help="mask directory")
-    p.add_argument("--targets", help="image_targets.csv for the fear filter")
-    p.set_defaults(func=_cmd_overlap)
-
-    p = subs.add_parser("error-analysis", help="category-wise error decomposition")
-    _add_common(p)
-    p.add_argument("--predictions", help="predictions.csv")
-    p.add_argument("--targets", help="image_targets.csv")
-    p.add_argument("--categories", help="categories CSV")
-    p.add_argument("--bootstrap", type=int, help="bootstrap replicates")
-    p.add_argument("--min-cell", type=int, help="minimum category size for tests")
-    p.add_argument("--alpha", type=float, help="FDR significance level")
-    p.add_argument("--level", type=float, help="CI level")
-    p.set_defaults(func=_cmd_error_analysis)
-
-    p = subs.add_parser("prop-ci", help="Wilson score interval")
-    _add_common(p, seed=False)
-    p.add_argument("--successes", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--level", type=float)
-    p.set_defaults(func=_cmd_prop_ci)
-
-    p = subs.add_parser("synth", help="synthetic data with known truth")
-    _add_common(p)
-    p.add_argument("--images", type=int)
-    p.add_argument("--raters", type=int)
-    p.add_argument("--var-image", type=float)
-    p.add_argument("--var-rater", type=float)
-    p.add_argument("--var-residual", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--outliers", type=int)
-    p.add_argument("--offset", type=float)
-    p.add_argument("--dim", type=int)
-    p.set_defaults(func=_cmd_synth)
-
-    p = subs.add_parser("all", help="full pipeline on one ratings set")
-    _add_common(p)
-    p.add_argument("--ratings", help="raw ratings CSV")
-    p.add_argument("--features", help="features CSV")
-    p.add_argument("--categories", help="categories CSV (enables error analysis)")
-    p.add_argument("--heatmaps", nargs="+", help="heatmap dirs (enables overlap)")
-    p.add_argument("--masks", help="mask dir (enables overlap)")
-    p.add_argument("--kind", help="predictor kind")
-    p.add_argument("--trials", type=int, help="search trials per fold")
-    p.add_argument("--threads", type=int, help="worker threads")
-    p.add_argument("--sizes", help="ICC subsample sizes")
-    p.add_argument("--reps", type=int, help="ICC bootstrap repetitions")
-    p.add_argument("--missing", choices=MISSING_MODES, help="ICC missing-cell handling")
-    p.add_argument("--bootstrap", type=int, help="error-analysis bootstrap replicates")
-    p.add_argument("--min-cell", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--level", type=float)
-    p.set_defaults(func=_cmd_all)
-
+    for command, (_, help_text, _, _) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON config file; flags override its keys")
+        sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
+        for opt in OPTIONS:
+            if opt.help is not None and command in opt.commands.split():
+                sub.add_argument(_flag(opt.name), nargs=opt.nargs, choices=opt.choices,
+                                 help=opt.help)
     return parser
-
-
-def _emit_error(exc: Exception, kind: str) -> None:
-    doc = {"error": {"type": kind, "message": str(exc)}}
-    field = getattr(exc, "field", None)
-    if field is not None:
-        doc["error"]["field"] = field
-    sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -1023,16 +670,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         logging.basicConfig(
             stream=sys.stderr,
-            level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+            level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return args.func(args)
-    except InputError as exc:
-        _emit_error(exc, "validation")
-        return 1
-    except ComputationError as exc:
-        _emit_error(exc, "computation")
-        return 2
+        opts = _resolve(args)
+        run_command, _, _, recorded = COMMANDS[args.command]
+        run = _Run(opts.out, opts.inputs)
+        run_command(opts, run)
+        if opts.out is not None:
+            write_manifest(
+                opts.out, command=args.command, seed=getattr(opts, "seed", None),
+                config={**{k: getattr(opts, k) for k in recorded.split() if k in opts.given},
+                        **run.config},
+                inputs=run.inputs, outputs=run.outputs,
+            )
+        return 0
+    except (InputError, ComputationError) as exc:
+        validation = isinstance(exc, InputError)
+        doc = {"type": "validation" if validation else "computation", "message": str(exc)}
+        if exc.field is not None:
+            doc["field"] = exc.field
+        sys.stderr.write(json.dumps({"error": doc}, sort_keys=True) + "\n")
+        return 1 if validation else 2
 
 
 if __name__ == "__main__":

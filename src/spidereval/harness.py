@@ -13,8 +13,6 @@ descent linear model that exercises the epoch-checkpoint path: each
 trial also runs a monitored fit on (training minus the 20% validation
 subset) against that subset to locate ``best_epoch``, and the final fit
 uses ``best_epoch + 5`` epochs capped at the trial's sampled maximum.
-``batch_size`` and ``optimizer`` are recorded metadata for iterative
-specs; the stub always takes full-batch steps.
 
 (rep, fold) tasks are independent; every random draw comes from a
 substream keyed by (seed, purpose, rep, fold, trial), so results do not
@@ -64,8 +62,6 @@ class PredictorSpec:
     kind: str
     ranges: Mapping[str, tuple[float, float, str]]
     epochs_range: tuple[int, int] = (10, 50)
-    batch_size: int = 16
-    optimizer: str = "sgd"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:

@@ -372,3 +372,104 @@ class TestAllCommand:
         manifest = json.loads(_read(out / "run_manifest.json"))
         assert manifest["command"] == "all"
         assert len(manifest["outputs"]) >= len(expected) - 1
+
+
+def _one_error_line(capsys):
+    """stderr holds exactly one line, the error JSON."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
+
+
+class TestTypedOptions:
+    @pytest.mark.parametrize("command, config, field", [
+        ("cv", {"trials": "abc"}, "trials"),
+        ("icc", {"reps": "x"}, "reps"),
+        ("split", {"seed": "x"}, "seed"),
+    ])
+    def test_config_value_that_does_not_cast(
+        self, workspace, tmp_path, capsys, command, config, field
+    ):
+        inputs = {
+            "cv": ["--plan", str(workspace["plan"]), "--targets", str(workspace["targets"]),
+                   "--features", str(workspace["features"])],
+            "icc": ["--seed", "5", "--ratings", str(workspace["filtered"])],
+            "split": ["--ratings", str(workspace["filtered"])],
+        }[command]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--out", str(tmp_path / "o"), "--config", str(path),
+                     *inputs]) == 1
+        error = _one_error_line(capsys)
+        assert error["type"] == "validation"
+        assert error["field"] == field
+
+    def test_explicit_zero_reps_reaches_the_library_check(self, workspace, tmp_path, capsys):
+        assert main([
+            "icc", "--out", str(tmp_path / "o"), "--seed", "5",
+            "--ratings", str(workspace["filtered"]), "--reps", "0",
+        ]) == 1
+        assert "reps must be >= 1" in _one_error_line(capsys)["message"]
+
+    @pytest.mark.parametrize("config, field", [
+        ({"icc": {"reps": 5}}, "icc"),
+        ({"predictor": {"batch_size": 16}}, "predictor"),
+        ({"predictor": [1, 2]}, "predictor"),
+        ({"missing": "drop"}, "missing"),
+    ])
+    def test_unsupported_config_is_rejected(self, workspace, tmp_path, capsys, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([
+            "all", "--out", str(tmp_path / "o"), "--seed", "5", "--config", str(path),
+            "--ratings", str(workspace["ratings"]), "--features", str(workspace["features"]),
+        ]) == 1
+        assert _one_error_line(capsys)["field"] == field
+
+    def test_epochs_range_applies_without_ranges(self, workspace, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"predictor": {"kind": "iterative_stub", "epochs_range": [3, 4]}}
+        ))
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--out", str(out), "--config", str(path), "--trials", "2",
+            "--plan", str(workspace["plan"]), "--targets", str(workspace["targets"]),
+            "--features", str(workspace["features"]),
+        ]) == 0
+        with open(out / "search_log.jsonl") as fh:
+            epochs = {json.loads(line)["max_epochs"] for line in fh}
+        assert epochs <= {3, 4}
+
+
+class TestAllOverlapValidation:
+    def _all(self, workspace, tmp_path, *extra):
+        return main([
+            "all", "--out", str(tmp_path / "o"), "--seed", "5",
+            "--ratings", str(workspace["ratings"]), "--features", str(workspace["features"]),
+            *extra,
+        ])
+
+    def test_empty_masks_dir(self, workspace, tmp_path, capsys):
+        dirs = _write_overlap_inputs(tmp_path, ["img000", "img001"])
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert self._all(workspace, tmp_path, "--masks", str(empty),
+                         "--heatmaps", str(dirs["heat_a"])) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "masks")
+
+    def test_masks_path_is_a_file(self, workspace, tmp_path, capsys):
+        dirs = _write_overlap_inputs(tmp_path, ["img000", "img001"])
+        assert self._all(workspace, tmp_path, "--masks", str(workspace["ratings"]),
+                         "--heatmaps", str(dirs["heat_a"])) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "masks")
+
+    @pytest.mark.parametrize("given, absent", [("masks", "heatmaps"), ("heat_a", "masks")])
+    def test_one_of_masks_and_heatmaps(self, workspace, tmp_path, capsys, given, absent):
+        dirs = _write_overlap_inputs(tmp_path, ["img000", "img001"])
+        flag = "--masks" if given == "masks" else "--heatmaps"
+        assert self._all(workspace, tmp_path, flag, str(dirs[given])) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", absent)

@@ -69,8 +69,6 @@ class TestPredictorSpec:
         stub = default_spec("iterative_stub")
         assert stub.iterative
         assert stub.epochs_range == (10, 50)
-        assert stub.batch_size == 16
-        assert stub.optimizer == "sgd"
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

@@ -329,8 +329,16 @@ def write_error_analysis(out_dir, report: ErrorAnalysisReport) -> list[str]:
 
 def write_manifest(out_dir, *, command: str, config: Mapping, seed: int | None,
                    inputs: Sequence[str], outputs: Sequence[str]) -> str:
-    """Digest-based manifest; byte-identical for identical runs."""
+    """Digest-based manifest; byte-identical for identical runs.
+
+    Outputs are keyed by file name. Inputs are keyed by their path
+    relative to the deepest directory that holds all of them, so a lone
+    input is keyed by its file name and same-named files from different
+    directories keep separate entries.
+    """
     path = os.path.join(out_dir, "run_manifest.json")
+    inputs = sorted({os.path.abspath(str(p)) for p in inputs if os.path.isfile(p)})
+    base = os.path.commonpath([os.path.dirname(p) for p in inputs]) if inputs else ""
     doc = {
         "command": command,
         "config": dict(config),
@@ -341,9 +349,7 @@ def write_manifest(out_dir, *, command: str, config: Mapping, seed: int | None,
             "numpy": np.__version__,
         },
         "inputs": {
-            os.path.basename(str(p)): sha256_file(p)
-            for p in sorted(set(str(x) for x in inputs))
-            if os.path.isfile(p)
+            os.path.relpath(p, base).replace(os.sep, "/"): sha256_file(p) for p in inputs
         },
         "outputs": {
             os.path.basename(str(p)): sha256_file(p)

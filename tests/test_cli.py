@@ -9,6 +9,7 @@ import pytest
 
 from spidereval.cli import main
 from spidereval.ingest import BinaryMask, FloatGrid, write_float_grid, write_mask
+from spidereval.outputs import sha256_file
 
 SIZES_313 = [50, 75, 100, 150, 200, 250, 313]
 MAE_SERIES = [13.533, 12.923, 12.101, 11.562, 11.360, 11.336, 11.025]
@@ -372,6 +373,11 @@ class TestAllCommand:
         manifest = json.loads(_read(out / "run_manifest.json"))
         assert manifest["command"] == "all"
         assert len(manifest["outputs"]) >= len(expected) - 1
+        heatmaps = sorted(dirs["heat_a"].iterdir()) + sorted(dirs["heat_b"].iterdir())
+        assert len(heatmaps) == 10
+        digests = set(manifest["inputs"].values())
+        for path in heatmaps:
+            assert sha256_file(path) in digests, path
 
 
 def _one_error_line(capsys):

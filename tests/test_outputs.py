@@ -251,6 +251,22 @@ class TestManifest:
         assert doc["seed"] == 3
         assert set(doc["versions"]) == {"package", "python", "numpy"}
 
+    def test_same_named_inputs_keep_separate_entries(self, tmp_path):
+        paths = []
+        for d in ("heat_a", "heat_b", "masks/sub"):
+            (tmp_path / d).mkdir(parents=True)
+            paths.append(tmp_path / d / "img000.pfm")
+            paths[-1].write_text(d)
+        doc = json.loads(open(write_manifest(
+            tmp_path, command="c", config={}, seed=None,
+            inputs=[str(p) for p in paths], outputs=[],
+        )).read())
+        assert doc["inputs"] == {
+            "heat_a/img000.pfm": sha256_file(paths[0]),
+            "heat_b/img000.pfm": sha256_file(paths[1]),
+            "masks/sub/img000.pfm": sha256_file(paths[2]),
+        }
+
     def test_missing_files_skipped(self, tmp_path):
         path = write_manifest(
             tmp_path, command="c", config={}, seed=None,

@@ -42,7 +42,14 @@ from .error_analysis import (
     image_abs_errors,
 )
 from .errors import ComputationError, InputError
-from .harness import N_TRIALS, PredictionSet, PredictorSpec, default_spec, run_nested_cv
+from .harness import (
+    N_TRIALS,
+    PredictionSet,
+    PredictorSpec,
+    default_spec,
+    run_nested_cv,
+    search_summary,
+)
 from .ingest import (
     RatingsTable,
     first_trial_filter,
@@ -91,6 +98,7 @@ from .reliability import (
     icc2k,
     wilson_ci,
 )
+from .rng import check_seed
 from .svgplot import grouped_bar_plot, line_plot, mean_sd_plot
 from .synth import SynthSpec, generate
 
@@ -114,6 +122,10 @@ def _count(value) -> int:
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
+
+
+def _seed(value) -> int:
+    return check_seed(int(value))
 
 
 def _path(value) -> str:
@@ -181,7 +193,7 @@ class Option:
 OPTIONS = (
     Option("out", _out_dir, None, "output directory",
            "qc split cv metrics icc curve overlap error-analysis prop-ci synth all"),
-    Option("seed", int, None, f"master seed (default: ${SEED_ENV})",
+    Option("seed", _seed, None, f"master seed (default: ${SEED_ENV})",
            "split cv icc error-analysis synth all", env=SEED_ENV),
     Option("ratings", _path, None, "ratings CSV", "qc split icc all"),
     Option("plan", _path, None, "cv_plan.json", "cv"),
@@ -369,6 +381,7 @@ def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
     )
     write_predictions(run.path("predictions.csv"), ps)
     write_search_log(run.path("search_log.jsonl"), search_log)
+    write_json(run.path("search_summary.json"), search_summary(spec, search_log, ps.refits))
     return ps
 
 

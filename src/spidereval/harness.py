@@ -6,17 +6,21 @@ the five inner folds of the outer training set, the argmin trial wins
 outer training set, and the held-out test images receive one raw and one
 clipped prediction. All losses are computed on raw predictions.
 
-Two predictor kinds are provided. ``ridge_closed_form`` solves the
-normal equations with an unpenalized intercept and is the deterministic
-baseline used throughout. ``iterative_stub`` is a full-batch gradient
+Two predictor kinds are provided. ``ridge_closed_form`` is ridge
+regression with an unpenalized intercept and is the deterministic
+baseline used throughout. Each fit set (every inner fit set and the outer
+training set) is centred and factored once, by an eigendecomposition of
+its smaller Gram matrix, and every trial's penalty is then priced from
+that factorization in O(nd). ``iterative_stub`` is a full-batch gradient
 descent linear model that exercises the epoch-checkpoint path: each
 trial also runs a monitored fit on (training minus the 20% validation
 subset) against that subset to locate ``best_epoch``, and the final fit
 uses ``best_epoch + 5`` epochs capped at the trial's sampled maximum.
 
-(rep, fold) tasks are independent; every random draw comes from a
-substream keyed by (seed, purpose, rep, fold, trial), so results do not
-depend on the number of worker threads.
+Feature rows are gathered by integer index arrays once per fold, never
+per trial. (rep, fold) tasks are independent; every random draw comes
+from a substream keyed by (seed, purpose, rep, fold, trial), so results
+do not depend on the number of worker threads.
 """
 
 from __future__ import annotations
@@ -37,16 +41,19 @@ __all__ = [
     "TrialResult",
     "Prediction",
     "PredictionSet",
+    "Refit",
     "default_spec",
     "effective_epochs",
     "fit_ridge",
     "random_search",
     "run_nested_cv",
+    "search_summary",
 ]
 
 KINDS = ("ridge_closed_form", "iterative_stub")
 N_TRIALS = 30
 EPOCH_BUFFER = 5
+SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -126,10 +133,26 @@ def make_prediction(repetition: int, fold: int, image_id: str, raw: float) -> Pr
 
 
 @dataclass(frozen=True)
+class Refit:
+    """The winning trial of one (repetition, fold), refit on its outer
+    training set. ``effective_dof`` is the ridge fit's effective degrees
+    of freedom, sum e / (e + lambda) over the eigenvalues e of the centred
+    Gram matrix; None for iterative kinds."""
+
+    repetition: int
+    fold: int
+    trial: int
+    params: dict[str, float]
+    effective_dof: float | None
+
+
+@dataclass(frozen=True)
 class PredictionSet:
-    """Held-out predictions, exactly one per (repetition, image)."""
+    """Held-out predictions, exactly one per (repetition, image), plus the
+    refits that made them (empty when read back from a file)."""
 
     entries: tuple[Prediction, ...]
+    refits: tuple[Refit, ...] = field(default=(), compare=False)
     _by_rep: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -168,29 +191,77 @@ def effective_epochs(best_epoch: int, max_epochs: int | None = None) -> int:
     return epochs
 
 
+def _check_penalty(lam) -> None:
+    if not (np.isfinite(lam) and lam > 0):
+        raise InputError(f"lambda must be positive and finite, got {lam}")
+
+
+class _RidgeFit:
+    """Ridge regression with an unpenalized intercept on one fit set,
+    factored once so that each penalty costs O(nd).
+
+    With the intercept unpenalized, ridge equals ridge on centred data
+    (Hastie, Tibshirani & Friedman, ESL section 3.4.1). The smaller Gram
+    matrix of the centred X is eigendecomposed: ``Xc Xc^T = U E U^T``
+    (n x n) when d >= n, giving ``w = Xc^T U (E + lam)^-1 U^T yc``, and
+    ``Xc^T Xc = V E V^T`` (d x d) when d < n, giving
+    ``w = V (E + lam)^-1 V^T Xc^T yc``. Both sides have the same non-zero
+    eigenvalues, so ``sum e / (e + lam)`` is the effective degrees of
+    freedom either way.
+    """
+
+    __slots__ = ("x_mean", "y_mean", "eig", "coef", "vecs", "xc")
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
+            raise InputError("ridge fit expects X (n, d) and y (n,) with n >= 1")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise InputError("ridge fit inputs must be finite")
+        n, d = X.shape
+        self.x_mean = X.mean(axis=0)
+        self.y_mean = float(y.mean())
+        xc = X - self.x_mean
+        yc = y - self.y_mean
+        try:
+            if d >= n:
+                eig, self.vecs = np.linalg.eigh(xc @ xc.T)
+                self.coef = self.vecs.T @ yc
+                self.xc = xc
+            else:
+                eig, self.vecs = np.linalg.eigh(xc.T @ xc)
+                self.coef = self.vecs.T @ (xc.T @ yc)
+                self.xc = None
+        except np.linalg.LinAlgError as exc:
+            raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
+        # The Gram matrix is positive semi-definite; clip rounding below zero.
+        self.eig = np.maximum(eig, 0.0)
+
+    def weights(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (d, T) and intercepts (T,) for each of T penalties."""
+        w = self.vecs @ (self.coef[:, None] / (self.eig[:, None] + lams[None, :]))
+        if self.xc is not None:
+            w = self.xc.T @ w
+        return w, self.y_mean - self.x_mean @ w
+
+    def predict(self, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Predictions (len(X), T) for the rows of X at each of T penalties."""
+        w, b = self.weights(lams)
+        return X @ w + b
+
+    def dof(self, lam: float) -> float:
+        return float(np.sum(self.eig / (self.eig + lam)))
+
+
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Solve (XtX + lam*I) w = Xt y with an unpenalized intercept.
+    """Minimize ||y - X w - b||^2 + lam ||w||^2 with an unpenalized intercept.
 
     Returns (weights, intercept).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise InputError("fit_ridge expects X (n, d) and y (n,)")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise InputError("fit_ridge inputs must be finite")
-    if not (np.isfinite(lam) and lam > 0):
-        raise InputError(f"lambda must be positive and finite, got {lam}")
-    n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    A = Xa.T @ Xa
-    A[np.arange(d), np.arange(d)] += lam
-    b = Xa.T @ y
-    try:
-        w = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"ridge normal equations are singular: {exc}") from exc
-    return w[:d].copy(), float(w[d])
+    _check_penalty(lam)
+    w, b = _RidgeFit(X, y).weights(np.array([lam], dtype=np.float64))
+    return w[:, 0].copy(), float(b[0])
 
 
 def _mse(pred: np.ndarray, obs: np.ndarray) -> float:
@@ -205,16 +276,6 @@ def _design(
     X = features.matrix(ids)
     y = np.array([targets[i] for i in ids], dtype=np.float64)
     return X, y
-
-
-class _RidgeModel:
-    __slots__ = ("w", "b")
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, params: Mapping[str, float]):
-        self.w, self.b = fit_ridge(X, y, params["lambda"])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.w + self.b
 
 
 class _GradientDescentModel:
@@ -278,12 +339,73 @@ def _sample_trial(spec: PredictorSpec, rng: np.random.Generator) -> tuple[dict, 
     return params, max_epochs
 
 
-def _fit(spec: PredictorSpec, X, y, params, epochs: int | None):
-    if spec.kind == "ridge_closed_form":
-        return _RidgeModel(X, y, params)
-    if epochs is None:
-        raise ComputationError("iterative fit requires an epoch count")
-    return _GradientDescentModel(X, y, params["learning_rate"], epochs)
+def _rows(position: Mapping[str, int], ids) -> np.ndarray:
+    """Ascending row indices of ``ids`` in a training set whose rows are
+    its sorted ids."""
+    return np.array(sorted(position[i] for i in ids), dtype=np.intp)
+
+
+def _fit_mask(n: int, held: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an n-row training set outside ``held``."""
+    mask = np.ones(n, dtype=bool)
+    mask[held] = False
+    return mask
+
+
+def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
+    """Losses ``[t, k]``, the MSE of trial t's penalty on inner fold k, from
+    one factorization per inner fit set, plus each trial's error: a failed
+    factorization is the error of every trial."""
+    for lam in lams:
+        _check_penalty(lam)
+    losses = np.zeros((len(lams), len(held)))
+    errors: list[str | None] = [None] * len(lams)
+    for k, rows in enumerate(held):
+        fit = _fit_mask(len(y), rows)
+        try:
+            model = _RidgeFit(X[fit], y[fit])
+        except ComputationError as exc:
+            errors = [err or str(exc) for err in errors]
+            continue
+        resid = model.predict(X[rows], lams) - y[rows][:, None]
+        losses[:, k] = np.einsum("ij,ij->j", resid, resid) / len(rows)
+    return losses, errors
+
+
+def _iterative_losses(
+    X, y, held, validation, draws
+) -> tuple[np.ndarray, list[str | None], list[int | None]]:
+    """Losses ``[t, k]`` from one gradient-descent fit per (trial, inner
+    fold), each trial's error (its first failed fit) and the best epoch
+    of a monitored fit on the rows outside ``validation`` against it."""
+    losses = np.zeros((len(draws), len(held)))
+    errors: list[str | None] = [None] * len(draws)
+    best_epochs: list[int | None] = [None] * len(draws)
+    for k, rows in enumerate(held):
+        fit = _fit_mask(len(y), rows)
+        Xf, yf, Xh, yh = X[fit], y[fit], X[rows], y[rows]
+        for t, (params, max_epochs) in enumerate(draws):
+            if errors[t] is None:
+                try:
+                    model = _GradientDescentModel(Xf, yf, params["learning_rate"], max_epochs)
+                    losses[t, k] = _mse(model.predict(Xh), yh)
+                except ComputationError as exc:
+                    errors[t] = str(exc)
+    fit = _fit_mask(len(y), validation)
+    for t, (params, max_epochs) in enumerate(draws):
+        if errors[t] is None:
+            try:
+                if not fit.any() or not len(validation):
+                    raise ComputationError(
+                        "iterative search needs a non-empty validation subset"
+                    )
+                best_epochs[t] = _monitored_best_epoch(
+                    X[fit], y[fit], X[validation], y[validation],
+                    params["learning_rate"], max_epochs,
+                )
+            except ComputationError as exc:
+                errors[t] = str(exc)
+    return losses, errors, best_epochs
 
 
 def random_search(
@@ -306,48 +428,47 @@ def random_search(
     the per-trial diagnostics is raised.
     """
     if n_trials < 1:
-        raise InputError(f"n_trials must be >= 1, got {n_trials}")
+        raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
     train_ids = sorted({i for part in inner_folds for i in part})
-    val_set = set(validation)
+    position = {image_id: k for k, image_id in enumerate(train_ids)}
+    X, y = _design(features, targets, train_ids)
+    held = [_rows(position, part) for part in inner_folds]
+    draws = [
+        _sample_trial(spec, substream(seed, "search", repetition, fold, t))
+        for t in range(n_trials)
+    ]
+    if spec.iterative:
+        outside = sorted(set(validation) - set(position))
+        if outside:
+            raise InputError(f"validation images outside the inner folds: {outside[:5]}")
+        losses, errors, best_epochs = _iterative_losses(
+            X, y, held, _rows(position, set(validation)), draws
+        )
+    else:
+        lams = np.array([params["lambda"] for params, _ in draws], dtype=np.float64)
+        losses, errors = _ridge_losses(X, y, held, lams)
+        best_epochs = [None] * n_trials
+
     trials: list[TrialResult] = []
-    for t in range(n_trials):
-        rng = substream(seed, "search", repetition, fold, t)
-        params, max_epochs = _sample_trial(spec, rng)
-        try:
-            fold_losses = []
-            for held_out in inner_folds:
-                held = set(held_out)
-                fit_ids = [i for i in train_ids if i not in held]
-                X, y = _design(features, targets, fit_ids)
-                Xv, yv = _design(features, targets, sorted(held))
-                model = _fit(spec, X, y, params, max_epochs)
-                fold_losses.append(_mse(model.predict(Xv), yv))
-            loss = float(np.mean(fold_losses))
-            best_epoch = None
-            if spec.iterative:
-                fit_ids = [i for i in train_ids if i not in val_set]
-                if not fit_ids or not val_set:
-                    raise ComputationError(
-                        "iterative search needs a non-empty validation subset"
+    for t, (params, max_epochs) in enumerate(draws):
+        error = errors[t]
+        if error is None:
+            try:
+                trials.append(
+                    TrialResult(
+                        trial=t, params=params, max_epochs=max_epochs,
+                        loss=float(np.mean(losses[t])), best_epoch=best_epochs[t],
                     )
-                X, y = _design(features, targets, fit_ids)
-                Xv, yv = _design(features, targets, sorted(val_set))
-                best_epoch = _monitored_best_epoch(
-                    X, y, Xv, yv, params["learning_rate"], max_epochs
                 )
-            trials.append(
-                TrialResult(
-                    trial=t, params=params, max_epochs=max_epochs,
-                    loss=loss, best_epoch=best_epoch,
-                )
+                continue
+            except ComputationError as exc:
+                error = str(exc)
+        trials.append(
+            TrialResult(
+                trial=t, params=params, max_epochs=max_epochs,
+                loss=None, best_epoch=None, error=error,
             )
-        except ComputationError as exc:
-            trials.append(
-                TrialResult(
-                    trial=t, params=params, max_epochs=max_epochs,
-                    loss=None, best_epoch=None, error=str(exc),
-                )
-            )
+        )
     viable = [tr for tr in trials if tr.loss is not None]
     if not viable:
         details = "; ".join(f"trial {tr.trial}: {tr.error}" for tr in trials)
@@ -363,7 +484,7 @@ def _run_fold(
     spec: PredictorSpec,
     n_trials: int,
     seed: int,
-) -> tuple[list[Prediction], list[TrialResult], int]:
+) -> tuple[list[Prediction], list[TrialResult], Refit]:
     try:
         best, trials = random_search(
             spec,
@@ -376,18 +497,23 @@ def _run_fold(
             repetition=fp.repetition,
             fold=fp.fold,
         )
-        epochs = None
+        X, y = _design(features, targets.mean_a, fp.train)
+        Xt = features.matrix(fp.test)
         if spec.iterative:
             epochs = effective_epochs(best.best_epoch, best.max_epochs)
-        X, y = _design(features, targets.mean_a, fp.train)
-        model = _fit(spec, X, y, best.params, epochs)
-        Xt = features.matrix(list(fp.test))
-        raw = model.predict(Xt)
+            raw = _GradientDescentModel(X, y, best.params["learning_rate"], epochs).predict(Xt)
+            dof = None
+        else:
+            lam = best.params["lambda"]
+            model = _RidgeFit(X, y)
+            raw = model.predict(Xt, np.array([lam], dtype=np.float64))[:, 0]
+            dof = model.dof(lam)
         preds = [
             make_prediction(fp.repetition, fp.fold, image_id, raw_val)
             for image_id, raw_val in zip(fp.test, raw)
         ]
-        return preds, trials, best.trial
+        refit = Refit(fp.repetition, fp.fold, best.trial, best.params, dof)
+        return preds, trials, refit
     except (ComputationError, InputError) as exc:
         raise ComputationError(
             f"rep={fp.repetition} fold={fp.fold}: {exc}"
@@ -407,8 +533,9 @@ def run_nested_cv(
     """Execute the full plan and return predictions plus the search log.
 
     The log holds one record per (repetition, fold, trial) with the
-    winning trial flagged. ``seed`` defaults to the plan's own seed so a
-    stored plan fully determines the run.
+    winning trial flagged; the prediction set carries each fold's refit.
+    ``seed`` defaults to the plan's own seed so a stored plan fully
+    determines the run.
     """
     assert_no_leakage(plan, targets)
     if seed is None:
@@ -426,7 +553,7 @@ def run_nested_cv(
 
     entries: list[Prediction] = []
     log: list[dict] = []
-    for fp, (preds, trials, winner) in zip(tasks, results):
+    for fp, (preds, trials, refit) in zip(tasks, results):
         entries.extend(preds)
         for tr in trials:
             log.append(
@@ -439,7 +566,55 @@ def run_nested_cv(
                     "best_epoch": tr.best_epoch,
                     "loss": tr.loss,
                     "error": tr.error,
-                    "selected": tr.trial == winner,
+                    "selected": tr.trial == refit.trial,
                 }
             )
-    return PredictionSet(entries=tuple(entries)), log
+    refits = tuple(refit for _, _, refit in results)
+    return PredictionSet(entries=tuple(entries), refits=refits), log
+
+
+def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ...]) -> dict:
+    """What the search did, for ``search_summary.json``.
+
+    Per searched parameter: quantiles of the winning values, and the share
+    of winners in the lowest and in the highest tenth of the range on its
+    sampling scale; many winners there suggest a mis-set search space
+    (Bergstra & Bengio, JMLR 2012). Also the failed-trial counts and each
+    winner's effective degrees of freedom (ridge only).
+    """
+    parameters = {}
+    for name, (low, high, scale) in sorted(spec.ranges.items()):
+        values = np.array([r.params[name] for r in refits], dtype=np.float64)
+        lowest = highest = None
+        if high > low:
+            to_scale = np.log if scale == "log" else np.asarray
+            position = (to_scale(values) - to_scale(low)) / (to_scale(high) - to_scale(low))
+            lowest = float(np.mean(position <= 0.1))
+            highest = float(np.mean(position >= 0.9))
+        parameters[name] = {
+            "range": [low, high, scale],
+            "winner_quantiles": {
+                f"{q:g}": float(np.quantile(values, q)) for q in SUMMARY_QUANTILES
+            },
+            "winner_share_lowest_tenth": lowest,
+            "winner_share_highest_tenth": highest,
+        }
+    failed = [rec for rec in log if rec["error"] is not None]
+    return {
+        "kind": spec.kind,
+        "folds": len(refits),
+        "trials": len(log),
+        "failed_trials": len(failed),
+        "folds_with_failed_trials": len({(r["repetition"], r["fold"]) for r in failed}),
+        "parameters": parameters,
+        "winners": [
+            {
+                "repetition": r.repetition,
+                "fold": r.fold,
+                "trial": r.trial,
+                "params": r.params,
+                "effective_dof": r.effective_dof,
+            }
+            for r in refits
+        ],
+    }

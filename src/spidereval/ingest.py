@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -140,23 +141,55 @@ class CategoryTable:
             ) from None
 
 
-@dataclass(frozen=True)
 class FeatureTable:
-    """Per-image embedding vectors, all of the same dimension D >= 1."""
+    """Per-image embedding vectors, all of the same dimension D >= 1.
 
-    vectors: dict[str, np.ndarray]
+    The vectors live in one read-only ``(N, D)`` float64 ``array``; ``ids``
+    names its rows in order and ``row`` maps an image id to its row.
+    """
+
+    __slots__ = ("ids", "array", "row")
+
+    def __init__(self, vectors: Mapping[str, np.ndarray]):
+        ids = list(vectors)
+        try:
+            array = np.array([vectors[i] for i in ids], dtype=np.float64)
+        except ValueError:
+            raise InputError("feature vectors must all have the same dimension") from None
+        self._set(ids, array)
+
+    @classmethod
+    def from_array(cls, ids: Sequence[str], array: np.ndarray) -> "FeatureTable":
+        """Wrap an ``(N, D)`` array whose rows belong to ``ids``, without copying."""
+        table = cls.__new__(cls)
+        table._set(list(ids), np.asarray(array, dtype=np.float64))
+        return table
+
+    def _set(self, ids: list[str], array: np.ndarray) -> None:
+        if array.ndim != 2 or array.shape[1] < 1 or array.shape[0] != len(ids):
+            raise InputError(
+                f"features need one vector of dimension >= 1 per image, "
+                f"got shape {array.shape} for {len(ids)} images"
+            )
+        row = {image_id: k for k, image_id in enumerate(ids)}
+        if len(row) != len(ids):
+            raise InputError("duplicate image ids in features")
+        view = array.view()
+        view.flags.writeable = False
+        self.ids, self.array, self.row = tuple(ids), view, row
 
     @property
     def dim(self) -> int:
-        first = next(iter(self.vectors.values()))
-        return int(first.shape[0])
+        return int(self.array.shape[1])
 
-    def matrix(self, image_ids: list[str]) -> np.ndarray:
+    def matrix(self, image_ids) -> np.ndarray:
         """Stack feature rows for the given images, in the given order."""
-        missing = [i for i in image_ids if i not in self.vectors]
-        if missing:
-            raise InputError(f"missing feature vectors for images: {missing[:5]}")
-        return np.stack([self.vectors[i] for i in image_ids])
+        try:
+            rows = [self.row[i] for i in image_ids]
+        except KeyError:
+            missing = [i for i in image_ids if i not in self.row]
+            raise InputError(f"missing feature vectors for images: {missing[:5]}") from None
+        return self.array[np.array(rows, dtype=np.intp)]
 
 
 @dataclass(frozen=True)
@@ -310,7 +343,9 @@ def load_categories(path: str | Path) -> CategoryTable:
 def load_features(path: str | Path) -> FeatureTable:
     """Parse the per-image embedding CSV (header ``image_id,f0..f{D-1}``)."""
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    seen: set[str] = set()
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -328,7 +363,7 @@ def load_features(path: str | Path) -> FeatureTable:
                     f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}"
                 )
             image = row[0]
-            if image in vectors:
+            if image in seen:
                 raise InputError(f"{path}:{lineno}: duplicate image {image!r}")
             try:
                 vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
@@ -336,20 +371,22 @@ def load_features(path: str | Path) -> FeatureTable:
                 raise InputError(f"{path}:{lineno}: non-numeric feature value") from None
             if not np.all(np.isfinite(vec)):
                 raise InputError(f"{path}:{lineno}: non-finite feature value")
-            vectors[image] = vec
-    if not vectors:
+            seen.add(image)
+            ids.append(image)
+            rows.append(vec)
+    if not rows:
         raise InputError(f"{path}: no feature rows")
-    return FeatureTable(vectors)
+    return FeatureTable.from_array(ids, np.stack(rows))
 
 
 def write_features(features: FeatureTable, path: str | Path) -> None:
     path = Path(path)
-    dim = features.dim
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image_id"] + [f"f{i}" for i in range(dim)])
-        for image in sorted(features.vectors):
-            writer.writerow([image] + [f"{v:.9g}" for v in features.vectors[image]])
+        writer.writerow(["image_id"] + [f"f{i}" for i in range(features.dim)])
+        for image in sorted(features.ids):
+            vec = features.array[features.row[image]]
+            writer.writerow([image] + [f"{v:.9g}" for v in vec])
 
 
 # -- PFM (grayscale float grids) --------------------------------------------

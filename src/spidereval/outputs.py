@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 from typing import Iterable, Mapping, Sequence
@@ -152,8 +153,11 @@ def load_image_targets(path):
                 image_id = row[0]
                 if image_id in mean_a:
                     raise InputError(f"{path}:{lineno}: duplicate image {image_id}")
-                mean_a[image_id] = float(row[1])
-                mean_b[image_id] = float(row[2])
+                a, b = float(row[1]), float(row[2])
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise InputError(f"{path}:{lineno}: non-finite mean_a or mean_b")
+                mean_a[image_id] = a
+                mean_b[image_id] = b
                 n_a[image_id] = int(row[3])
                 n_b[image_id] = int(row[4])
     except OSError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ComputationError, InputError
 from .ingest import RatingsTable
-from .rng import substream
+from .rng import check_seed, substream
 
 __all__ = [
     "ParticipantSplit",
@@ -281,11 +281,14 @@ def write_cv_plan(path, plan: CvPlan) -> None:
 
 
 def load_cv_plan(path) -> CvPlan:
+    """Read a plan written by :func:`write_cv_plan`, checking its shape:
+    one fold per (repetition, outer fold), in that order, and a seed that
+    can key substreams."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read cv plan {path}: {exc}") from exc
+        raise InputError(f"cannot read cv plan {path}: {exc}", field="plan") from exc
     try:
         folds = tuple(
             FoldPlan(
@@ -298,8 +301,8 @@ def load_cv_plan(path) -> CvPlan:
             )
             for f in doc["folds"]
         )
-        return CvPlan(
-            seed=int(doc["seed"]),
+        plan = CvPlan(
+            seed=check_seed(int(doc["seed"])),
             image_ids=tuple(doc["image_ids"]),
             folds=folds,
             n_repetitions=int(doc["n_repetitions"]),
@@ -309,4 +312,18 @@ def load_cv_plan(path) -> CvPlan:
             inner_search_scope=str(doc["inner_search_scope"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed cv plan {path}: {exc}") from exc
+        raise InputError(f"malformed cv plan {path}: {exc}", field="plan") from exc
+    n_outer = plan.n_outer_folds
+    if (
+        plan.n_repetitions < 1
+        or n_outer < 1
+        or len(folds) != plan.n_repetitions * n_outer
+        or any((fp.repetition, fp.fold) != divmod(k, n_outer) for k, fp in enumerate(folds))
+    ):
+        raise InputError(
+            f"malformed cv plan {path}: folds must list (repetition, fold) for "
+            f"{plan.n_repetitions} repetitions x {n_outer} outer folds in order, "
+            f"got {len(folds)} folds",
+            field="plan",
+        )
+    return plan

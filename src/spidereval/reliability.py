@@ -173,7 +173,7 @@ def bootstrap_icc(
             f"subsample size {sizes[-1]} exceeds available raters ({n_raters})"
         )
     if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
+        raise InputError(f"reps must be >= 1, got {reps}", field="reps")
     values: dict[int, tuple[float, ...]] = {}
     means: dict[int, float] = {}
     sds: dict[int, float] = {}

@@ -13,9 +13,18 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream_seed", "substream"]
+__all__ = ["check_seed", "substream_seed", "substream"]
 
 _DOMAIN = b"spidereval.rng.v1"
+# Integer parts, the master seed included, are encoded as signed 128-bit.
+_INT_MIN, _INT_MAX = -(2**127), 2**127 - 1
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if a substream can be keyed by it, else raise ValueError."""
+    if not _INT_MIN <= seed <= _INT_MAX:
+        raise ValueError(f"seed must lie in [-2**127, 2**127 - 1], got {seed}")
+    return seed
 
 
 def _encode(part: int | str) -> bytes:

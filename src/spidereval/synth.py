@@ -78,9 +78,7 @@ def generate(spec: SynthSpec) -> tuple[RatingsTable, FeatureTable | None, Ground
             weights = np.ones(spec.feature_dim)
             norm = float(np.sqrt(spec.feature_dim))
         img_effects = np.sqrt(spec.var_image) * (X @ weights) / norm
-        features = FeatureTable(
-            vectors={im: X[i].copy() for i, im in enumerate(image_ids)}
-        )
+        features = FeatureTable.from_array(image_ids, X)
     else:
         img_rng = substream(spec.seed, "synth.image")
         img_effects = np.sqrt(spec.var_image) * img_rng.standard_normal(spec.n_images)

@@ -309,6 +309,48 @@ class TestErrorContracts:
         assert exc.value.code == 0
         assert "spidereval" in capsys.readouterr().out
 
+    def test_seed_outside_128_bits(self, workspace, tmp_path, capsys):
+        assert main([
+            "split", "--out", str(tmp_path / "o"), "--seed", str(10 ** 40),
+            "--ratings", str(workspace["filtered"]),
+        ]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "seed")
+
+    def _cv(self, workspace, tmp_path, plan=None, targets=None):
+        return main([
+            "cv", "--out", str(tmp_path / "o"), "--trials", "2",
+            "--plan", str(plan or workspace["plan"]),
+            "--targets", str(targets or workspace["targets"]),
+            "--features", str(workspace["features"]),
+        ])
+
+    def test_non_finite_target_is_a_validation_error(self, workspace, tmp_path, capsys):
+        lines = _read(workspace["targets"]).splitlines(keepends=True)
+        image, _, rest = lines[2].split(",", 2)
+        lines[2] = f"{image},nan,{rest}"
+        targets = tmp_path / "image_targets.csv"
+        targets.write_text("".join(lines))
+        assert self._cv(workspace, tmp_path, targets=targets) == 1
+        error = _one_error_line(capsys)
+        assert error["type"] == "validation"
+        assert f"{targets}:3: non-finite" in error["message"]
+
+    @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed"])
+    def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
+        doc = json.loads(_read(workspace["plan"]))
+        if edit == "drop_last_fold":
+            doc["folds"].pop()
+        elif edit == "swap_folds":
+            doc["folds"][0], doc["folds"][1] = doc["folds"][1], doc["folds"][0]
+        else:
+            doc["seed"] = 10 ** 40
+        plan = tmp_path / "cv_plan.json"
+        plan.write_text(json.dumps(doc))
+        assert self._cv(workspace, tmp_path, plan=plan) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "plan")
+
 
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, workspace, tmp_path):
@@ -323,7 +365,8 @@ class TestDeterminism:
                 "--trials", "5", "--threads", threads,
             ]) == 0
             outs.append(out)
-        for name in ("predictions.csv", "search_log.jsonl", "run_manifest.json"):
+        for name in ("predictions.csv", "search_log.jsonl", "search_summary.json",
+                     "run_manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_repeat_run_identical(self, workspace, tmp_path):
@@ -361,7 +404,7 @@ class TestAllCommand:
         expected = [
             "qc_report.csv", "qc_summary.json", "ratings_filtered.csv",
             "participant_split.json", "image_targets.csv", "cv_plan.json",
-            "predictions.csv", "search_log.jsonl", "metrics.csv",
+            "predictions.csv", "search_log.jsonl", "search_summary.json", "metrics.csv",
             "metrics_by_repetition.csv", "icc_report.csv", "icc_summary.csv",
             "icc_full.json", "icc_curve.svg", "descriptives.csv", "omnibus.csv",
             "posthoc.csv", "top_criteria.json", "overlap.csv", "ttest.json",
@@ -415,7 +458,9 @@ class TestTypedOptions:
             "icc", "--out", str(tmp_path / "o"), "--seed", "5",
             "--ratings", str(workspace["filtered"]), "--reps", "0",
         ]) == 1
-        assert "reps must be >= 1" in _one_error_line(capsys)["message"]
+        error = _one_error_line(capsys)
+        assert "reps must be >= 1" in error["message"]
+        assert error["field"] == "reps"
 
     @pytest.mark.parametrize("config, field", [
         ({"icc": {"reps": 5}}, "icc"),

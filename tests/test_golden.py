@@ -2,9 +2,10 @@
 
 The workspace runs ``synth``, then every subcommand in pipeline order
 (qc -> split -> cv -> metrics -> icc -> error-analysis -> overlap, plus
-curve and prop-ci), then ``all`` on the same raw inputs. It runs from a
-temporary directory so the paths recorded in manifests are relative,
-and uses d = 6 features so BLAS threading cannot change any byte.
+``cv`` with the iterative predictor, curve and prop-ci), then ``all`` on
+the same raw inputs. It runs from a temporary directory so the paths
+recorded in manifests are relative, and uses d = 6 features so BLAS
+threading cannot change any byte.
 
 ``run_manifest.json`` is hashed with its ``versions`` block removed.
 When a digest differs, the failure message holds the complete
@@ -39,7 +40,7 @@ CATEGORIES = "inputs/categories.csv"
 CHAIN = {
     "qc": ("qc_report.csv", "qc_summary.json", "ratings_filtered.csv"),
     "split": ("participant_split.json", "image_targets.csv", "cv_plan.json"),
-    "cv": ("predictions.csv", "search_log.jsonl"),
+    "cv": ("predictions.csv", "search_log.jsonl", "search_summary.json"),
     "metrics": ("metrics.csv", "metrics_by_repetition.csv"),
     "icc": ("icc_report.csv", "icc_summary.csv", "icc_full.json", "icc_curve.svg"),
     "errors": (
@@ -111,6 +112,9 @@ def _build_workspace():
     _run(["cv", "--out", "cv", "--seed", SEED, "--plan", "split/cv_plan.json",
           "--targets", "split/image_targets.csv", "--features", "synth/features.csv",
           "--trials", TRIALS])
+    _run(["cv", "--out", "cv_iterative", "--seed", SEED, "--plan", "split/cv_plan.json",
+          "--targets", "split/image_targets.csv", "--features", "synth/features.csv",
+          "--trials", TRIALS, "--kind", "iterative_stub"])
     _write_categories("cv/predictions.csv", "split/image_targets.csv")
     _run(["metrics", "--out", "metrics", "--predictions", "cv/predictions.csv",
           "--targets", "split/image_targets.csv"])

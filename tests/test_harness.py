@@ -11,6 +11,7 @@ from spidereval.harness import (
     make_prediction,
     random_search,
     run_nested_cv,
+    search_summary,
 )
 from spidereval.ingest import FeatureTable
 from spidereval.partition import ImageTargets, make_cv_plan
@@ -25,6 +26,30 @@ def ridge_oracle(X, y, lam):
     yc = y - ym
     w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ yc)
     return w, ym - xm @ w
+
+
+def normal_equation_ridge(X, y, lam):
+    """Reference: solve (Xa^T Xa + lam I') theta = Xa^T y on X augmented
+    with a ones column, with the intercept entry of I' left at zero."""
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    A = Xa.T @ Xa
+    A[np.arange(d), np.arange(d)] += lam
+    theta = np.linalg.solve(A, Xa.T @ y)
+    return theta[:d], float(theta[d])
+
+
+def lstsq_ridge(X, y, lam):
+    """Reference: least squares on [X 1; sqrt(lam) I 0] theta = [y; 0]."""
+    n, d = X.shape
+    A = np.vstack([np.hstack([X, np.ones((n, 1))]),
+                   np.hstack([np.sqrt(lam) * np.eye(d), np.zeros((d, 1))])])
+    theta = np.linalg.lstsq(A, np.concatenate([y, np.zeros(d)]), rcond=None)[0]
+    return theta[:d], float(theta[d])
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 def _linear_problem(n, d, noise, seed, coef_scale=8.0):
@@ -171,6 +196,21 @@ class TestFitRidge:
             w, b = fit_ridge(X, y, lam)
             assert np.allclose(X @ w + b, y, atol=1e-9)
 
+    @pytest.mark.parametrize("n, d", [(60, 12), (30, 90)])
+    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 1e2])
+    def test_predictions_match_references(self, n, d, lam):
+        # d < n factors X^T X, d > n factors X X^T; both must agree with
+        # the augmented least-squares and normal-equation solutions.
+        rng = np.random.default_rng(n * 1000 + d)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d) + 2.0
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n) * 5 + 50
+        X_new = rng.standard_normal((25, d)) + 2.0
+        w, b = fit_ridge(X, y, lam)
+        for reference in (lstsq_ridge, normal_equation_ridge):
+            w_ref, b_ref = reference(X, y, lam)
+            assert _rel_err(X_new @ w + b, X_new @ w_ref + b_ref) < 1e-6, reference
+            assert _rel_err(X @ w + b, X @ w_ref + b_ref) < 1e-6, reference
+
     def test_input_validation(self):
         X = np.zeros((4, 2))
         y = np.zeros(4)
@@ -180,6 +220,8 @@ class TestFitRidge:
             fit_ridge(X, y, lam=float("nan"))
         with pytest.raises(InputError):
             fit_ridge(X, np.zeros(5), lam=1.0)
+        with pytest.raises(InputError, match="finite"):
+            fit_ridge(np.full((4, 2), np.nan), y, lam=1.0)
 
 
 def _inner_partition(ids, k=5):
@@ -197,6 +239,31 @@ class TestRandomSearch:
         viable = [t for t in trials if t.loss is not None]
         assert len(trials) == 12
         assert best.trial == min(viable, key=lambda t: (t.loss, t.trial)).trial
+
+    @pytest.mark.parametrize("n, d", [(40, 5), (40, 70)])
+    def test_losses_match_a_normal_equation_search(self, n, d):
+        ids, features, targets = _linear_problem(n, d, noise=4.0, seed=n + d)
+        inner = _inner_partition(ids)
+        _, trials = random_search(default_spec(), inner, features, targets,
+                                  n_trials=8, seed=3, repetition=1, fold=2)
+        for t in trials:
+            fold_losses = []
+            for held in inner:
+                fit = [i for i in sorted(ids) if i not in held]
+                w, b = normal_equation_ridge(
+                    features.matrix(fit), np.array([targets[i] for i in fit]),
+                    t.params["lambda"],
+                )
+                resid = features.matrix(held) @ w + b - np.array([targets[i] for i in held])
+                fold_losses.append(float(np.mean(resid ** 2)))
+            assert t.loss == pytest.approx(np.mean(fold_losses), rel=1e-7)
+
+    def test_zero_trials_names_the_option(self):
+        ids, features, targets = _linear_problem(20, 3, noise=3.0, seed=5)
+        with pytest.raises(InputError) as exc:
+            random_search(default_spec(), _inner_partition(ids), features, targets,
+                          n_trials=0)
+        assert exc.value.field == "trials"
 
     def test_deterministic_per_key(self):
         ids, features, targets = _linear_problem(20, 3, noise=3.0, seed=5)
@@ -361,3 +428,54 @@ class TestRunNestedCv:
         )
         with pytest.raises(ComputationError):
             run_nested_cv(plan, incomplete, features, default_spec(), n_trials=2)
+
+
+class TestSearchSummary:
+    def test_counts_quantiles_and_edges(self):
+        ids, features, mean_a = _linear_problem(60, 4, noise=2.0, seed=12)
+        targets = _targets_from(mean_a, jitter_seed=12, sd=2.0)
+        plan = make_cv_plan(ids, seed=21)
+        spec = default_spec()
+        preds, log = run_nested_cv(plan, targets, features, spec, n_trials=4)
+        summary = search_summary(spec, log, preds.refits)
+        assert (summary["folds"], summary["trials"], summary["failed_trials"]) == (25, 100, 0)
+        winners = [r["params"]["lambda"] for r in log if r["selected"]]
+        assert [w["params"]["lambda"] for w in summary["winners"]] == winners
+        lam = summary["parameters"]["lambda"]
+        assert lam["winner_quantiles"]["0"] == min(winners)
+        assert lam["winner_quantiles"]["0.5"] == pytest.approx(np.median(winners))
+        assert lam["winner_quantiles"]["1"] == max(winners)
+        # lowest tenth of [1e-4, 1e2] on the log scale is [1e-4, 10**-3.4]
+        assert lam["winner_share_lowest_tenth"] == pytest.approx(
+            np.mean(np.array(winners) <= 10 ** -3.4))
+        assert lam["winner_share_highest_tenth"] == pytest.approx(
+            np.mean(np.array(winners) >= 10 ** 1.4))
+
+    def test_effective_dof_is_the_hat_matrix_trace(self):
+        ids, features, mean_a = _linear_problem(60, 4, noise=2.0, seed=12)
+        targets = _targets_from(mean_a, jitter_seed=12, sd=2.0)
+        plan = make_cv_plan(ids, seed=21)
+        preds, _ = run_nested_cv(plan, targets, features, default_spec(), n_trials=3)
+        for refit in preds.refits[:3]:
+            X = features.matrix(plan.fold_plan(refit.repetition, refit.fold).train)
+            Xc = X - X.mean(axis=0)
+            lam = refit.params["lambda"]
+            hat = Xc @ np.linalg.solve(Xc.T @ Xc + lam * np.eye(4), Xc.T)
+            assert refit.effective_dof == pytest.approx(np.trace(hat), rel=1e-9)
+
+    def test_failed_trials_are_counted(self):
+        rng = np.random.default_rng(11)
+        ids = [f"i{k:02d}" for k in range(30)]
+        X = rng.standard_normal((30, 2)) * 50
+        features = FeatureTable(vectors={i: X[k] for k, i in enumerate(ids)})
+        mean_a = {i: float(rng.uniform(0, 100)) for i in ids}
+        spec = PredictorSpec(kind="iterative_stub",
+                             ranges={"learning_rate": (1e-5, 1e3, "log")})
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds, log = run_nested_cv(make_cv_plan(ids, seed=4), _targets_from(mean_a),
+                                       features, spec, n_trials=6)
+        summary = search_summary(spec, log, preds.refits)
+        failed = sum(r["error"] is not None for r in log)
+        assert failed > 0
+        assert summary["failed_trials"] == failed
+        assert all(w["effective_dof"] is None for w in summary["winners"])

@@ -100,7 +100,7 @@ def test_features_drive_image_effects():
     assert truth.weights is not None
     norm = float(np.linalg.norm(truth.weights))
     for image_id, effect in truth.image_effects.items():
-        x = features.vectors[image_id]
+        x = features.matrix([image_id])[0]
         predicted = np.sqrt(36.0) * float(x @ truth.weights) / norm
         assert effect == pytest.approx(predicted, abs=1e-12)
 

@@ -50,7 +50,8 @@ __all__ = [
     "search_summary",
 ]
 
-KINDS = ("ridge_closed_form", "iterative_stub")
+# Predictor kind -> the hyperparameter its fit reads.
+KINDS = {"ridge_closed_form": "lambda", "iterative_stub": "learning_rate"}
 N_TRIALS = 30
 EPOCH_BUFFER = 5
 SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -73,8 +74,10 @@ class PredictorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InputError(f"unknown predictor kind {self.kind!r}", field="kind")
-        if not self.ranges:
-            raise InputError("hyperparameter ranges must be non-empty", field="ranges")
+        if KINDS[self.kind] not in self.ranges:
+            raise InputError(
+                f"{self.kind} needs a range for {KINDS[self.kind]!r}", field="ranges"
+            )
         for name, (low, high, scale) in self.ranges.items():
             if scale not in ("linear", "log"):
                 raise InputError(f"range {name}: unknown scale {scale!r}", field="ranges")

@@ -113,6 +113,15 @@ class TestPredictorSpec:
         with pytest.raises(InputError):
             PredictorSpec(kind="ridge_closed_form", ranges={})
 
+    @pytest.mark.parametrize("kind, ranges", [
+        ("ridge_closed_form", {"alpha": (0.1, 1.0, "linear")}),
+        ("iterative_stub", {"lambda": (0.1, 1.0, "log")}),
+    ])
+    def test_range_of_the_searched_parameter_required(self, kind, ranges):
+        with pytest.raises(InputError) as exc:
+            PredictorSpec(kind=kind, ranges=ranges)
+        assert exc.value.field == "ranges"
+
     def test_epoch_range_ordering(self):
         with pytest.raises(InputError):
             PredictorSpec(kind="iterative_stub",

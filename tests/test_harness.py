@@ -5,6 +5,7 @@ from spidereval.errors import ComputationError, InputError
 from spidereval.harness import (
     PredictionSet,
     PredictorSpec,
+    Refit,
     default_spec,
     effective_epochs,
     fit_ridge,
@@ -459,6 +460,15 @@ class TestSearchSummary:
             np.mean(np.array(winners) <= 10 ** -3.4))
         assert lam["winner_share_highest_tenth"] == pytest.approx(
             np.mean(np.array(winners) >= 10 ** 1.4))
+
+    def test_edges_on_a_linear_scale(self):
+        spec = PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (1.0, 11.0, "linear")})
+        refits = tuple(Refit(0, k, 0, {"lambda": v}, 1.0)
+                       for k, v in enumerate([1.5, 2.0, 6.0, 10.5]))
+        lam = search_summary(spec, [], refits)["parameters"]["lambda"]
+        assert lam["winner_share_lowest_tenth"] == 0.5
+        assert lam["winner_share_highest_tenth"] == 0.25
+        assert lam["winner_quantiles"]["0.5"] == 4.0
 
     def test_effective_dof_is_the_hat_matrix_trace(self):
         ids, features, mean_a = _linear_problem(60, 4, noise=2.0, seed=12)

@@ -13,7 +13,6 @@ identical configs and inputs regardless of ``--threads``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -51,6 +50,7 @@ from .harness import (
     search_summary,
 )
 from .ingest import (
+    InputFile,
     RatingsTable,
     first_trial_filter,
     load_categories,
@@ -243,11 +243,7 @@ def _flag(name: str) -> str:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}", field="config") from exc
+    config = InputFile(path, "config").read_json()
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object", field="config")
     if "icc" in config:
@@ -322,12 +318,11 @@ class _Run:
 
 
 def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
-    first = first_trial_filter(table)
     report, cleaned = run_qc(table)
     counts = {
         "n_ratings_input": len(table.records),
-        "n_ratings_first_trial": len(first.records),
-        "n_ratings_removed": len(first.records) - len(cleaned.records),
+        "n_ratings_first_trial": report.n_first_trial,
+        "n_ratings_removed": report.n_first_trial - len(cleaned.records),
         "n_ratings_after": len(cleaned.records),
         "n_participants_input": table.n_participants,
         "n_participants_after": cleaned.n_participants,
@@ -450,10 +445,6 @@ def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
         grids = []
         for d in heatmap_dirs:
             hpath = os.path.join(d, image_id + ".pfm")
-            if not os.path.isfile(hpath):
-                raise InputError(
-                    f"missing heatmap for image {image_id} in {d}", field="heatmaps"
-                )
             grids.append(load_float_grid(hpath))
             run.inputs.append(hpath)
         records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
@@ -511,18 +502,13 @@ def _cmd_icc(opts, run: _Run) -> None:
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header, *rows = list(csv.reader(fh)) or [None]
-        if header != ["n", "y"]:
-            raise InputError(f"{path}: expected header n,y, got {header}", field="points")
-        points = [(float(n), float(y)) for n, y in rows]
-    except OSError as exc:
-        raise InputError(f"cannot read points {path}: {exc}", field="points") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: rows must be two numbers: {exc}", field="points") from exc
+    src = InputFile(path, "points")
+    points = [
+        (src.number(n, line, "n"), src.number(y, line, "y"))
+        for line, (n, y) in src.rows(["n", "y"])
+    ]
     if len(points) < 4:
-        raise InputError(f"{path}: need at least 4 points, got {len(points)}", field="points")
+        raise src.error(f"need at least 4 points, got {len(points)}")
     return points
 
 

@@ -13,15 +13,20 @@ Dense grids use two bit-exact binary formats: heatmaps are grayscale PFM
 (``Pf``, little-endian, scale header ``-1.0``, rows stored bottom-to-top and
 converted to top-down order in memory) and masks are binary PGM (``P5``,
 maxval 255, gray >= 128 counts as inside the mask).
+
+Every input file of the package is read through :class:`InputFile`, so
+text is UTF-8 whatever the locale and every failure to read it is an
+:class:`InputError`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .errors import InputError
 
 __all__ = [
     "CRITERIA",
+    "InputFile",
     "RatingRecord",
     "RatingsTable",
     "CategoryTable",
@@ -64,6 +70,95 @@ CRITERIA = (
 )
 
 RATINGS_HEADER = ["participant_id", "image_id", "trial_index", "rating"]
+
+
+class InputFile:
+    """An input file and the CLI option (``field``) that supplied it.
+
+    The readers decode text as UTF-8 and turn every way reading can fail
+    into an :class:`InputError` naming the file and ``field``; loaders
+    add their own checks through :meth:`error`, :meth:`number` and
+    :meth:`integer`, which name the line too.
+    """
+
+    def __init__(self, path: str | Path, field: str):
+        self.path = Path(path)
+        self.field = field
+
+    def error(self, message: str, line: int | None = None) -> InputError:
+        where = self.path if line is None else f"{self.path}:{line}"
+        return InputError(f"{where}: {message}", field=self.field)
+
+    def rows(self, header: list[str] | None = None) -> Iterator[tuple[int, list[str]]]:
+        """Yield ``(line number, fields)`` for each non-blank row of a CSV.
+
+        With ``header`` the first line must equal it; without, the first
+        line is yielded as line 1 for the caller to check. Every row must
+        have as many fields as the first line.
+        """
+        reader = None
+        try:
+            with self.path.open(encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                first = next(reader, None)
+                if first is None:
+                    raise self.error(f"empty file, expected header {header or '...'}")
+                if header is None:
+                    yield 1, first
+                elif first != header:
+                    raise self.error(f"bad header {first}, expected {header}")
+                width = len(first)
+                for row in reader:
+                    if len(row) != width:
+                        if not row:
+                            continue
+                        raise self.error(
+                            f"expected {width} fields, got {len(row)}", reader.line_num
+                        )
+                    yield reader.line_num, row
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise self._unreadable(exc, reader and reader.line_num) from None
+
+    def read_json(self):
+        try:
+            with self.path.open(encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise self._unreadable(exc) from None
+
+    def read_binary(self) -> bytes:
+        try:
+            return self.path.read_bytes()
+        except OSError as exc:
+            raise self._unreadable(exc) from None
+
+    def _unreadable(self, exc: Exception, line: int | None = None) -> InputError:
+        if isinstance(exc, OSError):
+            return self.error(f"cannot read: {exc.strerror or exc}")
+        if isinstance(exc, UnicodeDecodeError):
+            # Text is decoded in chunks, so the error knows no line.
+            return self.error(f"not UTF-8 text: {exc.reason}")
+        return self.error(str(exc), line)
+
+    def number(self, text: str, line: int, column: str) -> float:
+        """The finite float in a cell, or an error naming file, line and column."""
+        try:
+            value = float(text)
+        except ValueError:
+            raise self.error(f"malformed numeric field {column}: {text!r}", line) from None
+        if not math.isfinite(value):
+            raise self.error(f"non-finite {column}: {text!r}", line)
+        return value
+
+    def integer(self, text: str, line: int, column: str, low: int) -> int:
+        """The integer >= ``low`` in a cell, or an error naming file, line and column."""
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise self.error(f"{column} must be an integer >= {low}, got {text!r}", line)
+        return value
 
 
 @dataclass(frozen=True)
@@ -236,52 +331,26 @@ def load_ratings(path: str | Path) -> RatingsTable:
     Any malformed row raises :class:`InputError` with its line number, so
     nothing is ever dropped silently.
     """
-    path = Path(path)
+    src = InputFile(path, "ratings")
     records: list[RatingRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected header {RATINGS_HEADER}")
-        if header != RATINGS_HEADER:
-            raise InputError(f"{path}: bad header {header}, expected {RATINGS_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            participant, image, trial_raw, rating_raw = row
-            if not participant or not image:
-                raise InputError(f"{path}:{lineno}: empty participant or image id")
-            try:
-                trial = int(trial_raw)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad trial_index {trial_raw!r}") from None
-            if trial < 1:
-                raise InputError(f"{path}:{lineno}: trial_index must be >= 1, got {trial}")
-            try:
-                rating = float(rating_raw)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad rating {rating_raw!r}") from None
-            if not math.isfinite(rating) or not 0.0 <= rating <= 100.0:
-                raise InputError(
-                    f"{path}:{lineno}: rating {rating_raw} outside [0, 100]"
-                )
-            key = (participant, image, trial)
-            if key in seen:
-                raise InputError(
-                    f"{path}:{lineno}: duplicate (participant, image, trial) {key}"
-                )
-            seen.add(key)
-            records.append(RatingRecord(participant, image, trial, rating))
+    for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
+        if not participant or not image:
+            raise src.error("empty participant or image id", line)
+        trial = src.integer(trial_raw, line, "trial_index", 1)
+        rating = src.number(rating_raw, line, "rating")
+        if not 0.0 <= rating <= 100.0:
+            raise src.error(f"rating {rating_raw} outside [0, 100]", line)
+        key = (participant, image, trial)
+        if key in seen:
+            raise src.error(f"duplicate (participant, image, trial) {key}", line)
+        seen.add(key)
+        records.append(RatingRecord(participant, image, trial, rating))
     return RatingsTable(tuple(records))
 
 
 def write_ratings(table: RatingsTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATINGS_HEADER)
         for rec in table.records:
@@ -304,37 +373,25 @@ def first_trial_filter(table: RatingsTable) -> RatingsTable:
 
 def load_categories(path: str | Path) -> CategoryTable:
     """Parse the long-form image/criterion/category CSV."""
-    path = Path(path)
+    src = InputFile(path, "categories")
     entries: dict[tuple[str, str], str] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["image_id", "criterion", "category"]:
-            raise InputError(
-                f"{path}: bad header {header}, expected image_id,criterion,category"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            image, criterion, category = row
-            if criterion not in CRITERIA:
-                raise InputError(f"{path}:{lineno}: unknown criterion {criterion!r}")
-            if not category:
-                raise InputError(f"{path}:{lineno}: empty category label")
-            key = (image, criterion)
-            if key in entries:
-                raise InputError(f"{path}:{lineno}: duplicate entry for {key}")
-            entries[key] = category
+    for line, (image, criterion, category) in src.rows(["image_id", "criterion", "category"]):
+        if criterion not in CRITERIA:
+            raise src.error(f"unknown criterion {criterion!r}", line)
+        if not category:
+            raise src.error("empty category label", line)
+        key = (image, criterion)
+        if key in entries:
+            raise src.error(f"duplicate entry for {key}", line)
+        entries[key] = category
     table = CategoryTable(entries)
     # Every image must carry a label for every criterion present in the file.
     images = table.images()
     for crit in table.criteria():
         missing = [img for img in images if (img, crit) not in entries]
         if missing:
-            raise InputError(
-                f"{path}: criterion {crit!r} missing labels for {len(missing)} "
+            raise src.error(
+                f"criterion {crit!r} missing labels for {len(missing)} "
                 f"images (e.g. {missing[:3]})"
             )
     return table
@@ -342,46 +399,36 @@ def load_categories(path: str | Path) -> CategoryTable:
 
 def load_features(path: str | Path) -> FeatureTable:
     """Parse the per-image embedding CSV (header ``image_id,f0..f{D-1}``)."""
-    path = Path(path)
+    src = InputFile(path, "features")
+    rows = src.rows()
+    _, header = next(rows)
+    if len(header) < 2 or header != ["image_id"] + [f"f{i}" for i in range(len(header) - 1)]:
+        raise src.error(f"bad header {header[:3]}..., expected image_id,f0,...,f{{D-1}}", 1)
     ids: list[str] = []
-    rows: list[np.ndarray] = []
+    vectors: list[np.ndarray] = []
     seen: set[str] = set()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "image_id" or len(header) < 2:
-            raise InputError(f"{path}: bad header, expected image_id,f0,...")
-        expected = [f"f{i}" for i in range(len(header) - 1)]
-        if header[1:] != expected:
-            raise InputError(f"{path}: feature columns must be f0..f{len(header) - 2}")
-        dim = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise InputError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}"
-                )
-            image = row[0]
-            if image in seen:
-                raise InputError(f"{path}:{lineno}: duplicate image {image!r}")
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-numeric feature value") from None
-            if not np.all(np.isfinite(vec)):
-                raise InputError(f"{path}:{lineno}: non-finite feature value")
-            seen.add(image)
-            ids.append(image)
-            rows.append(vec)
-    if not rows:
-        raise InputError(f"{path}: no feature rows")
-    return FeatureTable.from_array(ids, np.stack(rows))
+    for line, row in rows:
+        image = row[0]
+        if image in seen:
+            raise src.error(f"duplicate image {image!r}", line)
+        try:
+            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            finite = np.isfinite(vec).all()
+        except ValueError:
+            finite = False
+        if not finite:  # name the first bad cell
+            for column, text in zip(header[1:], row[1:]):
+                src.number(text, line, column)
+        seen.add(image)
+        ids.append(image)
+        vectors.append(vec)
+    if not vectors:
+        raise src.error("no feature rows")
+    return FeatureTable.from_array(ids, np.stack(vectors))
 
 
 def write_features(features: FeatureTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["image_id"] + [f"f{i}" for i in range(features.dim)])
         for image in sorted(features.ids):
@@ -394,39 +441,37 @@ def write_features(features: FeatureTable, path: str | Path) -> None:
 
 def load_float_grid(path: str | Path) -> FloatGrid:
     """Decode a grayscale PFM file into top-down row-major order."""
-    path = Path(path)
-    raw = path.read_bytes()
+    src = InputFile(path, "heatmaps")
+    raw = src.read_binary()
     try:
         magic, rest = raw.split(b"\n", 1)
         dims, rest = rest.split(b"\n", 1)
         scale_raw, data = rest.split(b"\n", 1)
     except ValueError:
-        raise InputError(f"{path}: truncated PFM header") from None
+        raise src.error("truncated PFM header") from None
     if magic == b"PF":
-        raise InputError(f"{path}: color PFM not supported, expected grayscale 'Pf'")
+        raise src.error("color PFM not supported, expected grayscale 'Pf'")
     if magic != b"Pf":
-        raise InputError(f"{path}: bad magic {magic!r}, expected 'Pf'")
+        raise src.error(f"bad magic {magic!r}, expected 'Pf'")
     parts = dims.split()
     if len(parts) != 2:
-        raise InputError(f"{path}: malformed PFM dimension line {dims!r}")
+        raise src.error(f"malformed PFM dimension line {dims!r}")
     try:
         width, height = int(parts[0]), int(parts[1])
         scale = float(scale_raw)
     except ValueError:
-        raise InputError(f"{path}: malformed PFM header") from None
+        raise src.error("malformed PFM header") from None
     if width <= 0 or height <= 0:
-        raise InputError(f"{path}: non-positive dimensions {width}x{height}")
+        raise src.error(f"non-positive dimensions {width}x{height}")
     if scale == 0.0:
-        raise InputError(f"{path}: zero scale in PFM header")
+        raise src.error("zero scale in PFM header")
     endian = "<" if scale < 0 else ">"
     count = width * height
     if len(data) != 4 * count:
-        raise InputError(
-            f"{path}: payload holds {len(data) // 4} floats, header declares {count}"
-        )
+        raise src.error(f"payload holds {len(data) // 4} floats, header declares {count}")
     values = np.frombuffer(data, dtype=f"{endian}f4").astype(np.float64)
     if not np.all(np.isfinite(values)):
-        raise InputError(f"{path}: non-finite float values")
+        raise src.error("non-finite float values")
     # PFM stores rows bottom-to-top; flip to top-down.
     grid = values.reshape(height, width)[::-1].copy()
     return FloatGrid(width=width, height=height, values=grid)
@@ -444,19 +489,19 @@ def write_float_grid(grid: FloatGrid, path: str | Path) -> None:
 # -- PGM (binary masks) ------------------------------------------------------
 
 
-def _read_pgm_tokens(raw: bytes, path: Path) -> tuple[list[int], int]:
+def _read_pgm_tokens(raw: bytes, src: InputFile) -> tuple[list[int], int]:
     """Read magic-less header tokens (width, height, maxval), skipping
     comments, and return them with the offset where pixel data starts."""
     tokens: list[int] = []
     i = 0
     while len(tokens) < 3:
         if i >= len(raw):
-            raise InputError(f"{path}: truncated PGM header")
+            raise src.error("truncated PGM header")
         ch = raw[i : i + 1]
         if ch == b"#":
             nl = raw.find(b"\n", i)
             if nl == -1:
-                raise InputError(f"{path}: unterminated PGM comment")
+                raise src.error("unterminated PGM comment")
             i = nl + 1
         elif ch.isspace():
             i += 1
@@ -468,32 +513,30 @@ def _read_pgm_tokens(raw: bytes, path: Path) -> tuple[list[int], int]:
             try:
                 tokens.append(int(tok))
             except ValueError:
-                raise InputError(f"{path}: bad PGM header token {tok!r}") from None
+                raise src.error(f"bad PGM header token {tok!r}") from None
             i = j
     # Exactly one whitespace byte separates maxval from the pixel data.
     if i >= len(raw) or not raw[i : i + 1].isspace():
-        raise InputError(f"{path}: missing separator before PGM pixel data")
+        raise src.error("missing separator before PGM pixel data")
     return tokens, i + 1
 
 
 def load_mask(path: str | Path) -> BinaryMask:
     """Decode a binary (P5, maxval 255) PGM; gray >= 128 maps to True."""
-    path = Path(path)
-    raw = path.read_bytes()
+    src = InputFile(path, "masks")
+    raw = src.read_binary()
     if raw[:2] != b"P5":
-        raise InputError(f"{path}: bad magic {raw[:2]!r}, expected 'P5'")
-    (width, height, maxval), offset = _read_pgm_tokens(raw[2:], path)
+        raise src.error(f"bad magic {raw[:2]!r}, expected 'P5'")
+    (width, height, maxval), offset = _read_pgm_tokens(raw[2:], src)
     offset += 2
     if width <= 0 or height <= 0:
-        raise InputError(f"{path}: non-positive dimensions {width}x{height}")
+        raise src.error(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise InputError(f"{path}: maxval must be 255, got {maxval}")
+        raise src.error(f"maxval must be 255, got {maxval}")
     data = raw[offset:]
     count = width * height
     if len(data) != count:
-        raise InputError(
-            f"{path}: payload holds {len(data)} pixels, header declares {count}"
-        )
+        raise src.error(f"payload holds {len(data)} pixels, header declares {count}")
     gray = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
     return BinaryMask(width=width, height=height, bits=gray >= 128)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 from typing import Iterable, Mapping, Sequence
@@ -22,8 +21,10 @@ import numpy as np
 
 from . import __version__
 from .error_analysis import ErrorAnalysisReport
-from .harness import PredictionSet
+from .harness import Prediction, PredictionSet
+from .ingest import InputFile
 from .metrics import MetricReport
+from .partition import ImageTargets
 from .qc import QcReport
 from .reliability import IccBootstrapReport
 
@@ -133,37 +134,20 @@ def write_image_targets(path, targets) -> None:
     write_csv(path, ["image_id", "mean_a", "mean_b", "n_a", "n_b"], rows)
 
 
-def load_image_targets(path):
-    from .errors import InputError
-    from .partition import ImageTargets
-
+def load_image_targets(path) -> ImageTargets:
+    src = InputFile(path, "targets")
     mean_a: dict[str, float] = {}
     mean_b: dict[str, float] = {}
     n_a: dict[str, int] = {}
     n_b: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["image_id", "mean_a", "mean_b", "n_a", "n_b"]:
-                raise InputError(f"{path}: unexpected image-targets header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 5:
-                    raise InputError(f"{path}:{lineno}: expected 5 fields")
-                image_id = row[0]
-                if image_id in mean_a:
-                    raise InputError(f"{path}:{lineno}: duplicate image {image_id}")
-                a, b = float(row[1]), float(row[2])
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise InputError(f"{path}:{lineno}: non-finite mean_a or mean_b")
-                mean_a[image_id] = a
-                mean_b[image_id] = b
-                n_a[image_id] = int(row[3])
-                n_b[image_id] = int(row[4])
-    except OSError as exc:
-        raise InputError(f"cannot read image targets {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed numeric field: {exc}") from exc
+    header = ["image_id", "mean_a", "mean_b", "n_a", "n_b"]
+    for line, (image_id, a, b, count_a, count_b) in src.rows(header):
+        if image_id in mean_a:
+            raise src.error(f"duplicate image {image_id}", line)
+        mean_a[image_id] = src.number(a, line, "mean_a")
+        mean_b[image_id] = src.number(b, line, "mean_b")
+        n_a[image_id] = src.integer(count_a, line, "n_a", 1)
+        n_b[image_id] = src.integer(count_b, line, "n_b", 1)
     return ImageTargets(mean_a=mean_a, mean_b=mean_b, n_a=n_a, n_b=n_b, dropped=())
 
 
@@ -174,33 +158,18 @@ def write_predictions(path, ps: PredictionSet) -> None:
 
 
 def load_predictions(path) -> PredictionSet:
-    from .errors import InputError
-    from .harness import Prediction
-
-    entries = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["rep", "fold", "image_id", "raw", "clipped"]:
-                raise InputError(f"{path}: unexpected predictions header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 5:
-                    raise InputError(f"{path}:{lineno}: expected 5 fields")
-                entries.append(
-                    Prediction(
-                        repetition=int(row[0]),
-                        fold=int(row[1]),
-                        image_id=row[2],
-                        raw=float(row[3]),
-                        clipped=float(row[4]),
-                    )
-                )
-    except OSError as exc:
-        raise InputError(f"cannot read predictions {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed numeric field: {exc}") from exc
-    return PredictionSet(entries=tuple(entries))
+    src = InputFile(path, "predictions")
+    header = ["rep", "fold", "image_id", "raw", "clipped"]
+    return PredictionSet(entries=tuple(
+        Prediction(
+            repetition=src.integer(rep, line, "rep", 0),
+            fold=src.integer(fold, line, "fold", 0),
+            image_id=image_id,
+            raw=src.number(raw, line, "raw"),
+            clipped=src.number(clipped, line, "clipped"),
+        )
+        for line, (rep, fold, image_id, raw, clipped) in src.rows(header)
+    ))
 
 
 def write_search_log(path, log: Sequence[Mapping]) -> None:

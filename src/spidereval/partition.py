@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .ingest import RatingsTable
+from .ingest import InputFile, RatingsTable
 from .rng import check_seed, substream
 
 __all__ = [
@@ -284,11 +284,8 @@ def load_cv_plan(path) -> CvPlan:
     """Read a plan written by :func:`write_cv_plan`, checking its shape:
     one fold per (repetition, outer fold), in that order, and a seed that
     can key substreams."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read cv plan {path}: {exc}", field="plan") from exc
+    src = InputFile(path, "plan")
+    doc = src.read_json()
     try:
         folds = tuple(
             FoldPlan(
@@ -312,7 +309,7 @@ def load_cv_plan(path) -> CvPlan:
             inner_search_scope=str(doc["inner_search_scope"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed cv plan {path}: {exc}", field="plan") from exc
+        raise src.error(f"malformed cv plan: {exc}") from exc
     n_outer = plan.n_outer_folds
     if (
         plan.n_repetitions < 1
@@ -320,10 +317,9 @@ def load_cv_plan(path) -> CvPlan:
         or len(folds) != plan.n_repetitions * n_outer
         or any((fp.repetition, fp.fold) != divmod(k, n_outer) for k, fp in enumerate(folds))
     ):
-        raise InputError(
-            f"malformed cv plan {path}: folds must list (repetition, fold) for "
+        raise src.error(
+            f"malformed cv plan: folds must list (repetition, fold) for "
             f"{plan.n_repetitions} repetitions x {n_outer} outer folds in order, "
-            f"got {len(folds)} folds",
-            field="plan",
+            f"got {len(folds)} folds"
         )
     return plan

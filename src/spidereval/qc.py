@@ -106,9 +106,11 @@ class QcReport:
 
     ``rho`` is ``None`` for participants with fewer than three rated
     images; such participants cannot be assessed by the correlation rule
-    and are only subject to the deviation rule.
+    and are only subject to the deviation rule. ``n_first_trial`` counts
+    the first-trial ratings that were screened.
     """
 
+    n_first_trial: int
     rho: dict[str, float | None]
     mad: dict[str, float]
     corr_threshold: float
@@ -153,6 +155,7 @@ def run_qc(table: RatingsTable) -> tuple[QcReport, RatingsTable]:
     mad_flagged, mad_threshold = flag_mad_outliers(mad)
 
     report = QcReport(
+        n_first_trial=len(filtered.records),
         rho=rho,
         mad=mad,
         corr_threshold=corr_threshold,

@@ -1,12 +1,22 @@
 """Subcommand smoke tests through main(argv), plus error-path contracts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import spidereval
 from spidereval.cli import main
 from spidereval.ingest import BinaryMask, FloatGrid, write_float_grid, write_mask
 from spidereval.outputs import sha256_file
@@ -84,6 +94,48 @@ def _write_overlap_inputs(root, image_ids, seed=3):
                 FloatGrid(width=8, height=6, values=values), dirs[key] / f"{image}.pfm"
             )
     return dirs
+
+
+def _image_ids(workspace):
+    with open(workspace["targets"], newline="") as fh:
+        return [row[0] for row in list(csv.reader(fh))[1:]]
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace, tmp_path_factory):
+    """A valid file (or directory) for every file option of the commands below."""
+    root = tmp_path_factory.mktemp("inputs")
+    cats = root / "categories.csv"
+    _write_categories(cats, _image_ids(workspace))
+    points = root / "points.csv"
+    points.write_text("n,y\n" + "".join(f"{n},{y}\n" for n, y in zip(SIZES_313, MAE_SERIES)))
+    config = root / "config.json"
+    config.write_text('{"trials": 2}\n')
+    dirs = _write_overlap_inputs(root, _image_ids(workspace)[:3])
+    return {**workspace, "categories": cats, "points": points, "config": config,
+            "masks": dirs["masks"], "heatmaps": dirs["heat_a"]}
+
+
+# One command line per subcommand that reads files; "{x}" stands for the
+# file of option x.
+COMMAND_LINES = {
+    "qc": ["qc", "--ratings", "{ratings}"],
+    "split": ["split", "--seed", "5", "--ratings", "{ratings}"],
+    "cv": ["cv", "--config", "{config}", "--plan", "{plan}", "--targets", "{targets}",
+           "--features", "{features}"],
+    "metrics": ["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
+    "error-analysis": ["error-analysis", "--seed", "5", "--bootstrap", "20",
+                       "--predictions", "{predictions}", "--targets", "{targets}",
+                       "--categories", "{categories}"],
+    "curve": ["curve", "--form", "decay", "--points", "{points}"],
+    "overlap": ["overlap", "--heatmaps", "{heatmaps}", "--masks", "{masks}",
+                "--targets", "{targets}"],
+}
+
+
+def _command(name, files, out):
+    argv = COMMAND_LINES[name]
+    return [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv] + ["--out", str(out)]
 
 
 class TestMetricsCommand:
@@ -336,6 +388,79 @@ class TestErrorContracts:
         assert error["type"] == "validation"
         assert f"{targets}:3: non-finite" in error["message"]
 
+    # option -> the command that reads it in the probes below
+    READER = {
+        "ratings": "qc", "config": "cv", "features": "cv", "plan": "cv", "targets": "metrics",
+        "predictions": "metrics", "categories": "error-analysis", "masks": "overlap",
+        "points": "curve",
+    }
+
+    @staticmethod
+    def _corrupt(path, how, root):
+        """A broken copy of the input at ``path``, under ``root``."""
+        bad = root / f"bad_{path.name}"
+        if how == "directory":  # inside a directory option, a directory named like a file
+            bad.mkdir()
+            if path.is_dir():
+                (bad / "x.pgm").mkdir()
+            return bad
+        lines = path.read_bytes().split(b"\n")
+        if how == "not_utf8":
+            lines[1] = b"\xff" + lines[1]
+        elif how == "trailing_blank_line":
+            lines.append(b"")
+        else:  # set a cell of line 2: "<column>=<text>"
+            column, text = how.split("=")
+            cells = lines[1].split(b",")
+            cells[int(column)] = text.encode()
+            lines[1] = b",".join(cells)
+        bad.write_bytes(b"\n".join(lines))
+        return bad
+
+    @pytest.mark.parametrize("option, how, message", [
+        ("ratings", "directory", "cannot read"),
+        ("features", "directory", "cannot read"),
+        ("categories", "directory", "cannot read"),
+        ("masks", "directory", "cannot read"),
+        ("ratings", "not_utf8", "not UTF-8"),
+        ("features", "not_utf8", "not UTF-8"),
+        ("categories", "not_utf8", "not UTF-8"),
+        ("plan", "not_utf8", "not UTF-8"),
+        ("config", "not_utf8", "not UTF-8"),
+        ("targets", "not_utf8", "not UTF-8"),
+        ("predictions", "not_utf8", "not UTF-8"),
+        ("points", "not_utf8", "not UTF-8"),
+        ("ratings", "1=" + "x" * 140_000, "field larger than field limit"),
+        ("predictions", "4=nan", ":2: non-finite clipped"),
+        ("points", "1=nan", ":2: non-finite y"),
+        ("targets", "3=-3", ":2: n_a must be an integer >= 1"),
+        ("targets", "4=0", ":2: n_b must be an integer >= 1"),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else v)
+    def test_bad_input_file_names_its_option(self, inputs, tmp_path, capsys, option, how,
+                                             message):
+        bad = self._corrupt(Path(inputs[option]), how, tmp_path)
+        argv = _command(self.READER[option], {**inputs, option: bad}, tmp_path / "o")
+        assert main(argv) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", option)
+        assert message in error["message"]
+        assert str(bad) in error["message"]
+
+    @pytest.mark.parametrize("option", ["targets", "predictions", "points"])
+    def test_trailing_blank_line_is_skipped(self, inputs, tmp_path, option):
+        bad = self._corrupt(Path(inputs[option]), "trailing_blank_line", tmp_path)
+        assert main(_command(self.READER[option], {**inputs, option: bad}, tmp_path / "o")) == 0
+
+    def test_missing_heatmap_names_the_option(self, inputs, tmp_path, capsys):
+        heatmaps = tmp_path / "heatmaps"
+        shutil.copytree(inputs["heatmaps"], heatmaps)
+        missing = sorted(heatmaps.iterdir())[0]
+        missing.unlink()
+        assert main(_command("overlap", {**inputs, "heatmaps": heatmaps}, tmp_path / "o")) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "heatmaps")
+        assert str(missing) in error["message"]
+
     @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed"])
     def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
         doc = json.loads(_read(workspace["plan"]))
@@ -350,6 +475,83 @@ class TestErrorContracts:
         assert self._cv(workspace, tmp_path, plan=plan) == 1
         error = _one_error_line(capsys)
         assert (error["type"], error["field"]) == ("validation", "plan")
+
+
+MUTATIONS = ["truncate", "flip", "not_utf8", "nan", "inf", "extra_field"]
+
+
+def _mutate(data: bytes, kind: str, at: float, value: int) -> bytes:
+    """``data`` with one mutation at the byte ``at`` of the way through."""
+    i = min(int(at * len(data)), max(len(data) - 1, 0))
+    if kind == "truncate":
+        return data[:i]
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ value]) + data[i + 1:] if data else data
+    if kind == "not_utf8":
+        return data[:i] + b"\xff" + data[i:]
+    end = min((j for j in (data.find(b",", i), data.find(b"\n", i)) if j >= 0),
+              default=len(data))
+    if kind == "extra_field":
+        return data[:end] + b",1" + data[end:]
+    start = max(data.rfind(b",", 0, i), data.rfind(b"\n", 0, i)) + 1
+    return data[:start] + kind.encode() + data[end:]
+
+
+class TestFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        target=st.sampled_from([
+            (name, arg[1:-1]) for name, argv in COMMAND_LINES.items()
+            for arg in argv if arg.startswith("{")
+        ]),
+        kind=st.sampled_from(MUTATIONS),
+        at=st.floats(0, 1),
+        value=st.integers(1, 255),
+    )
+    def test_mutated_input_keeps_the_error_contract(self, inputs, target, kind, at, value):
+        """Exit 0, 1 or 2, never a traceback; a failure prints one JSON line."""
+        name, option = target
+        with tempfile.TemporaryDirectory() as tmp:
+            source, bad = Path(inputs[option]), Path(tmp) / "bad"
+            if source.is_dir():  # mutate the first file of a directory option
+                shutil.copytree(source, bad)
+                path = sorted(bad.iterdir())[0]
+            else:
+                path = bad
+                shutil.copy(source, path)
+            path.write_bytes(_mutate(path.read_bytes(), kind, at, value))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(_command(name, {**inputs, option: bad}, Path(tmp) / "o"))
+        assert code in (0, 1, 2)
+        if code != 0:
+            lines = stderr.getvalue().strip().splitlines()
+            assert len(lines) == 1, lines
+            assert set(json.loads(lines[0])) == {"error"}
+
+
+class TestLocale:
+    def test_qc_bytes_do_not_depend_on_the_locale(self, workspace, tmp_path):
+        """Inputs and outputs are UTF-8 even where the locale's encoding is ASCII."""
+        text = _read(workspace["ratings"])
+        image = text.splitlines()[1].split(",")[1]
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_bytes(text.replace(f",{image},", ",araña-ü,").encode("utf-8"))
+        assert main(["qc", "--out", str(tmp_path / "here"), "--ratings", str(ratings)]) == 0
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "spidereval", "qc", "--out", str(tmp_path / "c"),
+             "--ratings", str(ratings)],
+            env=env, check=True, timeout=120,
+        )
+        names = sorted(p.name for p in (tmp_path / "here").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "c").iterdir())
+        assert "araña-ü" in _read(tmp_path / "c" / "ratings_filtered.csv")
+        for name in names:
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 class TestDeterminism:

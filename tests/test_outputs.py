@@ -138,7 +138,7 @@ class TestPredictionsRoundTrip:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("who,what\n1,2\n")
-        with pytest.raises(InputError, match="unexpected predictions header"):
+        with pytest.raises(InputError, match="bad header"):
             load_predictions(path)
 
     def test_malformed_float_rejected(self, tmp_path):

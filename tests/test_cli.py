@@ -124,7 +124,7 @@ COMMAND_LINES = {
     "cv": ["cv", "--config", "{config}", "--plan", "{plan}", "--targets", "{targets}",
            "--features", "{features}"],
     "metrics": ["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
-    "error-analysis": ["error-analysis", "--seed", "5", "--bootstrap", "20",
+    "error-analysis": ["error-analysis", "--seed", "5", "--bootstrap", "100",
                        "--predictions", "{predictions}", "--targets", "{targets}",
                        "--categories", "{categories}"],
     "curve": ["curve", "--form", "decay", "--points", "{points}"],
@@ -206,8 +206,7 @@ class TestCurveCommand:
 
 class TestErrorAnalysisCommand:
     def test_full_artifacts(self, workspace, tmp_path):
-        with open(workspace["targets"], newline="") as fh:
-            image_ids = [row[0] for row in list(csv.reader(fh))[1:]]
+        image_ids = _image_ids(workspace)
         cats = tmp_path / "categories.csv"
         _write_categories(cats, image_ids)
         out = tmp_path / "errors"
@@ -587,8 +586,7 @@ class TestDeterminism:
 
 class TestAllCommand:
     def test_full_pipeline(self, workspace, tmp_path):
-        with open(workspace["targets"], newline="") as fh:
-            image_ids = [row[0] for row in list(csv.reader(fh))[1:]]
+        image_ids = _image_ids(workspace)
         cats = tmp_path / "categories.csv"
         _write_categories(cats, image_ids)
         dirs = _write_overlap_inputs(tmp_path, image_ids[:5])

@@ -241,6 +241,32 @@ def dunn_posthoc(groups: Mapping[str, np.ndarray]) -> list[tuple[str, str, float
     ]
 
 
+# Largest index block drawn at once: bounds the bootstrap's transient
+# memory to about 1 MB whatever B and the stratum sizes are.
+_BLOCK_INDICES = 1 << 16
+
+
+def _check_unit_interval(value: float, field: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise InputError(f"{field} must be in (0, 1), got {value}", field=field)
+
+
+def _replicate_sums(rng: np.random.Generator, values: np.ndarray, B: int) -> np.ndarray:
+    """Sums of B resamples of ``values`` with replacement.
+
+    Replicate b sums ``values[idx[b]]`` for the ``(B, n)`` index matrix
+    ``idx = rng.integers(0, n, size=(B, n))``; the matrix is drawn in row
+    blocks, which consume the stream exactly as one draw does.
+    """
+    n = values.shape[0]
+    rows = max(1, _BLOCK_INDICES // n)
+    sums = np.empty(B, dtype=np.float64)
+    for start in range(0, B, rows):
+        stop = min(B, start + rows)
+        sums[start:stop] = values[rng.integers(0, n, size=(stop - start, n))].sum(axis=1)
+    return sums
+
+
 def stratified_bootstrap_ci(
     errors: Mapping[str, float],
     cats: CategoryTable,
@@ -252,45 +278,36 @@ def stratified_bootstrap_ci(
     """Percentile CIs for per-category mean error and error share.
 
     Images are resampled with replacement within their category, keeping
-    every stratum size fixed. Replicate b draws from the substream
-    (seed, "error.bootstrap", criterion, b).
+    every stratum size fixed. Each stratum draws its B resamples from
+    its own substream (seed, "error.bootstrap", criterion, category), so
+    strata are independent and replicate b pairs the b-th resample of
+    every stratum for the shares.
     """
     if B < 100:
-        raise InputError(f"bootstrap needs B >= 100, got {B}")
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must be in (0, 1), got {level}")
+        raise InputError(f"bootstrap needs B >= 100, got {B}", field="bootstrap")
+    _check_unit_interval(level, "level")
     groups = _groups_for(errors, cats, criterion)
     labels = sorted(groups)
     if any(groups[lab].shape[0] == 0 for lab in labels):
         raise InputError(f"criterion {criterion!r} has an empty category")
-    means = {lab: np.empty(B, dtype=np.float64) for lab in labels}
-    shares = {lab: np.empty(B, dtype=np.float64) for lab in labels}
-    for b in range(B):
-        rng = substream(seed, "error.bootstrap", criterion, b)
-        sums = {}
-        for lab in labels:
-            v = groups[lab]
-            idx = rng.integers(0, v.shape[0], size=v.shape[0])
-            sample = v[idx]
-            sums[lab] = float(sample.sum())
-            means[lab][b] = float(sample.mean())
-        total = sum(sums.values())
-        for lab in labels:
-            shares[lab][b] = sums[lab] / total if total > 0 else np.nan
-    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
-    out: dict[str, dict[str, tuple[float, float]]] = {}
-    for lab in labels:
-        out[lab] = {
-            "mean": (
-                float(np.quantile(means[lab], lo_q)),
-                float(np.quantile(means[lab], hi_q)),
-            ),
-            "share": (
-                float(np.quantile(shares[lab], lo_q)),
-                float(np.quantile(shares[lab], hi_q)),
-            ),
+    sums = np.column_stack([
+        _replicate_sums(substream(seed, "error.bootstrap", criterion, lab), groups[lab], B)
+        for lab in labels
+    ])
+    means = sums / [groups[lab].shape[0] for lab in labels]
+    total = sums.sum(axis=1, keepdims=True)
+    shares = np.full_like(sums, np.nan)
+    np.divide(sums, total, out=shares, where=total > 0)
+    q = [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]
+    mean_q = np.quantile(means, q, axis=0)
+    share_q = np.quantile(shares, q, axis=0)
+    return {
+        lab: {
+            "mean": (float(mean_q[0, j]), float(mean_q[1, j])),
+            "share": (float(share_q[0, j]), float(share_q[1, j])),
         }
-    return out
+        for j, lab in enumerate(labels)
+    }
 
 
 @dataclass(frozen=True)
@@ -326,8 +343,9 @@ def run_omnibus(
 
     Criteria with any category below ``min_cell`` images, or with a
     single category, are skipped with a reason and excluded from the
-    adjustment.
+    adjustment. ``alpha`` must lie in (0, 1).
     """
+    _check_unit_interval(alpha, "alpha")
     partial: list[OmnibusResult] = []
     tested_idx: list[int] = []
     tested_p: list[float] = []
@@ -399,6 +417,7 @@ def analyze_errors(
     it reached significance.
     """
     summaries = category_summaries(errors, cats, min_cell=min_cell)
+    omnibus = run_omnibus(errors, cats, min_cell=min_cell, alpha=alpha)
     with_ci: list[CategorySummary] = []
     for criterion in cats.criteria():
         cis = stratified_bootstrap_ci(
@@ -409,7 +428,6 @@ def analyze_errors(
                 continue
             ci = cis[row.category]
             with_ci.append(replace(row, mean_ci=ci["mean"], share_ci=ci["share"]))
-    omnibus = run_omnibus(errors, cats, min_cell=min_cell, alpha=alpha)
     posthoc: list[PosthocRow] = []
     for res in omnibus:
         if res.skip_reason is not None:

@@ -72,6 +72,17 @@ CRITERIA = (
 RATINGS_HEADER = ["participant_id", "image_id", "trial_index", "rating"]
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 class InputFile:
     """An input file and the CLI option (``field``) that supplied it.
 
@@ -120,9 +131,13 @@ class InputFile:
             raise self._unreadable(exc, reader and reader.line_num) from None
 
     def read_json(self):
+        """The parsed JSON document; ``NaN``, ``Infinity`` and numbers that
+        overflow a float are errors, as non-finite CSV cells are."""
         try:
             with self.path.open(encoding="utf-8") as fh:
-                return json.load(fh)
+                return json.load(
+                    fh, parse_constant=_reject_constant, parse_float=_finite_float
+                )
         except (OSError, ValueError) as exc:
             raise self._unreadable(exc) from None
 

@@ -65,8 +65,8 @@ class RatingMatrix:
         keep = (~np.isnan(v)).sum(axis=1) > 0
         return RatingMatrix(
             values=v[keep].copy(),
-            image_ids=tuple(np.array(self.image_ids)[keep]),
-            rater_ids=tuple(np.array(self.rater_ids)[columns]),
+            image_ids=tuple(im for im, k in zip(self.image_ids, keep) if k),
+            rater_ids=tuple(self.rater_ids[j] for j in columns),
         )
 
 
@@ -151,6 +151,42 @@ class IccBootstrapReport:
     sds: dict[int, float]
 
 
+def _subset_icc2k(x: np.ndarray, draws: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """ICC(2,k) of ``x[:, cols]`` for every row ``cols`` of each ``draws[size]``.
+
+    ``x`` must be complete. The two-way ANOVA of a column subset needs
+    only sums (McGraw & Wong 1996): with every column centred, the
+    subset's row sums are ``xc @ S`` for its 0/1 column indicator S, and
+    BSS and ESS do not change when a column is shifted; JSS comes from
+    the column means. So each size costs one matrix product for all of
+    its subsets, and nothing of size (images, size) is built per subset.
+    """
+    n, n_raters = x.shape
+    col_means = x.mean(axis=0)
+    xc = x - col_means
+    col_ss = (xc * xc).sum(axis=0)
+    dev = col_means - col_means.mean()
+    out: dict[int, np.ndarray] = {}
+    for size, cols in draws.items():
+        reps = cols.shape[0]
+        S = np.zeros((n_raters, reps), dtype=np.float64)
+        S[cols, np.arange(reps)[:, None]] = 1.0
+        rows = xc @ S
+        # the columns of xc sum to zero, so the subset's grand total does too
+        bss = (rows * rows).sum(axis=0) / size
+        ess = col_ss @ S - bss
+        dev_sum = dev @ S
+        jss = n * ((dev * dev) @ S - dev_sum * dev_sum / size)
+        bms = bss / (n - 1)
+        jms = jss / (size - 1)
+        ems = ess / ((n - 1) * (size - 1))
+        denom = bms + (jms - ems) / n
+        if (denom == 0.0).any():
+            raise ComputationError("degenerate ANOVA: zero denominator")
+        out[size] = (bms - ems) / denom
+    return out
+
+
 def bootstrap_icc(
     m: RatingMatrix,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
@@ -163,30 +199,44 @@ def bootstrap_icc(
     Per size s and repetition r the columns come from the substream
     keyed (seed, "icc.bootstrap", s, r), so the report is reproducible
     bit-for-bit. SD uses the sample convention (ddof=1).
+
+    A complete matrix takes every subset's ANOVA from sums, all reps of
+    a size at once (:func:`_subset_icc2k`); a matrix with missing cells
+    runs :func:`icc2k` per subset, which imputes or drops cells as
+    ``missing`` says. The two routes agree to rounding.
     """
+    if missing not in MISSING_MODES:
+        raise InputError(f"unknown missing-data mode {missing!r}", field="missing")
     n_raters = len(m.rater_ids)
     sizes = tuple(sorted(set(int(s) for s in sizes)))
     if not sizes:
-        raise InputError("bootstrap needs at least one subsample size")
+        raise InputError("bootstrap needs at least one subsample size", field="sizes")
+    if sizes[0] < 2:
+        raise InputError(f"subsample sizes must be >= 2, got {sizes[0]}", field="sizes")
     if sizes[-1] > n_raters:
         raise InputError(
-            f"subsample size {sizes[-1]} exceeds available raters ({n_raters})"
+            f"subsample size {sizes[-1]} exceeds available raters ({n_raters})", field="sizes"
         )
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}", field="reps")
-    values: dict[int, tuple[float, ...]] = {}
-    means: dict[int, float] = {}
-    sds: dict[int, float] = {}
-    for size in sizes:
-        vals = []
-        for rep in range(reps):
-            rng = substream(seed, "icc.bootstrap", size, rep)
-            cols = np.sort(rng.choice(n_raters, size=size, replace=False))
-            vals.append(icc2k(m.subset_raters(cols), missing=missing))
-        arr = np.array(vals, dtype=np.float64)
-        values[size] = tuple(float(v) for v in vals)
-        means[size] = float(arr.mean())
-        sds[size] = float(arr.std(ddof=1)) if reps > 1 else 0.0
+    draws = {
+        size: np.array([
+            np.sort(substream(seed, "icc.bootstrap", size, rep)
+                    .choice(n_raters, size=size, replace=False))
+            for rep in range(reps)
+        ])
+        for size in sizes
+    }
+    if np.isnan(m.values).any():
+        iccs = {
+            size: np.array([icc2k(m.subset_raters(c), missing=missing) for c in cols])
+            for size, cols in draws.items()
+        }
+    else:
+        iccs = _subset_icc2k(m.values, draws)
+    values = {size: tuple(float(v) for v in iccs[size]) for size in sizes}
+    means = {size: float(iccs[size].mean()) for size in sizes}
+    sds = {size: float(iccs[size].std(ddof=1)) if reps > 1 else 0.0 for size in sizes}
     ordered = [means[s] for s in sizes]
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         log.warning("bootstrap ICC means are not monotone nondecreasing: %s", ordered)
@@ -200,7 +250,7 @@ def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float
     if not 0 <= successes <= n:
         raise InputError(f"successes must be in [0, {n}], got {successes}")
     if not 0.0 < level < 1.0:
-        raise InputError(f"level must be in (0, 1), got {level}")
+        raise InputError(f"level must be in (0, 1), got {level}", field="level")
     z = normal_ppf(1.0 - (1.0 - level) / 2.0)
     p_hat = successes / n
     denom = 1.0 + z * z / n

@@ -460,6 +460,27 @@ class TestErrorContracts:
         assert (error["type"], error["field"]) == ("validation", "heatmaps")
         assert str(missing) in error["message"]
 
+    @pytest.mark.parametrize("text", ['{"alpha": NaN}', '{"level": Infinity}',
+                                      '{"alpha": -Infinity}', '{"alpha": 1e400}'])
+    def test_non_finite_config_number(self, inputs, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        argv = _command("error-analysis", inputs, tmp_path / "o") + ["--config", str(config)]
+        assert main(argv) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "config")
+        assert f"{config}: non-finite number" in error["message"]
+
+    def test_non_finite_plan_number(self, workspace, tmp_path, capsys):
+        doc = json.loads(_read(workspace["plan"]))
+        doc["validation_fraction"] = float("nan")
+        plan = tmp_path / "cv_plan.json"
+        plan.write_text(json.dumps(doc))
+        assert self._cv(workspace, tmp_path, plan=plan) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "plan")
+        assert f"{plan}: non-finite number NaN" in error["message"]
+
     @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed"])
     def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
         doc = json.loads(_read(workspace["plan"]))
@@ -661,6 +682,32 @@ class TestTypedOptions:
         error = _one_error_line(capsys)
         assert "reps must be >= 1" in error["message"]
         assert error["field"] == "reps"
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "nan", "alpha"),
+        ("--alpha", "0", "alpha"),
+        ("--alpha", "1.5", "alpha"),
+        ("--bootstrap", "50", "bootstrap"),
+        ("--level", "nan", "level"),
+    ])
+    def test_error_analysis_option_out_of_range(self, inputs, tmp_path, capsys, flag, value,
+                                                field):
+        argv = _command("error-analysis", inputs, tmp_path / "o") + [flag, value]
+        assert main(argv) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", field)
+
+    def test_prop_ci_level_names_the_option(self, capsys):
+        assert main(["prop-ci", "--successes", "3", "--n", "10", "--level", "nan"]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "level")
+
+    def test_icc_size_below_two_names_the_option(self, workspace, tmp_path, capsys):
+        assert main([
+            "icc", "--out", str(tmp_path / "o"), "--seed", "5",
+            "--ratings", str(workspace["filtered"]), "--sizes", "1,3",
+        ]) == 1
+        assert _one_error_line(capsys)["field"] == "sizes"
 
     @pytest.mark.parametrize("config, field", [
         ({"icc": {"reps": 5}}, "icc"),

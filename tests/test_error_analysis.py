@@ -8,6 +8,7 @@ from scipy import stats
 
 from spidereval.error_analysis import (
     OmnibusResult,
+    _replicate_sums,
     analyze_errors,
     bh_fdr,
     category_summaries,
@@ -22,6 +23,7 @@ from spidereval.error_analysis import (
 from spidereval.errors import ComputationError, InputError
 from spidereval.harness import PredictionSet, make_prediction
 from spidereval.ingest import CategoryTable
+from spidereval.rng import substream
 
 # Published omnibus rows used as effect-size cross-checks: H, N, k,
 # epsilon squared. Negative values are legitimate for H < k - 1.
@@ -350,6 +352,15 @@ class TestRunOmnibus:
         names = [r.criterion for r in run_omnibus(errors, cats)]
         assert names == ["subjective distance", "texture", "eyes"]
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        errors, cats = self._errors_and_cats()
+        with pytest.raises(InputError, match="alpha must be in") as exc:
+            run_omnibus(errors, cats, alpha=alpha)
+        assert exc.value.field == "alpha"
+        with pytest.raises(InputError, match="alpha must be in"):
+            analyze_errors(errors, cats, bootstrap=100, alpha=alpha)
+
 
 class TestStratifiedBootstrap:
     def _fixture(self):
@@ -394,10 +405,82 @@ class TestStratifiedBootstrap:
 
     def test_rejects_small_b_and_bad_level(self):
         errors, cats = self._fixture()
-        with pytest.raises(InputError, match="B >= 100"):
+        with pytest.raises(InputError, match="B >= 100") as exc:
             stratified_bootstrap_ci(errors, cats, "texture", B=50)
-        with pytest.raises(InputError, match="level"):
-            stratified_bootstrap_ci(errors, cats, "texture", B=150, level=1.0)
+        assert exc.value.field == "bootstrap"
+        for level in (1.0, 0.0, float("nan")):
+            with pytest.raises(InputError, match="level") as exc:
+                stratified_bootstrap_ci(errors, cats, "texture", B=150, level=level)
+            assert exc.value.field == "level"
+
+    @pytest.mark.parametrize("n", [1, 7, 78, 157, 313])
+    def test_blocked_draws_match_one_draw(self, n):
+        values = np.random.default_rng(n).gamma(4.0, 2.5, size=n)
+        blocked = _replicate_sums(substream(3, "error.bootstrap", "c", "x"), values, 2000)
+        idx = substream(3, "error.bootstrap", "c", "x").integers(0, n, size=(2000, n))
+        np.testing.assert_array_equal(blocked, values[idx].sum(axis=1))
+
+    def _three_strata(self):
+        """errors, categories, and each stratum's errors in image order."""
+        rng = np.random.default_rng(11)
+        errors, mapping, groups = {}, {}, {}
+        for lab, size, scale in (("low", 18, 1.0), ("mid", 41, 2.0), ("high", 77, 3.0)):
+            groups[lab] = rng.gamma(3.0, scale, size=size)
+            for k, value in enumerate(groups[lab]):
+                errors[f"{lab}{k:03d}"] = float(value)
+                mapping[f"{lab}{k:03d}"] = lab
+        return errors, _table({"texture": mapping}), groups
+
+    @staticmethod
+    def _percentiles(means, shares, level=0.95):
+        q = [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]
+        return {
+            lab: {
+                "mean": tuple(float(v) for v in np.quantile(means[lab], q)),
+                "share": tuple(float(v) for v in np.quantile(shares[lab], q)),
+            }
+            for lab in means
+        }
+
+    def test_one_stream_per_stratum(self):
+        errors, cats, groups = self._three_strata()
+        sums = {}
+        for lab in sorted(groups):
+            v = groups[lab]
+            rng = substream(7, "error.bootstrap", "texture", lab)
+            sums[lab] = v[rng.integers(0, v.size, size=(2000, v.size))].sum(axis=1)
+        total = sum(sums[lab] for lab in sorted(sums))
+        means = {lab: sums[lab] / groups[lab].size for lab in sums}
+        shares = {lab: sums[lab] / total for lab in sums}
+        out = stratified_bootstrap_ci(errors, cats, "texture", B=2000, seed=7)
+        assert out == self._percentiles(means, shares)
+
+    def test_close_to_the_per_replicate_scheme(self):
+        # The scheme before one stream per stratum: replicate b drew every
+        # stratum from (seed, "error.bootstrap", criterion, b).
+        errors, cats, groups = self._three_strata()
+        labels = sorted(groups)
+        B = 2000
+        means = {lab: np.empty(B) for lab in labels}
+        shares = {lab: np.empty(B) for lab in labels}
+        for b in range(B):
+            rng = substream(7, "error.bootstrap", "texture", b)
+            sums = {}
+            for lab in labels:
+                v = groups[lab]
+                sample = v[rng.integers(0, v.size, size=v.size)]
+                sums[lab] = float(sample.sum())
+                means[lab][b] = float(sample.mean())
+            for lab in labels:
+                shares[lab][b] = sums[lab] / sum(sums.values())
+        old = self._percentiles(means, shares)
+        new = stratified_bootstrap_ci(errors, cats, "texture", B=B, seed=7)
+        for lab in labels:
+            for kind in ("mean", "share"):
+                (lo0, hi0), (lo1, hi1) = old[lab][kind], new[lab][kind]
+                width = hi0 - lo0
+                assert abs(lo1 - lo0) <= 0.15 * width, (lab, kind)
+                assert abs(hi1 - hi0) <= 0.15 * width, (lab, kind)
 
 
 class TestRankTopCriteria:

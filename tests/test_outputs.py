@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,12 +238,12 @@ class TestManifest:
             tmp_path, command="evaluate", config={"seed": 3}, seed=3,
             inputs=[str(data)], outputs=[str(out)],
         )
-        first = open(path1).read()
+        first = Path(path1).read_text()
         path2 = write_manifest(
             tmp_path, command="evaluate", config={"seed": 3}, seed=3,
             inputs=[str(data)], outputs=[str(out)],
         )
-        assert open(path2).read() == first
+        assert Path(path2).read_text() == first
         doc = json.loads(first)
         assert "time" not in first.lower()
         assert "thread" not in first.lower()
@@ -257,10 +258,10 @@ class TestManifest:
             (tmp_path / d).mkdir(parents=True)
             paths.append(tmp_path / d / "img000.pfm")
             paths[-1].write_text(d)
-        doc = json.loads(open(write_manifest(
+        doc = json.loads(Path(write_manifest(
             tmp_path, command="c", config={}, seed=None,
             inputs=[str(p) for p in paths], outputs=[],
-        )).read())
+        )).read_text())
         assert doc["inputs"] == {
             "heat_a/img000.pfm": sha256_file(paths[0]),
             "heat_b/img000.pfm": sha256_file(paths[1]),
@@ -272,6 +273,6 @@ class TestManifest:
             tmp_path, command="c", config={}, seed=None,
             inputs=[str(tmp_path / "ghost.csv")], outputs=[],
         )
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc["inputs"] == {}
         assert doc["seed"] is None

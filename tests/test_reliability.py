@@ -5,11 +5,13 @@ from spidereval.errors import ComputationError, InputError
 from spidereval.ingest import RatingRecord, RatingsTable
 from spidereval.reliability import (
     RatingMatrix,
+    _subset_icc2k,
     bootstrap_icc,
     build_rating_matrix,
     icc2k,
     wilson_ci,
 )
+from spidereval.rng import substream
 
 
 def _matrix(values, image_ids=None, rater_ids=None):
@@ -189,8 +191,67 @@ class TestBootstrapIcc:
 
     def test_size_above_rater_count_rejected(self):
         m = _synthetic(10, 4, 100.0, 25.0, 25.0, seed=10)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             bootstrap_icc(m, sizes=(8,), reps=3)
+        assert exc.value.field == "sizes"
+
+    @pytest.mark.parametrize("sizes", [(1, 3), (0,), (-2, 3)])
+    def test_size_below_two_rejected(self, sizes):
+        m = _synthetic(10, 4, 100.0, 25.0, 25.0, seed=10)
+        with pytest.raises(InputError, match="sizes must be >= 2") as exc:
+            bootstrap_icc(m, sizes=sizes, reps=3)
+        assert exc.value.field == "sizes"
+
+    def test_unknown_missing_mode_rejected_on_complete_data(self):
+        m = _synthetic(10, 4, 100.0, 25.0, 25.0, seed=10)
+        with pytest.raises(InputError) as exc:
+            bootstrap_icc(m, sizes=(2,), reps=3, missing="drop")
+        assert exc.value.field == "missing"
+
+    @staticmethod
+    def _draws(n_raters, size, reps, seed):
+        """The column draws of bootstrap_icc, written out."""
+        return [
+            np.sort(substream(seed, "icc.bootstrap", size, rep)
+                    .choice(n_raters, size=size, replace=False))
+            for rep in range(reps)
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sums_path_matches_icc2k(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(3, 80)), int(rng.integers(3, 40))
+        m = _synthetic(n, k, rng.uniform(10, 200), rng.uniform(0, 50), rng.uniform(5, 50),
+                       seed=seed)
+        size = int(rng.integers(2, k + 1))
+        cols = np.array([np.sort(rng.choice(k, size=size, replace=False)) for _ in range(7)])
+        got = _subset_icc2k(m.values, {size: cols})[size]
+        want = np.array([icc2k(m.subset_raters(c)) for c in cols])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_complete_matrix_uses_the_same_draws(self):
+        m = _synthetic(40, 12, 100.0, 25.0, 25.0, seed=6)
+        report = bootstrap_icc(m, sizes=(3, 8), reps=9, seed=4)
+        for size in (3, 8):
+            want = [icc2k(m.subset_raters(c)) for c in self._draws(12, size, 9, 4)]
+            np.testing.assert_allclose(report.values[size], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("missing", ["impute", "complete"])
+    def test_missing_cells_keep_the_per_subset_path(self, missing):
+        m = _synthetic(40, 12, 100.0, 25.0, 25.0, seed=6)
+        values = m.values.copy()
+        values[np.random.default_rng(1).uniform(size=values.shape) < 0.05] = np.nan
+        m = _matrix(values)
+        report = bootstrap_icc(m, sizes=(4, 8), reps=9, seed=4, missing=missing)
+        for size in (4, 8):
+            want = tuple(icc2k(m.subset_raters(c), missing=missing)
+                         for c in self._draws(12, size, 9, 4))
+            assert report.values[size] == want
+
+    def test_constant_matrix_degenerate(self):
+        m = _matrix(np.full((5, 4), 3.0))
+        with pytest.raises(ComputationError, match="degenerate"):
+            bootstrap_icc(m, sizes=(2,), reps=3)
 
 
 class TestWilsonCi:
@@ -228,5 +289,7 @@ class TestWilsonCi:
             wilson_ci(5, 0)
         with pytest.raises(InputError):
             wilson_ci(11, 10)
-        with pytest.raises(InputError):
-            wilson_ci(5, 10, level=1.0)
+        for level in (1.0, float("nan")):
+            with pytest.raises(InputError) as exc:
+                wilson_ci(5, 10, level=level)
+            assert exc.value.field == "level"

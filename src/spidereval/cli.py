@@ -320,10 +320,10 @@ class _Run:
 def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
     report, cleaned = run_qc(table)
     counts = {
-        "n_ratings_input": len(table.records),
+        "n_ratings_input": len(table),
         "n_ratings_first_trial": report.n_first_trial,
-        "n_ratings_removed": report.n_first_trial - len(cleaned.records),
-        "n_ratings_after": len(cleaned.records),
+        "n_ratings_removed": report.n_first_trial - len(cleaned),
+        "n_ratings_after": len(cleaned),
         "n_participants_input": table.n_participants,
         "n_participants_after": cleaned.n_participants,
     }
@@ -335,7 +335,7 @@ def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
 
 
 def _split(run: _Run, table: RatingsTable, seed: int):
-    split = split_participants(sorted(table.participant_index), seed)
+    split = split_participants(table.participant_ids, seed)
     targets = image_group_means(table, split)
     if not targets.mean_a:
         raise ComputationError("no image has ratings in both participant groups")
@@ -586,8 +586,12 @@ _SYNTH_FIELDS = {
 
 def _cmd_synth(opts, run: _Run) -> None:
     run.config.update({name: getattr(opts, name) for name in _SYNTH_FIELDS})
-    spec = SynthSpec(seed=opts.seed,
-                     **{field: getattr(opts, name) for name, field in _SYNTH_FIELDS.items()})
+    try:
+        spec = SynthSpec(seed=opts.seed,
+                         **{field: getattr(opts, name) for name, field in _SYNTH_FIELDS.items()})
+    except InputError as exc:
+        exc.field = {field: name for name, field in _SYNTH_FIELDS.items()}.get(exc.field, exc.field)
+        raise
     table, features, truth = generate(spec)
     write_ratings(table, run.path("ratings.csv"))
     if features is not None:

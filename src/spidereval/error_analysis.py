@@ -152,14 +152,10 @@ def kruskal_wallis(groups: Sequence[np.ndarray]) -> tuple[float, float]:
     n_total = pooled.shape[0]
     if n_total < 3:
         raise InputError(f"kruskal_wallis needs N >= 3, got {n_total}")
-    ranks = average_ranks(pooled)
     h_raw = 0.0
-    start = 0
-    for g in groups:
-        stop = start + g.shape[0]
-        r_sum = float(ranks[start:stop].sum())
-        h_raw += r_sum * r_sum / g.shape[0]
-        start = stop
+    for r in np.split(average_ranks(pooled), np.cumsum([g.shape[0] for g in groups[:-1]])):
+        r_sum = float(r.sum())
+        h_raw += r_sum * r_sum / r.shape[0]
     h_raw = 12.0 / (n_total * (n_total + 1)) * h_raw - 3.0 * (n_total + 1)
     ties = tie_group_sizes(pooled)
     correction = 1.0 - float((ties.astype(np.float64) ** 3 - ties).sum()) / (
@@ -211,15 +207,9 @@ def dunn_posthoc(groups: Mapping[str, np.ndarray]) -> list[tuple[str, str, float
         raise InputError("dunn_posthoc groups must be non-empty")
     pooled = np.concatenate(arrays)
     n_total = pooled.shape[0]
-    ranks = average_ranks(pooled)
-    mean_ranks: dict[str, float] = {}
-    sizes: dict[str, int] = {}
-    start = 0
-    for lab, a in zip(labels, arrays):
-        stop = start + a.shape[0]
-        mean_ranks[lab] = float(ranks[start:stop].mean())
-        sizes[lab] = a.shape[0]
-        start = stop
+    sizes = {lab: a.shape[0] for lab, a in zip(labels, arrays)}
+    by_label = np.split(average_ranks(pooled), np.cumsum([a.shape[0] for a in arrays[:-1]]))
+    mean_ranks = {lab: float(r.mean()) for lab, r in zip(labels, by_label)}
     ties = tie_group_sizes(pooled)
     tie_term = float((ties.astype(np.float64) ** 3 - ties).sum()) / (12.0 * (n_total - 1))
     base_var = n_total * (n_total + 1) / 12.0 - tie_term

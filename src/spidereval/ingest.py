@@ -3,7 +3,9 @@
 Tabular inputs are CSV:
 
 * ``ratings.csv`` with header ``participant_id,image_id,trial_index,rating``,
-  one row per rating event, ratings on the 0-100 scale;
+  one row per rating event, ratings on the 0-100 scale, held as a
+  columnar :class:`RatingsTable`: sorted participant and image ids, and
+  per row, in file order, the two id codes, the trial and the rating;
 * ``categories.csv`` with header ``image_id,criterion,category``, long form
   over the fixed 12-criterion taxonomy;
 * ``features.csv`` with header ``image_id,f0,...,f{D-1}`` and one embedding
@@ -24,9 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "load_ratings",
     "write_ratings",
     "first_trial_filter",
+    "rows_by_code",
     "load_categories",
     "load_features",
     "write_features",
@@ -70,6 +73,7 @@ CRITERIA = (
 )
 
 RATINGS_HEADER = ["participant_id", "image_id", "trial_index", "rating"]
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _reject_constant(name: str):
@@ -186,47 +190,92 @@ class RatingRecord:
     rating: float
 
 
-@dataclass(frozen=True)
+def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct strings and each value's position among them."""
+    ids = sorted(set(values))
+    index = {value: k for k, value in enumerate(ids)}
+    return tuple(ids), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def rows_by_code(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """The row indices of each code 0..n-1, each in table (file) order."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(n + 1)).tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class RatingsTable:
-    """A set of rating records with derived participant/image indexes."""
+    """Rating events as four aligned read-only columns, in file order.
 
-    records: tuple[RatingRecord, ...]
-    participant_index: frozenset[str] = field(init=False)
-    image_index: frozenset[str] = field(init=False)
+    ``participant_ids`` and ``image_ids`` are the sorted ids that have a
+    row; ``participant`` and ``image`` code each row by its position in
+    them, next to its ``trial`` (int64) and ``rating`` (float64).
+    ``RatingsTable(records)`` and :attr:`records` convert from and to
+    :class:`RatingRecord` objects.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "participant_index", frozenset(r.participant_id for r in self.records)
-        )
-        object.__setattr__(self, "image_index", frozenset(r.image_id for r in self.records))
+    __slots__ = ("participant_ids", "participant", "image_ids", "image", "trial", "rating")
+
+    def __init__(self, records: Iterable[RatingRecord] = ()):
+        rows = tuple(records)
+        self._set(*_encode([r.participant_id for r in rows]), *_encode([r.image_id for r in rows]),
+                  [r.trial_index for r in rows], [r.rating for r in rows])
+
+    @classmethod
+    def from_codes(cls, participant_ids, participant, image_ids, image, trial, rating):
+        """A table from sorted id lists and the rows coded by position in them."""
+        table = cls.__new__(cls)
+        table._set(participant_ids, participant, image_ids, image, trial, rating)
+        return table
+
+    def _set(self, participant_ids, participant, image_ids, image, trial, rating) -> None:
+        self.participant_ids, self.image_ids = tuple(participant_ids), tuple(image_ids)
+        for name, values, dtype in (("participant", participant, np.intp),
+                                    ("image", image, np.intp),
+                                    ("trial", trial, np.int64),
+                                    ("rating", rating, np.float64)):
+            column = np.array(values, dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rating)
+
+    @property
+    def records(self) -> tuple[RatingRecord, ...]:
+        participants = map(self.participant_ids.__getitem__, self.participant.tolist())
+        images = map(self.image_ids.__getitem__, self.image.tolist())
+        return tuple(map(RatingRecord, participants, images, self.trial.tolist(),
+                         self.rating.tolist()))
+
+    @property
+    def participant_index(self) -> frozenset[str]:
+        return frozenset(self.participant_ids)
+
+    @property
+    def image_index(self) -> frozenset[str]:
+        return frozenset(self.image_ids)
 
     @property
     def n_participants(self) -> int:
-        return len(self.participant_index)
+        return len(self.participant_ids)
 
     @property
     def n_images(self) -> int:
-        return len(self.image_index)
+        return len(self.image_ids)
 
-    def by_participant(self) -> dict[str, list[RatingRecord]]:
-        out: dict[str, list[RatingRecord]] = {}
-        for rec in self.records:
-            out.setdefault(rec.participant_id, []).append(rec)
-        return out
+    def select(self, keep: np.ndarray) -> "RatingsTable":
+        """The rows picked by ``keep`` (a boolean mask or increasing row
+        indices), listing only the ids that keep a row."""
+        columns = []
+        for ids, codes in ((self.participant_ids, self.participant), (self.image_ids, self.image)):
+            used = np.bincount(codes[keep], minlength=len(ids)) > 0
+            columns += [[ids[k] for k in np.flatnonzero(used)], (np.cumsum(used) - 1)[codes[keep]]]
+        return RatingsTable.from_codes(*columns, self.trial[keep], self.rating[keep])
 
-    def by_image(self) -> dict[str, list[RatingRecord]]:
-        out: dict[str, list[RatingRecord]] = {}
-        for rec in self.records:
-            out.setdefault(rec.image_id, []).append(rec)
-        return out
-
-    def without_participants(self, excluded: set[str]) -> "RatingsTable":
-        return RatingsTable(
-            tuple(r for r in self.records if r.participant_id not in excluded)
-        )
+    def without_participants(self, excluded: set[str] | frozenset[str]) -> "RatingsTable":
+        dropped = np.array([pid in excluded for pid in self.participant_ids], dtype=bool)
+        return self.select(~dropped[self.participant])
 
 
 @dataclass(frozen=True)
@@ -344,46 +393,61 @@ def load_ratings(path: str | Path) -> RatingsTable:
     """Parse a ratings CSV, validating every row.
 
     Any malformed row raises :class:`InputError` with its line number, so
-    nothing is ever dropped silently.
+    nothing is ever dropped silently; of several, the first in the file
+    is named.
     """
     src = InputFile(path, "ratings")
-    records: list[RatingRecord] = []
-    seen: set[tuple[str, str, int]] = set()
-    for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
-        if not participant or not image:
-            raise src.error("empty participant or image id", line)
-        trial = src.integer(trial_raw, line, "trial_index", 1)
-        rating = src.number(rating_raw, line, "rating")
-        if not 0.0 <= rating <= 100.0:
-            raise src.error(f"rating {rating_raw} outside [0, 100]", line)
-        key = (participant, image, trial)
-        if key in seen:
-            raise src.error(f"duplicate (participant, image, trial) {key}", line)
-        seen.add(key)
-        records.append(RatingRecord(participant, image, trial, rating))
-    return RatingsTable(tuple(records))
+    participants, images, trials, ratings, lines = [], [], [], [], []
+    error = None
+    try:
+        for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
+            if not participant or not image:
+                raise src.error("empty participant or image id", line)
+            trial = src.integer(trial_raw, line, "trial_index", 1)
+            if trial > _INT64_MAX:
+                raise src.error(f"trial_index must be <= {_INT64_MAX}, got {trial_raw!r}", line)
+            rating = src.number(rating_raw, line, "rating")
+            if not 0.0 <= rating <= 100.0:
+                raise src.error(f"rating {rating_raw} outside [0, 100]", line)
+            participants.append(participant)
+            images.append(image)
+            trials.append(trial)
+            ratings.append(rating)
+            lines.append(line)
+    except InputError as exc:
+        error = exc  # a repeat in the rows above it comes first in the file
+    table = RatingsTable.from_codes(*_encode(participants), *_encode(images), trials, ratings)
+    pair = table.participant * table.n_images + table.image
+    order = np.lexsort((table.trial, pair))  # stable: a repeat follows its first row
+    pair, trial = pair[order], table.trial[order]
+    repeats = order[1:][(pair[1:] == pair[:-1]) & (trial[1:] == trial[:-1])]
+    if repeats.size:
+        row = int(repeats.min())
+        key = (participants[row], images[row], trials[row])
+        raise src.error(f"duplicate (participant, image, trial) {key}", lines[row])
+    if error is not None:
+        raise error
+    return table
 
 
 def write_ratings(table: RatingsTable, path: str | Path) -> None:
+    participant_ids, image_ids = table.participant_ids, table.image_ids
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATINGS_HEADER)
-        for rec in table.records:
-            writer.writerow(
-                [rec.participant_id, rec.image_id, rec.trial_index, f"{rec.rating:.9g}"]
-            )
+        writer.writerows(
+            [participant_ids[p], image_ids[i], t, f"{r:.9g}"]
+            for p, i, t, r in zip(table.participant.tolist(), table.image.tolist(),
+                                  table.trial.tolist(), table.rating.tolist())
+        )
 
 
 def first_trial_filter(table: RatingsTable) -> RatingsTable:
-    """Keep only the earliest-trial record per (participant, image) pair."""
-    best: dict[tuple[str, str], RatingRecord] = {}
-    for rec in table.records:
-        key = (rec.participant_id, rec.image_id)
-        cur = best.get(key)
-        if cur is None or rec.trial_index < cur.trial_index:
-            best[key] = rec
-    kept = [r for r in table.records if best[(r.participant_id, r.image_id)] is r]
-    return RatingsTable(tuple(kept))
+    """Keep only the earliest-trial row per (participant, image) pair, in file order."""
+    pair = table.participant * table.n_images + table.image
+    order = np.lexsort((table.trial, pair))  # stable: of equal trials, the earliest row first
+    _, first = np.unique(pair[order], return_index=True)
+    return table.select(np.sort(order[first]))
 
 
 def load_categories(path: str | Path) -> CategoryTable:

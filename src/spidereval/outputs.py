@@ -85,45 +85,29 @@ def sha256_file(path) -> str:
 
 
 def write_qc_report(path, report: QcReport) -> None:
-    rows = []
-    for pid in sorted(report.mad):
-        rows.append(
-            [
-                pid,
-                report.rho[pid],
-                report.mad[pid],
-                pid in report.corr_flagged,
-                pid in report.mad_flagged,
-                pid in report.excluded,
-            ]
-        )
+    rows = [
+        [pid, report.rho[pid], report.mad[pid], pid in report.corr_flagged,
+         pid in report.mad_flagged, pid in report.excluded]
+        for pid in sorted(report.mad)
+    ]
     write_csv(path, ["participant", "rho", "mad_score", "corr_flag", "mad_flag", "excluded"], rows)
 
 
 def write_qc_summary(path, report: QcReport, counts: Mapping[str, int]) -> None:
-    write_json(
-        path,
-        {
-            "corr_threshold": report.corr_threshold,
-            "mad_threshold": report.mad_threshold,
-            "n_corr_flagged": len(report.corr_flagged),
-            "n_mad_flagged": len(report.mad_flagged),
-            "n_excluded": len(report.excluded),
-            "excluded": sorted(report.excluded),
-            **dict(counts),
-        },
-    )
+    write_json(path, {
+        "corr_threshold": report.corr_threshold,
+        "mad_threshold": report.mad_threshold,
+        "n_corr_flagged": len(report.corr_flagged),
+        "n_mad_flagged": len(report.mad_flagged),
+        "n_excluded": len(report.excluded),
+        "excluded": sorted(report.excluded),
+        **dict(counts),
+    })
 
 
 def write_participant_split(path, split) -> None:
-    write_json(
-        path,
-        {
-            "seed": split.seed,
-            "group_a": sorted(split.group_a),
-            "group_b": sorted(split.group_b),
-        },
-    )
+    write_json(path, {"seed": split.seed, "group_a": sorted(split.group_a),
+                      "group_b": sorted(split.group_b)})
 
 
 def write_image_targets(path, targets) -> None:
@@ -217,24 +201,8 @@ def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> 
 
 
 def write_fit_results(path, rows: Sequence[Mapping]) -> None:
-    write_csv(
-        path,
-        ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged"],
-        [
-            [
-                r["model"],
-                r["metric"],
-                r["form"],
-                r["a"],
-                r["b"],
-                r["c"],
-                r["rss"],
-                r["iterations"],
-                r["converged"],
-            ]
-            for r in rows
-        ],
-    )
+    header = ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged"]
+    write_csv(path, header, [[r[key] for key in header] for r in rows])
 
 
 def write_overlap(path, records) -> None:

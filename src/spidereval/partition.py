@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .ingest import InputFile, RatingsTable
+from .ingest import InputFile, RatingsTable, rows_by_code
 from .rng import check_seed, substream
 
 __all__ = [
@@ -92,32 +92,23 @@ class ImageTargets:
 
 def image_group_means(table: RatingsTable, split: ParticipantSplit) -> ImageTargets:
     """Arithmetic mean rating per image, separately per participant group."""
-    mean_a: dict[str, float] = {}
-    mean_b: dict[str, float] = {}
-    n_a: dict[str, int] = {}
-    n_b: dict[str, int] = {}
-    dropped: list[str] = []
-    by_image = table.by_image()
-    for image_id in sorted(by_image):
-        a_vals = []
-        b_vals = []
-        for rec in by_image[image_id]:
-            if rec.participant_id in split.group_a:
-                a_vals.append(rec.rating)
-            elif rec.participant_id in split.group_b:
-                b_vals.append(rec.rating)
-        if not a_vals or not b_vals:
+    mean_a, mean_b, n_a, n_b, dropped = {}, {}, {}, {}, []
+    # whether each row's participant is in group A, in group B
+    in_a = np.array([pid in split.group_a for pid in table.participant_ids])[table.participant]
+    in_b = np.array([pid in split.group_b for pid in table.participant_ids])[table.participant]
+    for image_id, rows in zip(table.image_ids, rows_by_code(table.image, table.n_images)):
+        a_vals = table.rating[rows[in_a[rows]]]
+        b_vals = table.rating[rows[in_b[rows]]]
+        if not a_vals.size or not b_vals.size:
             dropped.append(image_id)
             log.warning(
                 "image %s has no ratings in group %s; dropped from modeling",
                 image_id,
-                "A" if not a_vals else "B",
+                "A" if not a_vals.size else "B",
             )
             continue
-        mean_a[image_id] = float(np.mean(a_vals))
-        mean_b[image_id] = float(np.mean(b_vals))
-        n_a[image_id] = len(a_vals)
-        n_b[image_id] = len(b_vals)
+        mean_a[image_id], mean_b[image_id] = float(np.mean(a_vals)), float(np.mean(b_vals))
+        n_a[image_id], n_b[image_id] = len(a_vals), len(b_vals)
     return ImageTargets(
         mean_a=mean_a, mean_b=mean_b, n_a=n_a, n_b=n_b, dropped=tuple(dropped)
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError
-from .ingest import RatingsTable, first_trial_filter
+from .ingest import RatingsTable, first_trial_filter, rows_by_code
 from .ranking import average_ranks
 
 __all__ = [
@@ -38,10 +38,9 @@ MIN_PARTICIPANTS = 4
 
 def consensus_median(table: RatingsTable) -> dict[str, float]:
     """Per-image median rating over all participants (first trials only)."""
-    out: dict[str, float] = {}
-    for image_id, records in sorted(table.by_image().items()):
-        out[image_id] = float(np.median([r.rating for r in records]))
-    return out
+    by_image = rows_by_code(table.image, table.n_images)
+    return {image_id: float(np.median(table.rating[rows]))
+            for image_id, rows in zip(table.image_ids, by_image)}
 
 
 def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
@@ -69,35 +68,25 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
     return float((rx @ ry) / denom)
 
 
-def _fences(values: np.ndarray) -> tuple[float, float]:
-    q1 = float(np.quantile(values, 0.25))
-    q3 = float(np.quantile(values, 0.75))
-    iqr = q3 - q1
-    return q1 - 1.5 * iqr, q3 + 1.5 * iqr
+def _fence(scores: dict[str, float], rule: str, upper: bool) -> float:
+    """The Tukey fence (1.5 IQR beyond the type-7 quartiles) of the scores."""
+    if len(scores) < MIN_PARTICIPANTS:
+        raise ComputationError(f"{rule} screening needs at least {MIN_PARTICIPANTS} participants")
+    values = np.array(list(scores.values()), dtype=np.float64)
+    q1, q3 = float(np.quantile(values, 0.25)), float(np.quantile(values, 0.75))
+    return q3 + 1.5 * (q3 - q1) if upper else q1 - 1.5 * (q3 - q1)
 
 
 def flag_correlation_outliers(rhos: dict[str, float]) -> tuple[set[str], float]:
     """Participants whose consensus correlation falls below the lower fence."""
-    if len(rhos) < MIN_PARTICIPANTS:
-        raise ComputationError(
-            f"correlation screening needs at least {MIN_PARTICIPANTS} participants"
-        )
-    values = np.array(list(rhos.values()), dtype=np.float64)
-    lower, _ = _fences(values)
-    flagged = {pid for pid, rho in rhos.items() if rho < lower}
-    return flagged, lower
+    lower = _fence(rhos, "correlation", upper=False)
+    return {pid for pid, rho in rhos.items() if rho < lower}, lower
 
 
 def flag_mad_outliers(scores: dict[str, float]) -> tuple[set[str], float]:
     """Participants whose median absolute deviation exceeds the upper fence."""
-    if len(scores) < MIN_PARTICIPANTS:
-        raise ComputationError(
-            f"deviation screening needs at least {MIN_PARTICIPANTS} participants"
-        )
-    values = np.array(list(scores.values()), dtype=np.float64)
-    _, upper = _fences(values)
-    flagged = {pid for pid, s in scores.items() if s > upper}
-    return flagged, upper
+    upper = _fence(scores, "deviation", upper=True)
+    return {pid for pid, s in scores.items() if s > upper}, upper
 
 
 @dataclass(frozen=True)
@@ -130,32 +119,27 @@ def run_qc(table: RatingsTable) -> tuple[QcReport, RatingsTable]:
     participants removed.
     """
     filtered = first_trial_filter(table)
-    consensus = consensus_median(filtered)
-    by_participant = filtered.by_participant()
+    consensus = np.array(list(consensus_median(filtered).values()))[filtered.image]
 
     rho: dict[str, float | None] = {}
     mad: dict[str, float] = {}
-    for pid in sorted(by_participant):
-        records = by_participant[pid]
-        own = np.array([r.rating for r in records], dtype=np.float64)
-        cons = np.array([consensus[r.image_id] for r in records], dtype=np.float64)
+    by_participant = rows_by_code(filtered.participant, filtered.n_participants)
+    for pid, rows in zip(filtered.participant_ids, by_participant):
+        own, cons = filtered.rating[rows], consensus[rows]
         mad[pid] = float(np.median(np.abs(own - cons)))
+        rho[pid] = None
         if own.shape[0] >= MIN_COMMON_IMAGES:
             try:
                 rho[pid] = spearman_rho(own, cons)
             except ComputationError:
-                # Constant ratings carry no rank signal; leave the
-                # correlation undefined rather than failing the run.
-                rho[pid] = None
-        else:
-            rho[pid] = None
+                pass  # constant ratings carry no rank signal: rho stays undefined
 
     defined = {pid: v for pid, v in rho.items() if v is not None}
     corr_flagged, corr_threshold = flag_correlation_outliers(defined)
     mad_flagged, mad_threshold = flag_mad_outliers(mad)
 
     report = QcReport(
-        n_first_trial=len(filtered.records),
+        n_first_trial=len(filtered),
         rho=rho,
         mad=mad,
         corr_threshold=corr_threshold,

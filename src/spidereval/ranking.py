@@ -13,14 +13,11 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     order = np.argsort(values, kind="stable")
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ordered = values[order]
+    # sorted positions i..j of a run of equal values share 0.5 * (i + j) + 1
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], n] - 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

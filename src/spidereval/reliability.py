@@ -72,20 +72,21 @@ class RatingMatrix:
 
 def build_rating_matrix(table: RatingsTable) -> RatingMatrix:
     """Pivot a (first-trial, QC-filtered) table into images x raters."""
-    images = sorted(table.image_index)
-    raters = sorted(table.participant_index)
-    row = {im: i for i, im in enumerate(images)}
-    col = {ra: j for j, ra in enumerate(raters)}
-    values = np.full((len(images), len(raters)), np.nan, dtype=np.float64)
-    for rec in table.records:
-        i, j = row[rec.image_id], col[rec.participant_id]
-        if not np.isnan(values[i, j]):
-            raise InputError(
-                f"duplicate cell for image {rec.image_id}, rater {rec.participant_id}; "
-                "apply the first-trial filter before building the matrix"
-            )
-        values[i, j] = rec.rating
-    return RatingMatrix(values=values, image_ids=tuple(images), rater_ids=tuple(raters))
+    shape = (table.n_images, table.n_participants)
+    cell = table.image * shape[1] + table.participant
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order][1:] == cell[order][:-1]]
+    if repeats.size:
+        row = int(repeats.min())
+        raise InputError(
+            f"duplicate cell for image {table.image_ids[table.image[row]]}, "
+            f"rater {table.participant_ids[table.participant[row]]}; "
+            "apply the first-trial filter before building the matrix"
+        )
+    values = np.full(shape, np.nan, dtype=np.float64)
+    values.reshape(-1)[cell] = table.rating
+    return RatingMatrix(values=values, image_ids=table.image_ids,
+                        rater_ids=table.participant_ids)
 
 
 def _complete_matrix(m: RatingMatrix, missing: str) -> tuple[np.ndarray, int]:

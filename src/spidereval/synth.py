@@ -10,12 +10,13 @@ get a constant offset added before truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .ingest import FeatureTable, RatingRecord, RatingsTable
+from .ingest import FeatureTable, RatingsTable
 from .rng import substream
 
 __all__ = ["SynthSpec", "GroundTruth", "generate"]
@@ -35,11 +36,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_images < 1 or self.n_raters < 1:
-            raise InputError("need at least 1 image and 1 rater")
-        for name in ("var_image", "var_rater", "var_residual"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0", field=name)
+        for name in ("n_images", "n_raters"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
+        for name in ("var_image", "var_rater", "var_residual", "mu", "outlier_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or (name.startswith("var_") and value < 0):
+                bound = " and >= 0" if name.startswith("var_") else ""
+                raise InputError(f"{name} must be finite{bound}, got {value}", field=name)
         if not 0 <= self.n_outliers < self.n_raters:
             raise InputError("outlier count must be < n_raters", field="n_outliers")
         if self.feature_dim < 0:
@@ -102,18 +106,12 @@ def generate(spec: SynthSpec) -> tuple[RatingsTable, FeatureTable | None, Ground
     raw += offsets[None, :]
     values = np.clip(raw, 0.0, 100.0)
 
-    records = []
-    for j, rater in enumerate(rater_ids):
-        for i, image in enumerate(image_ids):
-            records.append(
-                RatingRecord(
-                    participant_id=rater,
-                    image_id=image,
-                    trial_index=1,
-                    rating=float(values[i, j]),
-                )
-            )
-    table = RatingsTable(records=tuple(records))
+    # rater-major rows; zero-padded ids sort in index order
+    table = RatingsTable.from_codes(
+        rater_ids, np.repeat(np.arange(spec.n_raters), spec.n_images),
+        image_ids, np.tile(np.arange(spec.n_images), spec.n_raters),
+        np.ones(values.size, dtype=np.int64), values.T.reshape(-1),
+    )
     truth = GroundTruth(
         image_effects={im: float(img_effects[i]) for i, im in enumerate(image_ids)},
         rater_effects={ra: float(rater_effects[j]) for j, ra in enumerate(rater_ids)},

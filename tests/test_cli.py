@@ -709,6 +709,24 @@ class TestTypedOptions:
         ]) == 1
         assert _one_error_line(capsys)["field"] == "sizes"
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--var-image", "nan"], "var_image"),
+        (["--var-rater", "inf"], "var_rater"),
+        (["--var-residual", "-1"], "var_residual"),
+        (["--mu=-inf"], "mu"),
+        (["--offset", "nan"], "offset"),
+        (["--raters", "5", "--outliers", "9"], "outliers"),
+        (["--images", "-3"], "images"),
+        (["--raters", "0"], "raters"),
+        (["--dim", "-1"], "dim"),
+    ])
+    def test_synth_errors_name_the_option(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out), "--seed", "3", *flags]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", field)
+        assert not (out / "ratings.csv").exists()
+
     @pytest.mark.parametrize("config, field", [
         ({"icc": {"reps": 5}}, "icc"),
         ({"predictor": {"batch_size": 16}}, "predictor"),

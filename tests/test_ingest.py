@@ -17,6 +17,7 @@ from spidereval.ingest import (
     load_float_grid,
     load_mask,
     load_ratings,
+    rows_by_code,
     write_features,
     write_float_grid,
     write_mask,
@@ -100,14 +101,69 @@ class TestRatings:
         assert table.image_index == frozenset({"i1", "i2"})
         assert table.n_participants == 2
         assert table.n_images == 2
-        assert len(table.by_image()["i1"]) == 2
-        assert [r.rating for r in table.by_participant()["p1"]] == [2.0, 3.0]
+        assert table.participant_ids == ("p1", "p2")
+        assert table.image_ids == ("i1", "i2")
+        assert [rows.tolist() for rows in rows_by_code(table.image, 2)] == [[0, 1], [2]]
+        by_participant = rows_by_code(table.participant, 2)
+        assert [table.rating[rows].tolist() for rows in by_participant] == [[2.0, 3.0], [1.0]]
 
     def test_without_participants(self):
         table = _table([("p1", "i1", 1, 1.0), ("p2", "i1", 1, 2.0)])
         kept = table.without_participants({"p1"})
         assert kept.participant_index == frozenset({"p2"})
         assert len(kept) == 1
+
+
+RATINGS_HEAD = "participant_id,image_id,trial_index,rating\n"
+
+
+class TestRatingsErrors:
+    """Every row check names the first bad row of the file, with its line."""
+
+    def _error(self, tmp_path, body):
+        path = write_text(tmp_path / "r.csv", RATINGS_HEAD + body)
+        with pytest.raises(InputError) as info:
+            load_ratings(path)
+        assert info.value.field == "ratings"
+        return str(info.value).replace(f"{path}:", "")
+
+    @pytest.mark.parametrize("body, message", [
+        ("p1,i1,1,5\n,i2,1,5\n", "3: empty participant or image id"),
+        ("p1,,1,5\n", "2: empty participant or image id"),
+        ("p1,i1,0,5\n", "2: trial_index must be an integer >= 1, got '0'"),
+        ("p1,i1,x,5\n", "2: trial_index must be an integer >= 1, got 'x'"),
+        ("p1,i1,99999999999999999999,5\n",
+         "2: trial_index must be <= 9223372036854775807, got '99999999999999999999'"),
+        ("p1,i1,1,100.5\n", "2: rating 100.5 outside [0, 100]"),
+        ("p1,i1,1,-0.1\n", "2: rating -0.1 outside [0, 100]"),
+        ("p1,i1,1,nan\n", "2: non-finite rating: 'nan'"),
+    ])
+    def test_row_checks_keep_their_messages(self, tmp_path, body, message):
+        assert self._error(tmp_path, body) == message
+
+    def test_two_bad_rows_name_the_first(self, tmp_path):
+        body = "p1,i1,1,5\np1,i2,1,101\np2,,1,5\n"
+        assert self._error(tmp_path, body) == "3: rating 101 outside [0, 100]"
+
+    def test_duplicate_names_the_later_line(self, tmp_path):
+        body = "p2,i1,1,5\np1,i1,1,5\np1,i1,2,5\np2,i1,1,6\np1,i1,1,6\n"
+        assert self._error(tmp_path, body) == (
+            "5: duplicate (participant, image, trial) ('p2', 'i1', 1)"
+        )
+
+    def test_duplicate_above_a_bad_row_comes_first(self, tmp_path):
+        body = "p1,i1,1,5\np1,i1,1,6\np1,i2,1,oops\n"
+        assert self._error(tmp_path, body) == (
+            "3: duplicate (participant, image, trial) ('p1', 'i1', 1)"
+        )
+
+    def test_bad_row_above_a_duplicate_comes_first(self, tmp_path):
+        body = "p1,i1,1,5\np1,i2,1,oops\np1,i1,1,6\n"
+        assert self._error(tmp_path, body) == "3: malformed numeric field rating: 'oops'"
+
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        body = 'p1,"i\n1",1,5\np1,"i\n1",1,6\n'
+        assert self._error(tmp_path, body).startswith("5: duplicate")
 
 
 class TestFirstTrialFilter:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from spidereval.ranking import average_ranks, tie_group_sizes
@@ -22,7 +24,7 @@ def test_all_equal():
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40))
 def test_matches_scipy_rankdata(values):
     x = np.array(values, dtype=np.float64)
-    assert np.allclose(average_ranks(x), stats.rankdata(x, method="average"))
+    assert np.array_equal(average_ranks(x), stats.rankdata(x, method="average"))
 
 
 @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30))
@@ -35,3 +37,35 @@ def test_rank_sum_invariant(values):
 def test_tie_group_sizes():
     assert tie_group_sizes(np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])).tolist() == [2, 3]
     assert tie_group_sizes(np.array([1.0, 2.0, 3.0])).tolist() == []
+
+
+def loop_average_ranks(values):
+    """Average ranks by walking each run of tied values in sorted order."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("values", [[], [42.0], [3.0] * 7, [-0.0, 0.0, 1.0], [np.nan, 1.0, np.nan]])
+def test_matches_loop_oracle_on_edge_cases(values):
+    x = np.array(values, dtype=np.float64)
+    got = average_ranks(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == loop_average_ranks(x).tobytes()
+
+
+@given(arrays(np.float64, st.integers(0, 60),
+              elements=st.sampled_from([0.0, 1.0, 2.5, 2.5, 7.0, -3.0])
+              | st.floats(allow_nan=True, allow_infinity=True)))
+def test_matches_loop_oracle_with_heavy_ties(x):
+    assert average_ranks(x).tobytes() == loop_average_ranks(x).tobytes()
+

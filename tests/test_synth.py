@@ -135,3 +135,33 @@ def test_truth_dataclass_defaults():
     truth = GroundTruth(image_effects={}, rater_effects={}, outlier_ids=frozenset())
     assert truth.weights is None
     assert truth.mu == 50.0
+
+
+@pytest.mark.parametrize("name", ["var_image", "var_rater", "var_residual", "mu",
+                                  "outlier_offset"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_values(name, value):
+    with pytest.raises(InputError, match=f"{name} must be finite") as info:
+        SynthSpec(n_images=5, n_raters=5, **{name: value})
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"n_images": 0, "n_raters": 5}, "n_images"),
+    ({"n_images": 5, "n_raters": -1}, "n_raters"),
+    ({"n_images": 5, "n_raters": 5, "var_residual": -0.5}, "var_residual"),
+])
+def test_spec_errors_name_the_field(kwargs, field):
+    with pytest.raises(InputError) as info:
+        SynthSpec(**kwargs)
+    assert info.value.field == field
+
+
+def test_table_is_rater_major_and_matches_the_records():
+    table, _, _ = generate(SynthSpec(n_images=3, n_raters=2, var_residual=0.0, seed=4))
+    assert table.participant_ids == ("p000", "p001")
+    assert table.image_ids == ("img000", "img001", "img002")
+    assert [(r.participant_id, r.image_id) for r in table.records] == [
+        (p, i) for p in table.participant_ids for i in table.image_ids
+    ]
+    assert table.trial.tolist() == [1] * 6

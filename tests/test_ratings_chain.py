@@ -124,16 +124,15 @@ def ratings_tables(draw):
     """Records with repeated trials, missing cells and shuffled order; one
     rater may reverse the consensus and alone rate an extra image, so that
     QC removes both a participant and an image."""
-    n_p = draw(st.integers(MIN_PARTICIPANTS + 1, 7))
-    n_i = draw(st.integers(MIN_COMMON_IMAGES, 6))
-    participants = draw(st.lists(st.sampled_from(ODD_IDS) | st.text("pqr", min_size=1,
-                                                                      max_size=3),
-                                 min_size=n_p, max_size=n_p, unique=True))
-    images = draw(st.lists(st.sampled_from(ODD_IDS) | st.text("ijk", min_size=1, max_size=3),
-                           min_size=n_i, max_size=n_i, unique=True))
+    def ids(n, alphabet):
+        some_id = st.sampled_from(ODD_IDS) | st.text(alphabet, min_size=1, max_size=3)
+        return draw(st.lists(some_id, min_size=n, max_size=n, unique=True))
+
+    participants = ids(draw(st.integers(MIN_PARTICIPANTS + 1, 7)), "pqr")
+    images = ids(draw(st.integers(MIN_COMMON_IMAGES, 6)), "ijk")
     tied = draw(st.booleans())
     value = st.sampled_from([0.0, 25.0, 50.0, 50.0, 100.0]) if tied else st.floats(0, 100)
-    effects = [10.0 * k for k in range(n_i)]
+    effects = [10.0 * k for k in range(len(images))]
     rows = []
     for p in participants:
         for i, effect in zip(images, effects):
@@ -141,7 +140,7 @@ def ratings_tables(draw):
                 continue  # missing cell
             for t in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)):
                 noise = draw(value)
-                rows.append((p, i, t, min(100.0, effect + noise * 0.1) if not tied else noise))
+                rows.append((p, i, t, noise if tied else effect + noise * 0.1))
     if draw(st.booleans()):
         extra = draw(st.sampled_from(["outlier", "o,ut"]))
         lone_image = draw(st.sampled_from(["only", "ön,ly"]))

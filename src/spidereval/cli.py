@@ -662,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
         for opt in OPTIONS:
             if opt.help is not None and command in opt.commands.split():
-                sub.add_argument(_flag(opt.name), nargs=opt.nargs, choices=opt.choices,
-                                 help=opt.help)
+                choices = "" if opt.choices is None else f": {' or '.join(opt.choices)}"
+                sub.add_argument(_flag(opt.name), nargs=opt.nargs, help=opt.help + choices)
     return parser
 
 

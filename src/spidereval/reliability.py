@@ -10,6 +10,8 @@ squares of the two-way ANOVA and n the number of images. Missing cells
 are handled by two-way mean imputation (row mean + column mean - grand
 mean, all from observed cells) with the residual df reduced by one per
 imputed cell; complete-case row deletion is available as an alternative.
+The point estimate and every bootstrap subsample take the ANOVA from
+sums in one engine, :func:`_subset_icc2k`.
 """
 
 from __future__ import annotations
@@ -59,16 +61,6 @@ class RatingMatrix:
             empty = [self.image_ids[i] for i in np.nonzero(observed_per_row == 0)[0]]
             raise InputError(f"images with no observed ratings: {empty[:5]}")
 
-    def subset_raters(self, columns: np.ndarray) -> "RatingMatrix":
-        """Column subset; rows left with no observations are dropped."""
-        v = self.values[:, columns]
-        keep = (~np.isnan(v)).sum(axis=1) > 0
-        return RatingMatrix(
-            values=v[keep].copy(),
-            image_ids=tuple(im for im, k in zip(self.image_ids, keep) if k),
-            rater_ids=tuple(self.rater_ids[j] for j in columns),
-        )
-
 
 def build_rating_matrix(table: RatingsTable) -> RatingMatrix:
     """Pivot a (first-trial, QC-filtered) table into images x raters."""
@@ -89,59 +81,12 @@ def build_rating_matrix(table: RatingsTable) -> RatingMatrix:
                         rater_ids=table.participant_ids)
 
 
-def _complete_matrix(m: RatingMatrix, missing: str) -> tuple[np.ndarray, int]:
-    """Return a complete matrix and the count of imputed cells."""
-    v = m.values
-    mask = np.isnan(v)
-    n_missing = int(mask.sum())
-    if n_missing == 0:
-        return v, 0
-    if missing == "complete":
-        keep = ~mask.any(axis=1)
-        if keep.sum() < 2:
-            raise ComputationError(
-                "complete-case ICC needs at least 2 fully observed images"
-            )
-        return v[keep], 0
-    grand = float(np.nanmean(v))
-    row_means = np.nanmean(v, axis=1)
-    col_means = np.nanmean(v, axis=0)
-    if np.isnan(col_means).any():
-        empty = [m.rater_ids[j] for j in np.nonzero(np.isnan(col_means))[0]]
-        raise ComputationError(f"raters with no observed ratings: {empty[:5]}")
-    filled = v.copy()
-    rows, cols = np.nonzero(mask)
-    filled[rows, cols] = row_means[rows] + col_means[cols] - grand
-    return filled, n_missing
-
-
 def icc2k(m: RatingMatrix, missing: str = "impute") -> float:
     """Two-way random-effects, average-measures intraclass correlation."""
     if missing not in MISSING_MODES:
         raise InputError(f"unknown missing-data mode {missing!r}", field="missing")
-    x, n_imputed = _complete_matrix(m, missing)
-    n, k = x.shape
-    if n < 2 or k < 2:
-        raise ComputationError("ICC needs at least 2 images and 2 raters")
-    grand = x.mean()
-    row_means = x.mean(axis=1)
-    col_means = x.mean(axis=0)
-    bss = k * float(((row_means - grand) ** 2).sum())
-    jss = n * float(((col_means - grand) ** 2).sum())
-    resid = x - row_means[:, None] - col_means[None, :] + grand
-    ess = float((resid ** 2).sum())
-    df_e = (n - 1) * (k - 1) - n_imputed
-    if df_e <= 0:
-        raise ComputationError(
-            f"degenerate ANOVA: residual df {(n - 1) * (k - 1)} - {n_imputed} imputed <= 0"
-        )
-    bms = bss / (n - 1)
-    jms = jss / (k - 1)
-    ems = ess / df_e
-    denom = bms + (jms - ems) / n
-    if denom == 0.0:
-        raise ComputationError("degenerate ANOVA: zero denominator")
-    return float((bms - ems) / denom)
+    k = len(m.rater_ids)
+    return float(_subset_icc2k(m, {k: np.arange(k)[None, :]}, missing)[k][0])
 
 
 @dataclass(frozen=True)
@@ -152,39 +97,85 @@ class IccBootstrapReport:
     sds: dict[int, float]
 
 
-def _subset_icc2k(x: np.ndarray, draws: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """ICC(2,k) of ``x[:, cols]`` for every row ``cols`` of each ``draws[size]``.
+def _subset_icc2k(
+    m: RatingMatrix, draws: dict[int, np.ndarray], missing: str
+) -> dict[int, np.ndarray]:
+    """ICC(2,k) of ``m.values[:, cols]`` for every row ``cols`` of each ``draws[size]``.
 
-    ``x`` must be complete. The two-way ANOVA of a column subset needs
-    only sums (McGraw & Wong 1996): with every column centred, the
-    subset's row sums are ``xc @ S`` for its 0/1 column indicator S, and
-    BSS and ESS do not change when a column is shifted; JSS comes from
-    the column means. So each size costs one matrix product for all of
-    its subsets, and nothing of size (images, size) is built per subset.
+    The two-way ANOVA of a column subset needs only sums (McGraw & Wong
+    1996). With observed cells centred per column and missing ones set
+    to 0, the subset's row sums are ``xc @ S`` for its 0/1 column
+    indicator S, BSS and ESS do not change when a column is shifted, and
+    JSS comes from the column means; so a size costs a few matrix
+    products for all of its subsets. Rows with no observed cell in a
+    subset are dropped. The rest of ``missing`` enters as corrections
+    that are products with the fill (``gap * f``; "impute") or with the
+    dropped rows ("complete"), taken over the rows with a missing cell
+    only, so a complete matrix has none. A degenerate subset raises the
+    error of the first one in draw order.
     """
-    n, n_raters = x.shape
-    col_means = x.mean(axis=0)
-    xc = x - col_means
+    x = m.values
+    holes = np.isnan(x)
+    col_n = len(x) - holes.sum(axis=0)
+    col_means = np.where(holes, 0.0, x).sum(axis=0) / np.maximum(col_n, 1)
+    xc = np.where(holes, 0.0, x - col_means)
     col_ss = (xc * xc).sum(axis=0)
-    dev = col_means - col_means.mean()
+    dev = col_means - col_means[col_n > 0].mean()
+    h = np.nonzero(holes.any(axis=1))[0]  # the rows that take corrections
+    miss, xh = holes[h].astype(np.float64), xc[h]
     out: dict[int, np.ndarray] = {}
     for size, cols in draws.items():
-        reps = cols.shape[0]
-        S = np.zeros((n_raters, reps), dtype=np.float64)
-        S[cols, np.arange(reps)[:, None]] = 1.0
+        S = np.zeros((len(m.rater_ids), len(cols)), dtype=np.float64)
+        S[cols, np.arange(len(cols))[:, None]] = 1.0
         rows = xc @ S
-        # the columns of xc sum to zero, so the subset's grand total does too
-        bss = (rows * rows).sum(axis=0) / size
-        ess = col_ss @ S - bss
-        dev_sum = dev @ S
-        jss = n * ((dev * dev) @ S - dev_sum * dev_sum / size)
-        bms = bss / (n - 1)
-        jms = jss / (size - 1)
-        ems = ess / ((n - 1) * (size - 1))
-        denom = bms + (jms - ems) / n
-        if (denom == 0.0).any():
+        gap = miss @ S  # missing cells per row, then the cells to fill
+        keep = gap < size if missing == "impute" else gap == 0
+        gap *= keep
+        if missing == "impute":
+            # a filled cell minus its column mean: row mean - grand mean
+            grand = (col_n * dev) @ S / np.maximum(col_n @ S, 1)
+            observed_dev = dev @ S - miss @ (dev[:, None] * S)
+            f = ((rows[h] + observed_dev) / (size - gap) - grand) * keep
+            rows[h] += gap * f
+            col_sums = (miss.T @ f) * S
+            extra_ss = (gap * f * f).sum(axis=0)
+        else:
+            drop = 1.0 - keep
+            rows[h] *= keep
+            col_sums = -(xh.T @ drop) * S
+            extra_ss = -(((xh * xh) @ S) * drop).sum(axis=0)
+        n = len(x) - len(h) + keep.sum(axis=0)
+        n_filled = gap.sum(axis=0)
+        total = col_sums.sum(axis=0)
+        # a degenerate subset divides by zero here and raises below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = col_sums / n
+            dev_sum = dev @ S + total / n
+            bss = (rows * rows).sum(axis=0) / size - total * total / (n * size)
+            ess = col_ss @ S + extra_ss - (col_sums * col_sums).sum(axis=0) / n - bss
+            jss = n * ((dev * dev) @ S + ((2.0 * dev[:, None] + shift) * shift).sum(axis=0)
+                       - dev_sum * dev_sum / size)
+            df_e = (n - 1) * (size - 1) - n_filled
+            bms = bss / (n - 1)
+            jms = jss / (size - 1)
+            ems = ess / df_e
+            denom = bms + (jms - ems) / n
+            out[size] = (bms - ems) / denom
+        no_rater = (col_n == 0) @ S > 0
+        failed = np.nonzero((n < 2) | no_rater | (df_e <= 0) | (denom == 0.0))[0]
+        if failed.size:
+            r = failed[0]
+            if (~holes[:, cols[r]]).any(axis=1).sum() < 2:
+                raise InputError("rating matrix needs at least 2 images and 2 raters")
+            if n[r] < 2:
+                raise ComputationError("complete-case ICC needs at least 2 fully observed images")
+            if no_rater[r]:
+                empty = [m.rater_ids[j] for j in cols[r] if col_n[j] == 0]
+                raise ComputationError(f"raters with no observed ratings: {empty[:5]}")
+            if df_e[r] <= 0:
+                raise ComputationError(f"degenerate ANOVA: residual df {(n[r] - 1) * (size - 1)}"
+                                       f" - {int(n_filled[r])} imputed <= 0")
             raise ComputationError("degenerate ANOVA: zero denominator")
-        out[size] = (bms - ems) / denom
     return out
 
 
@@ -200,11 +191,6 @@ def bootstrap_icc(
     Per size s and repetition r the columns come from the substream
     keyed (seed, "icc.bootstrap", s, r), so the report is reproducible
     bit-for-bit. SD uses the sample convention (ddof=1).
-
-    A complete matrix takes every subset's ANOVA from sums, all reps of
-    a size at once (:func:`_subset_icc2k`); a matrix with missing cells
-    runs :func:`icc2k` per subset, which imputes or drops cells as
-    ``missing`` says. The two routes agree to rounding.
     """
     if missing not in MISSING_MODES:
         raise InputError(f"unknown missing-data mode {missing!r}", field="missing")
@@ -228,13 +214,7 @@ def bootstrap_icc(
         ])
         for size in sizes
     }
-    if np.isnan(m.values).any():
-        iccs = {
-            size: np.array([icc2k(m.subset_raters(c), missing=missing) for c in cols])
-            for size, cols in draws.items()
-        }
-    else:
-        iccs = _subset_icc2k(m.values, draws)
+    iccs = _subset_icc2k(m, draws, missing)
     values = {size: tuple(float(v) for v in iccs[size]) for size in sizes}
     means = {size: float(iccs[size].mean()) for size in sizes}
     sds = {size: float(iccs[size].std(ddof=1)) if reps > 1 else 0.0 for size in sizes}
@@ -247,9 +227,9 @@ def bootstrap_icc(
 def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}", field="n")
     if not 0 <= successes <= n:
-        raise InputError(f"successes must be in [0, {n}], got {successes}")
+        raise InputError(f"successes must be in [0, {n}], got {successes}", field="successes")
     if not 0.0 < level < 1.0:
         raise InputError(f"level must be in (0, 1), got {level}", field="level")
     z = normal_ppf(1.0 - (1.0 - level) / 2.0)

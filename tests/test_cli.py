@@ -591,6 +591,30 @@ class TestDeterminism:
                      "run_manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_blas_threads_do_not_change_icc_bytes(self, tmp_path):
+        """Every ICC value comes from matrix products. At the paper's 313 x 148
+        shape with ~15% of cells missing, BLAS on 1 or 2 threads writes the
+        same bytes."""
+        assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "7"]) == 0
+        header, *rows = _read(tmp_path / "synth" / "ratings.csv").splitlines(keepends=True)
+        holes = np.random.default_rng(7).uniform(size=len(rows)) < 0.15
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(header + "".join(r for r, h in zip(rows, holes) if not h),
+                           encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "spidereval", "icc", "--out", str(tmp_path / threads),
+                 "--seed", "5", "--ratings", str(ratings), "--reps", "50"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+                check=True, timeout=120,
+            )
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert "icc_full.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
     def test_repeat_run_identical(self, workspace, tmp_path):
         outs = []
         for label in ("first", "second"):
@@ -701,6 +725,30 @@ class TestTypedOptions:
         assert main(["prop-ci", "--successes", "3", "--n", "10", "--level", "nan"]) == 1
         error = _one_error_line(capsys)
         assert (error["type"], error["field"]) == ("validation", "level")
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--successes", "5", "--n", "3"], "successes"),
+        (["--successes", "1", "--n", "0"], "n"),
+    ])
+    def test_prop_ci_count_errors_name_the_option(self, capsys, argv, field):
+        assert main(["prop-ci", *argv]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", field)
+
+    @pytest.mark.parametrize("command", ["icc", "curve"])
+    def test_unknown_choice_names_the_option(self, workspace, tmp_path, capsys, command):
+        # flags and config keys go through the same check
+        points = tmp_path / "p.csv"
+        points.write_text("n,y\n1,2\n2,3\n3,4\n4,5\n")
+        argv, field = {
+            "icc": (["--seed", "5", "--ratings", str(workspace["filtered"]),
+                     "--missing", "bogus"], "missing"),
+            "curve": (["--points", str(points), "--form", "x"], "form"),
+        }[command]
+        assert main([command, "--out", str(tmp_path / "o"), *argv]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", field)
+        assert "must be one of" in error["message"]
 
     def test_icc_size_below_two_names_the_option(self, workspace, tmp_path, capsys):
         assert main([

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spidereval.errors import ComputationError, InputError
 from spidereval.ingest import RatingRecord, RatingsTable
@@ -44,6 +48,109 @@ def icc2k_reference(x):
     jms = ss_cols / (k - 1)
     ems = ss_err / ((n - 1) * (k - 1))
     return (bms - ems) / (bms + (jms - ems) / n)
+
+
+# -- per-subset oracle ----------------------------------------------------------
+# The direct route the sums engine replaced: take the subset's columns,
+# drop the rows left with no observation, fill or drop the missing cells,
+# and run the ANOVA on the complete matrix.
+
+
+def subset_raters(m, columns):
+    """Column subset; rows left with no observations are dropped."""
+    v = m.values[:, columns]
+    keep = (~np.isnan(v)).sum(axis=1) > 0
+    return RatingMatrix(
+        values=v[keep].copy(),
+        image_ids=tuple(im for im, k in zip(m.image_ids, keep) if k),
+        rater_ids=tuple(m.rater_ids[j] for j in columns),
+    )
+
+
+def complete_matrix(m, missing):
+    """Return a complete matrix and the count of imputed cells."""
+    v = m.values
+    mask = np.isnan(v)
+    n_missing = int(mask.sum())
+    if n_missing == 0:
+        return v, 0
+    if missing == "complete":
+        keep = ~mask.any(axis=1)
+        if keep.sum() < 2:
+            raise ComputationError(
+                "complete-case ICC needs at least 2 fully observed images"
+            )
+        return v[keep], 0
+    grand = float(np.nanmean(v))
+    row_means = np.nanmean(v, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a rater with no rating
+        col_means = np.nanmean(v, axis=0)
+    if np.isnan(col_means).any():
+        empty = [m.rater_ids[j] for j in np.nonzero(np.isnan(col_means))[0]]
+        raise ComputationError(f"raters with no observed ratings: {empty[:5]}")
+    filled = v.copy()
+    rows, cols = np.nonzero(mask)
+    filled[rows, cols] = row_means[rows] + col_means[cols] - grand
+    return filled, n_missing
+
+
+def oracle_icc2k(m, missing="impute"):
+    """ICC(2,k) by a direct two-way ANOVA of the completed matrix."""
+    x, n_imputed = complete_matrix(m, missing)
+    n, k = x.shape
+    if n < 2 or k < 2:
+        raise ComputationError("ICC needs at least 2 images and 2 raters")
+    grand = x.mean()
+    row_means = x.mean(axis=1)
+    col_means = x.mean(axis=0)
+    bss = k * float(((row_means - grand) ** 2).sum())
+    jss = n * float(((col_means - grand) ** 2).sum())
+    resid = x - row_means[:, None] - col_means[None, :] + grand
+    ess = float((resid ** 2).sum())
+    df_e = (n - 1) * (k - 1) - n_imputed
+    if df_e <= 0:
+        raise ComputationError(
+            f"degenerate ANOVA: residual df {(n - 1) * (k - 1)} - {n_imputed} imputed <= 0"
+        )
+    bms = bss / (n - 1)
+    jms = jss / (k - 1)
+    ems = ess / df_e
+    denom = bms + (jms - ems) / n
+    if denom == 0.0:
+        raise ComputationError("degenerate ANOVA: zero denominator")
+    return float((bms - ems) / denom)
+
+
+def oracle_subsets(m, draws, missing):
+    """The engine's contract, one subset at a time in draw order."""
+    return {size: np.array([oracle_icc2k(subset_raters(m, c), missing) for c in cols])
+            for size, cols in draws.items()}
+
+
+def complete_only_sums(x, draws):
+    """The sums route for complete matrices only, as it was before the
+    engine took missing cells; the engine must reproduce its bytes."""
+    n, n_raters = x.shape
+    col_means = x.mean(axis=0)
+    xc = x - col_means
+    col_ss = (xc * xc).sum(axis=0)
+    dev = col_means - col_means.mean()
+    out = {}
+    for size, cols in draws.items():
+        reps = cols.shape[0]
+        S = np.zeros((n_raters, reps), dtype=np.float64)
+        S[cols, np.arange(reps)[:, None]] = 1.0
+        rows = xc @ S
+        bss = (rows * rows).sum(axis=0) / size
+        ess = col_ss @ S - bss
+        dev_sum = dev @ S
+        jss = n * ((dev * dev) @ S - dev_sum * dev_sum / size)
+        bms = bss / (n - 1)
+        jms = jss / (size - 1)
+        ems = ess / ((n - 1) * (size - 1))
+        out[size] = (bms - ems) / (bms + (jms - ems) / n)
+    return out
 
 
 class TestIcc2k:
@@ -225,33 +332,162 @@ class TestBootstrapIcc:
                        seed=seed)
         size = int(rng.integers(2, k + 1))
         cols = np.array([np.sort(rng.choice(k, size=size, replace=False)) for _ in range(7)])
-        got = _subset_icc2k(m.values, {size: cols})[size]
-        want = np.array([icc2k(m.subset_raters(c)) for c in cols])
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for missing in ("impute", "complete"):
+            got = _subset_icc2k(m, {size: cols}, missing)[size]
+            np.testing.assert_allclose(got, oracle_subsets(m, {size: cols}, missing)[size],
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_complete_matrix_bytes_match_the_complete_only_sums(self, seed):
+        # every missing-cell correction is an exact zero on a complete
+        # matrix, so the bootstrap values keep their bytes
+        rng = np.random.default_rng(100 + seed)
+        n, k = int(rng.integers(2, 121)), int(rng.integers(2, 61))
+        x = rng.normal(50.0, rng.uniform(1, 30), size=(n, k)) + rng.normal(0, 10, size=(n, 1))
+        draws = {size: np.array([np.sort(rng.choice(k, size=size, replace=False))
+                                 for _ in range(int(rng.integers(1, 20)))])
+                 for size in sorted(set(rng.integers(2, k + 1, size=3).tolist()))}
+        want = complete_only_sums(x, draws)
+        for missing in ("impute", "complete"):
+            got = _subset_icc2k(_matrix(x), draws, missing)
+            assert {s: v.tobytes() for s, v in got.items()} == \
+                {s: v.tobytes() for s, v in want.items()}
 
     def test_complete_matrix_uses_the_same_draws(self):
         m = _synthetic(40, 12, 100.0, 25.0, 25.0, seed=6)
         report = bootstrap_icc(m, sizes=(3, 8), reps=9, seed=4)
         for size in (3, 8):
-            want = [icc2k(m.subset_raters(c)) for c in self._draws(12, size, 9, 4)]
+            want = [oracle_icc2k(subset_raters(m, c)) for c in self._draws(12, size, 9, 4)]
             np.testing.assert_allclose(report.values[size], want, rtol=1e-12)
 
     @pytest.mark.parametrize("missing", ["impute", "complete"])
     def test_missing_cells_keep_the_per_subset_path(self, missing):
+        # the bootstrap keeps the per-subset oracle's values to rounding
         m = _synthetic(40, 12, 100.0, 25.0, 25.0, seed=6)
         values = m.values.copy()
         values[np.random.default_rng(1).uniform(size=values.shape) < 0.05] = np.nan
         m = _matrix(values)
         report = bootstrap_icc(m, sizes=(4, 8), reps=9, seed=4, missing=missing)
         for size in (4, 8):
-            want = tuple(icc2k(m.subset_raters(c), missing=missing)
-                         for c in self._draws(12, size, 9, 4))
-            assert report.values[size] == want
+            want = [oracle_icc2k(subset_raters(m, c), missing=missing)
+                    for c in self._draws(12, size, 9, 4)]
+            np.testing.assert_allclose(report.values[size], want, rtol=1e-12)
 
     def test_constant_matrix_degenerate(self):
         m = _matrix(np.full((5, 4), 3.0))
         with pytest.raises(ComputationError, match="degenerate"):
             bootstrap_icc(m, sizes=(2,), reps=3)
+
+
+@st.composite
+def _engine_case(draw):
+    """A matrix with 0-30% missing cells, a mode, and subsets of sizes 2..k.
+
+    Some matrices are constant (zero denominator) or have a rater with
+    no rating; small sparse ones leave subset rows with no observation
+    and run out of residual df or of complete rows.
+    """
+    n, k = draw(st.integers(2, 14)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ratings", "ratings", "constant", "empty rater"]))
+    if kind == "constant":
+        x = np.full((n, k), 3.0)
+    else:
+        scale = 10.0 ** rng.uniform(0, 2)
+        x = scale * (rng.normal(0, 3, (n, 1)) + rng.normal(0, 1, (1, k))
+                     + rng.normal(0, 1, (n, k))) + rng.uniform(-100, 100)
+    holes = rng.uniform(size=(n, k)) < draw(st.sampled_from([0.0, 0.1, 0.2, 0.3]))
+    blank = int(rng.integers(k)) if kind == "empty rater" else None
+    if blank is not None:
+        holes[:, blank] = True
+    # every image keeps one rating, outside the blank column
+    for i in np.nonzero(holes.all(axis=1))[0]:
+        holes[i, rng.choice([j for j in range(k) if j != blank])] = False
+    x[holes] = np.nan
+    sizes = sorted(set(draw(st.lists(st.integers(2, k), min_size=1, max_size=3))))
+    draws = {size: np.array([np.sort(rng.choice(k, size=size, replace=False))
+                             for _ in range(draw(st.integers(1, 6)))])
+             for size in sizes}
+    return _matrix(x), draws, draw(st.sampled_from(["impute", "complete"]))
+
+
+def _same_outcome(run, oracle):
+    """``run()`` raises the error type and message ``oracle()`` raises, or
+    returns its values to 1e-12, relative to max(1, ICC^2): an ICC far
+    outside [-1, 1] comes from a small ANOVA denominator, which both
+    routes round, and one near 0 from a difference of mean squares."""
+    try:
+        want = np.asarray(oracle())
+    except (InputError, ComputationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return
+    assert (np.abs(run() - want) <= 1e-12 * np.maximum(1.0, want * want)).all()
+
+
+class TestEngineAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_engine_case())
+    def test_matches_per_subset_oracle(self, case):
+        m, draws, missing = case
+        _same_outcome(lambda: np.concatenate(list(_subset_icc2k(m, draws, missing).values())),
+                      lambda: np.concatenate(list(oracle_subsets(m, draws, missing).values())))
+        _same_outcome(lambda: icc2k(m, missing), lambda: oracle_icc2k(m, missing))
+
+    # raters 0 and 1 rated image 0 only: the subset {0, 1} leaves one image
+    SPARSE = [[1.0, 2.0, 5.0, 6.0], [np.nan, np.nan, 4.0, 3.0], [np.nan, np.nan, 7.0, 9.0]]
+
+    @pytest.mark.parametrize("values,cols,missing,error,message", [
+        (SPARSE, [[2, 3], [0, 1]], "impute", InputError, "needs at least 2 images"),
+        ([[1.0, 2.0, 5.0], [np.nan, 3.0, 4.0], [4.0, 6.0, np.nan]], [[0, 1, 2]], "complete",
+         ComputationError, "2 fully observed"),
+        ([[1.0, np.nan, 5.0], [2.0, np.nan, 4.0], [4.0, np.nan, 9.0]], [[0, 2], [0, 1]],
+         "impute", ComputationError, r"raters with no observed ratings: \['p1'\]"),
+        ([[1.0, np.nan, 5.0], [2.0, 3.0, np.nan], [np.nan, np.nan, 9.0]], [[0, 1, 2]], "impute",
+         ComputationError, r"residual df 4 - 4 imputed <= 0"),
+        ([[3.0, 3.0, np.nan], [np.nan, 3.0, 3.0], [3.0, 3.0, 3.0]], [[0, 1], [1, 2]], "impute",
+         ComputationError, "zero denominator"),
+    ], ids=["empty-subset-rows", "complete-rows", "empty-rater", "df", "denominator"])
+    def test_degenerate_subset_raises_like_the_oracle(self, values, cols, missing, error,
+                                                      message):
+        m = _matrix(values)
+        draws = {len(cols[0]): np.array(cols)}
+        with pytest.raises(error, match=message):
+            oracle_subsets(m, draws, missing)
+        with pytest.raises(error, match=message):
+            _subset_icc2k(m, draws, missing)
+
+    def test_first_failing_subset_in_draw_order_decides(self):
+        # rep 1 of size 2 leaves one image; rep 2 and size 3 run out of df
+        m = _matrix(self.SPARSE)
+        draws = {2: np.array([[2, 3], [0, 1], [0, 2]]), 3: np.array([[0, 1, 2]])}
+        with pytest.raises(InputError, match="needs at least 2 images"):
+            _subset_icc2k(m, draws, "impute")
+
+    def test_rater_without_ratings_leaves_other_subsets_alone(self):
+        # the blank rater's column mean must not enter the centring
+        values = _synthetic(20, 4, 100.0, 25.0, 25.0, seed=12).values + 1e4
+        values[3, 1] = np.nan
+        blank = np.column_stack([values, np.full(20, np.nan)])
+        cols = np.array([[0, 1, 2], [0, 2, 3], [1, 2, 3]])
+        for missing in ("impute", "complete"):
+            np.testing.assert_allclose(_subset_icc2k(_matrix(blank), {3: cols}, missing)[3],
+                                       _subset_icc2k(_matrix(values), {3: cols}, missing)[3],
+                                       rtol=1e-13)
+
+    def test_subset_rows_with_no_observation_are_dropped(self):
+        m = _synthetic(12, 5, 100.0, 25.0, 25.0, seed=11)
+        values = m.values.copy()
+        values[[2, 7], :3] = np.nan
+        values[4, 1] = np.nan
+        m = _matrix(values)
+        cols = np.array([[0, 1, 2], [0, 2, 3]])
+        want = [icc2k(_matrix(np.delete(values[:, c], [2, 7], axis=0))) for c in cols[:1]]
+        got = _subset_icc2k(m, {3: cols}, "impute")[3]
+        np.testing.assert_allclose(got[:1], want, rtol=1e-12)
+        np.testing.assert_allclose(got, oracle_subsets(m, {3: cols}, "impute")[3], rtol=1e-12)
 
 
 class TestWilsonCi:

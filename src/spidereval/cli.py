@@ -176,8 +176,9 @@ class Option:
     else ``default``, and ``cast`` runs once on whatever was found: a
     ValueError, TypeError or OSError it raises, or a value outside
     ``choices``, is reported as a validation error naming the option.
-    ``help=None`` marks a key that only a config file can set. A ``_path``
-    option names an input file, which the run manifest digests.
+    ``help=None`` marks a key that only a config file can set. A ``_path``,
+    ``_dirs`` or ``_mask_dir`` option names input files, which the run
+    manifest digests under ``inputs`` instead of recording the path.
     """
 
     name: str
@@ -255,21 +256,18 @@ def _load_config(path: str | None) -> dict:
 def _resolve(args) -> SimpleNamespace:
     """Every option of ``args.command``, resolved and cast once.
 
-    ``given`` holds the names set by a flag or config key; manifests
-    record only those. ``inputs`` lists the input files named.
+    ``inputs`` lists the input files named.
     """
     config = _load_config(args.config)
     required = COMMANDS[args.command][2].split()
-    opts = SimpleNamespace(given=set(), inputs=[])
+    opts = SimpleNamespace(inputs=[])
     for opt in OPTIONS:
         if args.command not in opt.commands.split():
             continue
         value = getattr(args, opt.name, None)
         if value is None:
             value = config.get(opt.name)
-        if value is not None:
-            opts.given.add(opt.name)
-        elif opt.env is not None:
+        if value is None and opt.env is not None:
             value = os.environ.get(opt.env)
         if value is None:
             if opt.name in required:
@@ -293,15 +291,13 @@ def _sanitize(name: str) -> str:
 
 
 class _Run:
-    """Output directory of one command plus what its manifest records: the
-    input and output files it digests and config entries beyond the
-    options the command records when set."""
+    """Output directory of one command plus the input and output files its
+    manifest digests."""
 
     def __init__(self, out: str | None, inputs: list[str]) -> None:
         self.out = out
         self.inputs = list(inputs)
         self.outputs: list[str] = []
-        self.config: dict = {}
 
     def path(self, name: str) -> str:
         """Path of an artifact under the output directory, recorded as an output."""
@@ -385,14 +381,13 @@ def _metrics(run: _Run, ps: PredictionSet, targets) -> None:
     write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
 
 
-def _icc(run: _Run, opts, table: RatingsTable) -> tuple[int, ...]:
+def _icc(run: _Run, opts, table: RatingsTable) -> None:
     matrix = build_rating_matrix(table)
-    sizes = opts.sizes
-    if sizes is None:
+    if opts.sizes is None:
         n_raters = len(matrix.rater_ids)
-        sizes = tuple(s for s in DEFAULT_SIZES if s <= n_raters) or (n_raters,)
+        opts.sizes = tuple(s for s in DEFAULT_SIZES if s <= n_raters) or (n_raters,)
     boot = bootstrap_icc(
-        matrix, sizes=sizes, reps=opts.reps, seed=opts.seed, missing=opts.missing
+        matrix, sizes=opts.sizes, reps=opts.reps, seed=opts.seed, missing=opts.missing
     )
     write_icc_reports(run.path("icc_report.csv"), run.path("icc_summary.csv"), boot)
     write_json(
@@ -411,7 +406,6 @@ def _icc(run: _Run, opts, table: RatingsTable) -> tuple[int, ...]:
             "ICC(2,k) by rater subsample size", "raters", "ICC(2,k)",
         ),
     )
-    return sizes
 
 
 def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
@@ -420,7 +414,8 @@ def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
         bootstrap=opts.bootstrap, level=opts.level,
         min_cell=opts.min_cell, alpha=opts.alpha, seed=opts.seed,
     )
-    run.outputs += write_error_analysis(run.out, report)
+    write_error_analysis(run.path("descriptives.csv"), run.path("omnibus.csv"),
+                         run.path("posthoc.csv"), run.path("top_criteria.json"), report)
     for criterion in report.top_criteria:
         rows = [s for s in report.summaries if s.criterion == criterion]
         run.write_svg(
@@ -485,11 +480,11 @@ def _cmd_split(opts, run: _Run) -> None:
 
 def _cmd_cv(opts, run: _Run) -> None:
     spec = _predictor_spec(opts)
+    opts.kind = spec.kind
     plan = load_cv_plan(opts.plan)
     if opts.seed is None:
         opts.seed = plan.seed  # a stored plan fully determines the run
     _cv(run, opts, spec, plan, load_image_targets(opts.targets), load_features(opts.features))
-    run.config["predictor_kind"] = spec.kind
 
 
 def _cmd_metrics(opts, run: _Run) -> None:
@@ -497,8 +492,7 @@ def _cmd_metrics(opts, run: _Run) -> None:
 
 
 def _cmd_icc(opts, run: _Run) -> None:
-    sizes = _icc(run, opts, first_trial_filter(load_ratings(opts.ratings)))
-    run.config["sizes"] = list(sizes)
+    _icc(run, opts, first_trial_filter(load_ratings(opts.ratings)))
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
@@ -556,8 +550,6 @@ def _cmd_error_analysis(opts, run: _Run) -> None:
         run, opts, load_predictions(opts.predictions),
         load_image_targets(opts.targets), load_categories(opts.categories),
     )
-    run.config.update(bootstrap=opts.bootstrap, min_cell=opts.min_cell,
-                      alpha=opts.alpha, level=opts.level)
 
 
 def _cmd_prop_ci(opts, run: _Run) -> None:
@@ -573,7 +565,6 @@ def _cmd_prop_ci(opts, run: _Run) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     if opts.out is not None:
         write_json(run.path("prop_ci.json"), doc)
-        run.config.update(doc)
 
 
 # synth option -> SynthSpec field
@@ -585,7 +576,6 @@ _SYNTH_FIELDS = {
 
 
 def _cmd_synth(opts, run: _Run) -> None:
-    run.config.update({name: getattr(opts, name) for name in _SYNTH_FIELDS})
     try:
         spec = SynthSpec(seed=opts.seed,
                          **{field: getattr(opts, name) for name, field in _SYNTH_FIELDS.items()})
@@ -616,6 +606,7 @@ def _cmd_all(opts, run: _Run) -> None:
             field=absent,
         )
     spec = _predictor_spec(opts)
+    opts.kind = spec.kind
     cleaned = _qc(run, load_ratings(opts.ratings))
     targets, plan = _split(run, cleaned, opts.seed)
     ps = _cv(run, opts, spec, plan, targets, load_features(opts.features))
@@ -625,30 +616,22 @@ def _cmd_all(opts, run: _Run) -> None:
         _error_analysis(run, opts, ps, targets, load_categories(opts.categories))
     if opts.masks is not None:
         _overlap(run, opts.heatmaps, opts.masks, targets.mean_b)
-    run.config.update(predictor_kind=spec.kind,
-                      threads_note="outputs are independent of thread count")
 
 
-# name -> (implementation, help, options that must be set, options the
-# manifest records when set)
-COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, _Run], None], str, str, str]] = {
-    "qc": (_cmd_qc, "rater screening", "out ratings", "ratings"),
-    "split": (_cmd_split, "participant split, targets, CV plan", "out seed ratings", "ratings"),
-    "cv": (_cmd_cv, "nested cross-validation", "out plan targets features",
-           "plan targets features kind trials"),
-    "metrics": (_cmd_metrics, "per-repetition and ensemble metrics",
-                "out predictions targets", "predictions targets"),
-    "icc": (_cmd_icc, "ICC(2,k) rater-subsample bootstrap", "out seed ratings",
-            "ratings reps missing"),
-    "curve": (_cmd_curve, "learning-curve fit", "out points form", "points form model metric"),
-    "overlap": (_cmd_overlap, "heatmap/mask overlap", "out heatmaps masks", "masks targets"),
+# name -> (implementation, help, options that must be set)
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, _Run], None], str, str]] = {
+    "qc": (_cmd_qc, "rater screening", "out ratings"),
+    "split": (_cmd_split, "participant split, targets, CV plan", "out seed ratings"),
+    "cv": (_cmd_cv, "nested cross-validation", "out plan targets features"),
+    "metrics": (_cmd_metrics, "per-repetition and ensemble metrics", "out predictions targets"),
+    "icc": (_cmd_icc, "ICC(2,k) rater-subsample bootstrap", "out seed ratings"),
+    "curve": (_cmd_curve, "learning-curve fit", "out points form"),
+    "overlap": (_cmd_overlap, "heatmap/mask overlap", "out heatmaps masks"),
     "error-analysis": (_cmd_error_analysis, "category-wise error decomposition",
-                       "out seed predictions targets categories",
-                       "predictions targets categories"),
-    "prop-ci": (_cmd_prop_ci, "Wilson score interval", "successes n", ""),
-    "synth": (_cmd_synth, "synthetic data with known truth", "out seed", ""),
-    "all": (_cmd_all, "full pipeline on one ratings set", "out seed ratings features",
-            "ratings features categories masks kind trials"),
+                       "out seed predictions targets categories"),
+    "prop-ci": (_cmd_prop_ci, "Wilson score interval", "successes n"),
+    "synth": (_cmd_synth, "synthetic data with known truth", "out seed"),
+    "all": (_cmd_all, "full pipeline on one ratings set", "out seed ratings features"),
 }
 
 
@@ -656,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spidereval", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _, _) in COMMANDS.items():
+    for command, (_, help_text, _) in COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--config", help="JSON config file; flags override its keys")
         sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
@@ -677,16 +660,21 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         opts = _resolve(args)
-        run_command, _, _, recorded = COMMANDS[args.command]
         run = _Run(opts.out, opts.inputs)
-        run_command(opts, run)
+        COMMANDS[args.command][0](opts, run)
         if opts.out is not None:
-            write_manifest(
-                opts.out, command=args.command, seed=getattr(opts, "seed", None),
-                config={**{k: getattr(opts, k) for k in recorded.split() if k in opts.given},
-                        **run.config},
-                inputs=run.inputs, outputs=run.outputs,
-            )
+            # Every option with its resolved value, apart from where the
+            # artifacts go, the worker count (which changes no byte), the
+            # seed (a field of its own) and input paths (digested instead).
+            config = {
+                opt.name: getattr(opts, opt.name) for opt in OPTIONS
+                if args.command in opt.commands.split()
+                and opt.name not in ("out", "threads", "seed")
+                and opt.cast not in (_path, _dirs, _mask_dir)
+                and getattr(opts, opt.name) is not None
+            }
+            write_manifest(opts.out, command=args.command, seed=getattr(opts, "seed", None),
+                           config=config, inputs=run.inputs, outputs=run.outputs)
         return 0
     except (InputError, ComputationError) as exc:
         validation = isinstance(exc, InputError)

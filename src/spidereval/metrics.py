@@ -111,12 +111,11 @@ def ensemble_predictions(
     ps: PredictionSet, targets_b: Mapping[str, float]
 ) -> dict[str, float]:
     """Per-image mean of the clipped held-out predictions across repetitions."""
-    reps = ps.repetitions
+    per_rep = {rep: ps.by_repetition(rep) for rep in ps.repetitions}
     out: dict[str, float] = {}
     for image_id in sorted(targets_b):
         values = []
-        for rep in reps:
-            per_image = ps.by_repetition(rep)
+        for rep, per_image in per_rep.items():
             if image_id not in per_image:
                 raise ComputationError(
                     f"image {image_id} has no prediction in repetition {rep}"

@@ -217,12 +217,9 @@ def _p_display(p: float) -> str:
     return "< .001" if p < 0.001 else "%.3f" % p
 
 
-def write_error_analysis(out_dir, report: ErrorAnalysisReport) -> list[str]:
-    """Write the four error-analysis artifacts; returns their paths."""
-    descriptives = os.path.join(out_dir, "descriptives.csv")
-    omnibus = os.path.join(out_dir, "omnibus.csv")
-    posthoc = os.path.join(out_dir, "posthoc.csv")
-    top = os.path.join(out_dir, "top_criteria.json")
+def write_error_analysis(descriptives, omnibus, posthoc, top,
+                         report: ErrorAnalysisReport) -> None:
+    """Write the four error-analysis artifacts to the given paths."""
     write_csv(
         descriptives,
         [
@@ -265,7 +262,6 @@ def write_error_analysis(out_dir, report: ErrorAnalysisReport) -> list[str]:
         ],
     )
     write_json(top, {"top_criteria": list(report.top_criteria)})
-    return [descriptives, omnibus, posthoc, top]
 
 
 def write_manifest(out_dir, *, command: str, config: Mapping, seed: int | None,

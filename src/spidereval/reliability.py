@@ -166,7 +166,8 @@ def _subset_icc2k(
         if failed.size:
             r = failed[0]
             if (~holes[:, cols[r]]).any(axis=1).sum() < 2:
-                raise InputError("rating matrix needs at least 2 images and 2 raters")
+                raise ComputationError(f"a subsample of {size} raters leaves fewer than 2 "
+                                       "images with a rating")
             if n[r] < 2:
                 raise ComputationError("complete-case ICC needs at least 2 fully observed images")
             if no_rater[r]:

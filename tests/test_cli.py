@@ -172,6 +172,20 @@ class TestIccCommand:
         assert full["missing_mode"] == "impute"
         assert (out / "icc_curve.svg").read_text().startswith("<svg")
 
+    def test_degenerate_draw_is_a_computation_error(self, tmp_path, capsys):
+        # p3 and p4 rated image a only: the draw {p3, p4} leaves one image
+        rows = [("p1", "a", 10), ("p1", "b", 20), ("p1", "c", 30), ("p2", "a", 12),
+                ("p2", "b", 25), ("p2", "c", 29), ("p3", "a", 40), ("p4", "a", 44)]
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("participant_id,image_id,trial_index,rating\n"
+                           + "".join(f"{p},{i},1,{r}\n" for p, i, r in rows))
+        assert main(["icc", "--out", str(tmp_path / "icc"), "--seed", "1", "--sizes", "2",
+                     "--reps", "1", "--ratings", str(ratings)]) == 2
+        assert _one_error_line(capsys) == {
+            "type": "computation",
+            "message": "a subsample of 2 raters leaves fewer than 2 images with a rating",
+        }
+
 
 class TestCurveCommand:
     def test_fit_from_points_csv(self, tmp_path):
@@ -666,6 +680,99 @@ class TestAllCommand:
         digests = set(manifest["inputs"].values())
         for path in heatmaps:
             assert sha256_file(path) in digests, path
+
+
+ALL_FLAGS = {"--seed": "5", "--trials": "2", "--sizes": "3", "--reps": "5",
+             "--bootstrap": "100"}
+
+
+class TestManifestConfig:
+    """A manifest's config holds every option with its resolved value,
+    except the output directory, the thread count, the seed and input
+    paths."""
+
+    def _all(self, inputs, out, flags=(), config=None):
+        argv = ["all", "--out", str(out), "--ratings", str(inputs["ratings"]),
+                "--features", str(inputs["features"]),
+                "--categories", str(inputs["categories"])]
+        for flag, value in {**ALL_FLAGS, **dict(flags)}.items():
+            argv += [flag, value]
+        if config is not None:
+            path = out.with_suffix(".json")
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        return json.loads(_read(out / "run_manifest.json"))["config"]
+
+    @pytest.fixture(scope="class")
+    def base(self, inputs, tmp_path_factory):
+        return self._all(inputs, tmp_path_factory.mktemp("manifest") / "base")
+
+    def test_all_records_every_setting(self, base):
+        assert base == {
+            "alpha": 0.05, "bootstrap": 100, "kind": "ridge_closed_form", "level": 0.95,
+            "min_cell": 10, "missing": "impute", "predictor": {}, "reps": 5, "sizes": [3],
+            "trials": 2,
+        }
+
+    RANGES = {"lambda": [0.01, 10.0, "log"]}
+
+    @pytest.mark.parametrize("flags, config, key, value", [
+        ({"--reps": "9"}, None, "reps", 9),
+        ({"--missing": "complete"}, None, "missing", "complete"),
+        ({"--sizes": "3,5"}, None, "sizes", [3, 5]),
+        ({"--bootstrap": "200"}, None, "bootstrap", 200),
+        ({"--alpha": "0.1"}, None, "alpha", 0.1),
+        ({"--level": "0.9"}, None, "level", 0.9),
+        ({"--min-cell": "5"}, None, "min_cell", 5),
+        ({"--trials": "3"}, None, "trials", 3),
+        ({"--kind": "iterative_stub"}, None, "kind", "iterative_stub"),
+        ({}, {"predictor": {"ranges": RANGES}}, "predictor", {"ranges": RANGES}),
+    ])
+    def test_one_changed_setting_changes_the_config(self, inputs, base, tmp_path, flags,
+                                                    config, key, value):
+        changed = self._all(inputs, tmp_path / "all", flags, config)
+        assert changed[key] == value
+        assert {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)} == {key}
+
+    def test_threads_and_path_spelling_change_no_byte(self, inputs, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("ratings", "features", "categories"):
+            shutil.copy(inputs[name], data / f"{name}.csv")
+        _write_overlap_inputs(data, _image_ids(inputs))
+
+        def manifest(cwd, prefix, out, *extra):
+            monkeypatch.chdir(cwd)
+            argv = ["all", "--out", str(out), "--heatmaps", f"{prefix}heat_a",
+                    f"{prefix}heat_b", "--masks", f"{prefix}masks", *extra]
+            for name in ("ratings", "features", "categories"):
+                argv += [f"--{name}", f"{prefix}{name}.csv"]
+            for flag, value in ALL_FLAGS.items():
+                argv += [flag, value]
+            assert main(argv) == 0
+            return (out / "run_manifest.json").read_bytes()
+
+        first = manifest(tmp_path, "data/", tmp_path / "a")
+        assert manifest(tmp_path, "./data/", tmp_path / "b", "--threads", "2") == first
+        assert manifest(data, "", tmp_path / "c") == first
+
+    def test_cv_records_the_resolved_kind(self, workspace, tmp_path):
+        out = tmp_path / "cv"
+        assert main(["cv", "--out", str(out), "--plan", str(workspace["plan"]),
+                     "--targets", str(workspace["targets"]),
+                     "--features", str(workspace["features"]), "--trials", "2"]) == 0
+        config = json.loads(_read(out / "run_manifest.json"))["config"]
+        assert config == {"kind": "ridge_closed_form", "predictor": {}, "trials": 2}
+
+    def test_icc_records_the_defaulted_sizes(self, workspace, tmp_path):
+        out = tmp_path / "icc"
+        assert main(["icc", "--out", str(out), "--seed", "5", "--reps", "5",
+                     "--ratings", str(workspace["filtered"])]) == 0
+        n_raters = json.loads(_read(out / "icc_full.json"))["n_raters"]
+        sizes = [s for s in range(10, 81, 10) if s <= n_raters] or [n_raters]
+        config = json.loads(_read(out / "run_manifest.json"))["config"]
+        assert config == {"missing": "impute", "reps": 5, "sizes": sizes}
 
 
 def _one_error_line(capsys):

@@ -211,16 +211,19 @@ class TestErrorAnalysisFiles:
         cats = CategoryTable({(img, "texture"): lab for img, lab in texture.items()})
         return analyze_errors(errors, cats, bootstrap=150, seed=3)
 
+    NAMES = ("descriptives.csv", "omnibus.csv", "posthoc.csv", "top_criteria.json")
+
+    def _write(self, tmp_path):
+        paths = [tmp_path / name for name in self.NAMES]
+        write_error_analysis(*paths, self._report())
+        return paths
+
     def test_writes_four_files(self, tmp_path):
-        paths = write_error_analysis(tmp_path, self._report())
-        assert [p.split("/")[-1] for p in paths] == [
-            "descriptives.csv", "omnibus.csv", "posthoc.csv", "top_criteria.json",
-        ]
-        for p in paths:
-            assert (tmp_path / p.split("/")[-1]).exists()
+        self._write(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.NAMES)
 
     def test_posthoc_display_column(self, tmp_path):
-        paths = write_error_analysis(tmp_path, self._report())
+        paths = self._write(tmp_path)
         with open(paths[2], newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][-1] == "p_fdr_display"

@@ -60,6 +60,9 @@ def subset_raters(m, columns):
     """Column subset; rows left with no observations are dropped."""
     v = m.values[:, columns]
     keep = (~np.isnan(v)).sum(axis=1) > 0
+    if keep.sum() < 2:
+        raise ComputationError(f"a subsample of {len(columns)} raters leaves fewer than 2 "
+                               "images with a rating")
     return RatingMatrix(
         values=v[keep].copy(),
         image_ids=tuple(im for im, k in zip(m.image_ids, keep) if k),
@@ -440,7 +443,8 @@ class TestEngineAgainstOracle:
     SPARSE = [[1.0, 2.0, 5.0, 6.0], [np.nan, np.nan, 4.0, 3.0], [np.nan, np.nan, 7.0, 9.0]]
 
     @pytest.mark.parametrize("values,cols,missing,error,message", [
-        (SPARSE, [[2, 3], [0, 1]], "impute", InputError, "needs at least 2 images"),
+        (SPARSE, [[2, 3], [0, 1]], "impute", ComputationError,
+         "a subsample of 2 raters leaves fewer than 2 images"),
         ([[1.0, 2.0, 5.0], [np.nan, 3.0, 4.0], [4.0, 6.0, np.nan]], [[0, 1, 2]], "complete",
          ComputationError, "2 fully observed"),
         ([[1.0, np.nan, 5.0], [2.0, np.nan, 4.0], [4.0, np.nan, 9.0]], [[0, 2], [0, 1]],
@@ -463,7 +467,7 @@ class TestEngineAgainstOracle:
         # rep 1 of size 2 leaves one image; rep 2 and size 3 run out of df
         m = _matrix(self.SPARSE)
         draws = {2: np.array([[2, 3], [0, 1], [0, 2]]), 3: np.array([[0, 1, 2]])}
-        with pytest.raises(InputError, match="needs at least 2 images"):
+        with pytest.raises(ComputationError, match="leaves fewer than 2 images"):
             _subset_icc2k(m, draws, "impute")
 
     def test_rater_without_ratings_leaves_other_subsets_alone(self):

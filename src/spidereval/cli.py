@@ -347,7 +347,9 @@ def _split(run: _Run, table: RatingsTable, seed: int):
 
 def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
     """``--kind`` or the config's ``predictor`` object; its ``ranges`` and
-    ``epochs_range`` replace the kind's defaults."""
+    ``epochs_range`` replace the kind's defaults. The resolved kind and
+    the parts of the spec that kind reads go back onto ``opts``, so the
+    manifest records the spec however it was spelled."""
     pconf = opts.predictor
     unknown = sorted(set(pconf) - {"kind", "ranges", "epochs_range"})
     if unknown:
@@ -362,7 +364,11 @@ def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
         epochs = tuple(int(v) for v in pconf.get("epochs_range", base.epochs_range))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
-    return PredictorSpec(kind=kind, ranges=ranges, epochs_range=epochs)
+    spec = PredictorSpec(kind=kind, ranges=ranges, epochs_range=epochs)
+    opts.kind, opts.predictor = kind, {"ranges": ranges}
+    if spec.iterative:
+        opts.predictor["epochs_range"] = epochs
+    return spec
 
 
 def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
@@ -480,7 +486,6 @@ def _cmd_split(opts, run: _Run) -> None:
 
 def _cmd_cv(opts, run: _Run) -> None:
     spec = _predictor_spec(opts)
-    opts.kind = spec.kind
     plan = load_cv_plan(opts.plan)
     if opts.seed is None:
         opts.seed = plan.seed  # a stored plan fully determines the run
@@ -606,7 +611,6 @@ def _cmd_all(opts, run: _Run) -> None:
             field=absent,
         )
     spec = _predictor_spec(opts)
-    opts.kind = spec.kind
     cleaned = _qc(run, load_ratings(opts.ratings))
     targets, plan = _split(run, cleaned, opts.seed)
     ps = _cv(run, opts, spec, plan, targets, load_features(opts.features))

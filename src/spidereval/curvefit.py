@@ -8,10 +8,9 @@ Two model forms:
 The solver minimizes the residual sum of squares with an analytic
 Jacobian and multiplicative damping. Iteration stops when the relative
 RSS change drops below 1e-12, the gradient infinity-norm drops below
-1e-10, or after 500 iterations. :func:`fit_curve` always tries a
-five-point multi-start grid on the rate parameter b alongside the
-heuristic start and keeps the lowest-RSS fit, which protects against
-the constant-plateau local minimum.
+1e-10, or after 500 iterations. :func:`fit_curve` always fits the
+heuristic start plus four rescaled rates b and keeps the lowest-RSS
+fit, which protects against the constant-plateau local minimum.
 """
 
 from __future__ import annotations
@@ -191,12 +190,13 @@ def fit_curve(
     points,
     init: tuple[float, float, float] | None = None,
 ) -> FitResult:
-    """Fit from the heuristic start and a 5-point multi-start grid on b.
+    """Fit from the start plus four rescaled rates b.
 
-    The grid scales the starting rate by factors spanning four orders of
-    magnitude; the fit with the lowest RSS wins. Running the grid
-    unconditionally guards against the first start settling on the
-    constant plateau (b driven so large the model degenerates to y = c).
+    The rescaled starts multiply the starting rate by 0.01, 0.1, 10 and
+    100; the fit with the lowest RSS wins, the earliest of equal ones.
+    Trying them unconditionally guards against the first start settling
+    on the constant plateau (b driven so large the model degenerates to
+    y = c).
     """
     start = default_init(form, points) if init is None else init
     a0, b0, c0 = start
@@ -205,7 +205,7 @@ def fit_curve(
         candidates.append(levenberg_marquardt(form, points, start))
     except ComputationError:
         pass
-    for factor in (0.01, 0.1, 1.0, 10.0, 100.0):
+    for factor in (0.01, 0.1, 10.0, 100.0):
         try:
             res = levenberg_marquardt(form, points, (a0, b0 * factor, c0))
         except ComputationError:

@@ -1,7 +1,8 @@
 """Category-wise error decomposition and nonparametric tests.
 
 Per-image absolute error is the mean over the five repetitions of
-|clipped prediction - group-B mean|. For every annotation criterion the
+|clipped prediction - group-B mean|, under the coverage rule of
+:meth:`PredictionSet.aligned`. For every annotation criterion the
 images are grouped by category and summarized (n, frequency, error
 moments, error share, delta = share - frequency, stratified bootstrap
 CIs). Criteria whose smallest category falls below the minimum cell size
@@ -51,22 +52,8 @@ def image_abs_errors(
     ps: PredictionSet, mean_b: Mapping[str, float]
 ) -> dict[str, float]:
     """Per-image mean over repetitions of |clipped - group-B mean|."""
-    reps = ps.repetitions
-    if not reps:
-        raise ComputationError("prediction set is empty")
-    per_rep = {rep: ps.by_repetition(rep) for rep in reps}
-    out: dict[str, float] = {}
-    for image_id in sorted(mean_b):
-        errs = []
-        for rep in reps:
-            pred = per_rep[rep].get(image_id)
-            if pred is None:
-                raise ComputationError(
-                    f"image {image_id} has no prediction in repetition {rep}"
-                )
-            errs.append(abs(pred.clipped - mean_b[image_id]))
-        out[image_id] = float(np.mean(errs))
-    return out
+    ids, obs, clipped = ps.aligned(mean_b)
+    return dict(zip(ids, np.abs(clipped - obs[:, None]).mean(axis=1).tolist()))
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,36 @@ class PredictionSet:
     def by_repetition(self, repetition: int) -> dict[str, Prediction]:
         return dict(self._by_rep[repetition])
 
-    def image_ids(self) -> tuple[str, ...]:
-        ids: set[str] = set()
-        for per_image in self._by_rep.values():
-            ids.update(per_image)
-        return tuple(sorted(ids))
+    def aligned(
+        self, targets: Mapping[str, float]
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Sorted target ids, their targets, and the clipped predictions as
+        an (images, repetitions) array, repetitions in ascending order.
+
+        The one coverage rule of every score: the set is not empty, and
+        each repetition predicts every targeted image and no other.
+        """
+        if not self._by_rep:
+            raise ComputationError("prediction set is empty")
+        reps = self.repetitions
+        for rep in reps:
+            predicted = self._by_rep[rep].keys()
+            missing = sorted(targets.keys() - predicted)
+            if missing:
+                raise ComputationError(
+                    f"repetition {rep} lacks predictions for {len(missing)} images "
+                    f"(first: {missing[:3]})"
+                )
+            extra = sorted(predicted - targets.keys())
+            if extra:
+                raise ComputationError(
+                    f"repetition {rep} has predictions for untargeted images {extra[:3]}"
+                )
+        ids = tuple(sorted(targets))
+        clipped = np.array(
+            [[self._by_rep[rep][i].clipped for rep in reps] for i in ids], dtype=np.float64
+        )
+        return ids, np.array([targets[i] for i in ids], dtype=np.float64), clipped
 
 
 def effective_epochs(best_epoch: int, max_epochs: int | None = None) -> int:

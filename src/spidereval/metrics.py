@@ -5,7 +5,8 @@ Per repetition the held-out predictions of the five folds are
 concatenated and scored once; the five triples are then averaged. The
 ensemble prediction is the per-image mean of the five clipped held-out
 predictions. Two Jensen inequalities (ensemble MAE and MSE never exceed
-the repetition averages) are asserted on every report.
+the repetition averages) are asserted on every report. Every score
+reads :meth:`PredictionSet.aligned`, which holds the one coverage rule.
 """
 
 from __future__ import annotations
@@ -71,68 +72,36 @@ class MetricReport:
     ensemble_r2: float
 
 
-def _rep_vectors(
-    ps: PredictionSet, targets_b: Mapping[str, float], repetition: int
-) -> tuple[np.ndarray, np.ndarray]:
-    per_image = ps.by_repetition(repetition)
-    missing = sorted(set(targets_b) - set(per_image))
-    if missing:
-        raise ComputationError(
-            f"repetition {repetition} lacks predictions for {len(missing)} images "
-            f"(first: {missing[:3]})"
-        )
-    extra = sorted(set(per_image) - set(targets_b))
-    if extra:
-        raise ComputationError(
-            f"repetition {repetition} has predictions for untargeted images {extra[:3]}"
-        )
-    ids = sorted(targets_b)
-    pred = np.array([per_image[i].clipped for i in ids], dtype=np.float64)
-    obs = np.array([targets_b[i] for i in ids], dtype=np.float64)
-    return pred, obs
+def _scores(pred: np.ndarray, obs: np.ndarray) -> tuple[float, float, float]:
+    return mae(pred, obs), rmse(pred, obs), r2(pred, obs)
 
 
 def repetition_metrics(
     ps: PredictionSet, targets_b: Mapping[str, float]
 ) -> tuple[tuple[tuple[int, float, float, float], ...], tuple[float, float, float]]:
     """Per-repetition (MAE, RMSE, R2) triples and their mean."""
-    rows = []
-    for rep in ps.repetitions:
-        pred, obs = _rep_vectors(ps, targets_b, rep)
-        rows.append((rep, mae(pred, obs), rmse(pred, obs), r2(pred, obs)))
-    if not rows:
-        raise ComputationError("prediction set is empty")
-    arr = np.array([[m, r_, q] for _, m, r_, q in rows], dtype=np.float64)
+    _, obs, clipped = ps.aligned(targets_b)
+    rows = tuple(
+        (rep, *_scores(clipped[:, j], obs)) for j, rep in enumerate(ps.repetitions)
+    )
+    arr = np.array([row[1:] for row in rows], dtype=np.float64)
     mean = tuple(float(v) for v in arr.mean(axis=0))
-    return tuple(rows), mean
+    return rows, mean
 
 
 def ensemble_predictions(
     ps: PredictionSet, targets_b: Mapping[str, float]
 ) -> dict[str, float]:
     """Per-image mean of the clipped held-out predictions across repetitions."""
-    per_rep = {rep: ps.by_repetition(rep) for rep in ps.repetitions}
-    out: dict[str, float] = {}
-    for image_id in sorted(targets_b):
-        values = []
-        for rep, per_image in per_rep.items():
-            if image_id not in per_image:
-                raise ComputationError(
-                    f"image {image_id} has no prediction in repetition {rep}"
-                )
-            values.append(per_image[image_id].clipped)
-        out[image_id] = float(np.mean(values))
-    return out
+    ids, _, clipped = ps.aligned(targets_b)
+    return dict(zip(ids, clipped.mean(axis=1).tolist()))
 
 
 def ensemble_metrics(
     ps: PredictionSet, targets_b: Mapping[str, float]
 ) -> tuple[float, float, float]:
-    ens = ensemble_predictions(ps, targets_b)
-    ids = sorted(ens)
-    pred = np.array([ens[i] for i in ids], dtype=np.float64)
-    obs = np.array([targets_b[i] for i in ids], dtype=np.float64)
-    return mae(pred, obs), rmse(pred, obs), r2(pred, obs)
+    _, obs, clipped = ps.aligned(targets_b)
+    return _scores(clipped.mean(axis=1), obs)
 
 
 def metric_report(ps: PredictionSet, targets_b: Mapping[str, float]) -> MetricReport:

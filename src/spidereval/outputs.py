@@ -144,16 +144,19 @@ def write_predictions(path, ps: PredictionSet) -> None:
 def load_predictions(path) -> PredictionSet:
     src = InputFile(path, "predictions")
     header = ["rep", "fold", "image_id", "raw", "clipped"]
-    return PredictionSet(entries=tuple(
-        Prediction(
+    entries: dict[tuple[int, str], Prediction] = {}
+    for line, (rep, fold, image_id, raw, clipped) in src.rows(header):
+        p = Prediction(
             repetition=src.integer(rep, line, "rep", 0),
             fold=src.integer(fold, line, "fold", 0),
             image_id=image_id,
             raw=src.number(raw, line, "raw"),
             clipped=src.number(clipped, line, "clipped"),
         )
-        for line, (rep, fold, image_id, raw, clipped) in src.rows(header)
-    ))
+        if (p.repetition, image_id) in entries:
+            raise src.error(f"duplicate prediction for rep={p.repetition} image={image_id}", line)
+        entries[p.repetition, image_id] = p
+    return PredictionSet(entries=tuple(entries.values()))
 
 
 def write_search_log(path, log: Sequence[Mapping]) -> None:

@@ -464,6 +464,31 @@ class TestErrorContracts:
         bad = self._corrupt(Path(inputs[option]), "trailing_blank_line", tmp_path)
         assert main(_command(self.READER[option], {**inputs, option: bad}, tmp_path / "o")) == 0
 
+    @pytest.mark.parametrize("command", ["metrics", "error-analysis"])
+    def test_repeated_prediction_row_names_its_line(self, inputs, tmp_path, capsys, command):
+        lines = _read(inputs["predictions"]).splitlines(keepends=True)
+        bad = tmp_path / "predictions.csv"
+        bad.write_text("".join(lines[:2] + lines[1:]))
+        assert main(_command(command, {**inputs, "predictions": bad}, tmp_path / "o")) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "predictions")
+        rep, _, image = lines[1].split(",")[:3]
+        assert error["message"] == f"{bad}:3: duplicate prediction for rep={rep} image={image}"
+
+    def test_untargeted_prediction_fails_every_scorer_alike(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "predictions.csv"
+        bad.write_text(_read(inputs["predictions"]) + "0,0,ghost,50,50\n")
+        errors = []
+        for command in ("metrics", "error-analysis"):
+            out = tmp_path / command
+            assert main(_command(command, {**inputs, "predictions": bad}, out)) == 2
+            errors.append(_one_error_line(capsys))
+            assert not out.exists() or not any(out.iterdir())
+        assert errors[0] == errors[1] == {
+            "type": "computation",
+            "message": "repetition 0 has predictions for untargeted images ['ghost']",
+        }
+
     def test_missing_heatmap_names_the_option(self, inputs, tmp_path, capsys):
         heatmaps = tmp_path / "heatmaps"
         shutil.copytree(inputs["heatmaps"], heatmaps)
@@ -686,6 +711,10 @@ ALL_FLAGS = {"--seed": "5", "--trials": "2", "--sizes": "3", "--reps": "5",
              "--bootstrap": "100"}
 
 
+# the manifest's `predictor` record when nothing overrides the ridge defaults
+RIDGE_DEFAULT = {"ranges": {"lambda": [0.0001, 100.0, "log"]}}
+
+
 class TestManifestConfig:
     """A manifest's config holds every option with its resolved value,
     except the output directory, the thread count, the seed and input
@@ -711,11 +740,12 @@ class TestManifestConfig:
     def test_all_records_every_setting(self, base):
         assert base == {
             "alpha": 0.05, "bootstrap": 100, "kind": "ridge_closed_form", "level": 0.95,
-            "min_cell": 10, "missing": "impute", "predictor": {}, "reps": 5, "sizes": [3],
-            "trials": 2,
+            "min_cell": 10, "missing": "impute", "predictor": RIDGE_DEFAULT, "reps": 5,
+            "sizes": [3], "trials": 2,
         }
 
     RANGES = {"lambda": [0.01, 10.0, "log"]}
+    STUB_DEFAULT = {"epochs_range": [10, 50], "ranges": {"learning_rate": [0.001, 0.1, "log"]}}
 
     @pytest.mark.parametrize("flags, config, key, value", [
         ({"--reps": "9"}, None, "reps", 9),
@@ -733,7 +763,11 @@ class TestManifestConfig:
                                                     config, key, value):
         changed = self._all(inputs, tmp_path / "all", flags, config)
         assert changed[key] == value
-        assert {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)} == {key}
+        moved = {key}
+        if key == "kind":  # another kind brings its own default search space
+            assert changed["predictor"] == self.STUB_DEFAULT
+            moved.add("predictor")
+        assert {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)} == moved
 
     def test_threads_and_path_spelling_change_no_byte(self, inputs, tmp_path, monkeypatch):
         data = tmp_path / "data"
@@ -763,7 +797,25 @@ class TestManifestConfig:
                      "--targets", str(workspace["targets"]),
                      "--features", str(workspace["features"]), "--trials", "2"]) == 0
         config = json.loads(_read(out / "run_manifest.json"))["config"]
-        assert config == {"kind": "ridge_closed_form", "predictor": {}, "trials": 2}
+        assert config == {"kind": "ridge_closed_form", "predictor": RIDGE_DEFAULT, "trials": 2}
+
+    @pytest.mark.parametrize("predictor", [
+        {"kind": "ridge_closed_form"},
+        {"ranges": {"lambda": [0.0001, 100, "log"]}},
+        {"ranges": {"lambda": [1e-4, 1e2, "log"]}, "epochs_range": [10, 50]},
+        {"epochs_range": [5, 6]},  # ridge reads no epochs
+    ])
+    def test_spelled_out_predictor_defaults_change_no_byte(self, workspace, tmp_path,
+                                                           predictor):
+        def manifest(name, predictor):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"predictor": predictor}))
+            assert main(["cv", "--out", str(tmp_path / name), "--config", str(config),
+                         "--plan", str(workspace["plan"]), "--targets", str(workspace["targets"]),
+                         "--features", str(workspace["features"]), "--trials", "3"]) == 0
+            return (tmp_path / name / "run_manifest.json").read_bytes()
+
+        assert manifest("spelled", predictor) == manifest("empty", {})
 
     def test_icc_records_the_defaulted_sizes(self, workspace, tmp_path):
         out = tmp_path / "icc"

@@ -152,6 +152,19 @@ class TestLevenbergMarquardt:
         assert res.converged
         assert res.params[1] == pytest.approx(0.02, abs=1e-8)
 
+    def test_start_plus_four_rescaled_rates(self, monkeypatch):
+        import spidereval.curvefit as curvefit
+
+        starts = []
+
+        def counting(form, points, init):
+            starts.append(tuple(init))
+            return levenberg_marquardt(form, points, init)
+
+        monkeypatch.setattr(curvefit, "levenberg_marquardt", counting)
+        fit_curve("decay", _points("decay", 12.0, 0.02, 10.5), init=(10.0, 0.05, 9.0))
+        assert starts == [(10.0, 0.05 * f, 9.0) for f in (1.0, 0.01, 0.1, 10.0, 100.0)]
+
 
 class TestDefaultInit:
     def test_decay_uses_endpoint_spread(self):

@@ -148,14 +148,45 @@ class TestPredictions:
 
     def test_lookup_helpers(self):
         entries = (
+            make_prediction(1, 1, "i2", 120.0),
             make_prediction(0, 0, "i1", 10.0),
             make_prediction(1, 0, "i1", 20.0),
             make_prediction(0, 1, "i2", 30.0),
         )
         ps = PredictionSet(entries=entries)
         assert ps.repetitions == (0, 1)
-        assert ps.image_ids() == ("i1", "i2")
         assert ps.by_repetition(0)["i2"].raw == 30.0
+        ids, targets, clipped = ps.aligned({"i2": 2.0, "i1": 1.0})
+        assert ids == ("i1", "i2")
+        assert targets.tolist() == [1.0, 2.0]
+        assert clipped.tolist() == [[10.0, 20.0], [30.0, 100.0]]  # (images, reps)
+        assert clipped.flags.c_contiguous
+
+
+class TestAligned:
+    """The one coverage rule every score goes through."""
+
+    def test_missing_before_untargeted_per_repetition(self):
+        ps = PredictionSet((
+            make_prediction(0, 0, "a", 1.0),
+            make_prediction(0, 0, "zz", 1.0),
+            make_prediction(1, 0, "a", 1.0),
+        ))
+        with pytest.raises(ComputationError,
+                           match=r"repetition 0 lacks predictions for 1 images \(first: \['b'\]\)"):
+            ps.aligned({"a": 1.0, "b": 2.0})
+        with pytest.raises(ComputationError,
+                           match=r"repetition 0 has predictions for untargeted images \['zz'\]"):
+            ps.aligned({"a": 1.0})
+
+    def test_later_repetition_checked(self):
+        ps = PredictionSet((
+            make_prediction(0, 0, "a", 1.0),
+            make_prediction(3, 0, "a", 1.0),
+            make_prediction(3, 0, "b", 1.0),
+        ))
+        with pytest.raises(ComputationError, match="repetition 3 has predictions for untargeted"):
+            ps.aligned({"a": 1.0})
 
 
 class TestFitRidge:
@@ -419,12 +450,8 @@ class TestRunNestedCv:
         plan, targets, features = self._setup(n=80, noise=1.0, seed=13)
         preds, _ = run_nested_cv(plan, targets, features, default_spec(),
                                  n_trials=6)
-        obs = np.array([targets.mean_b[i] for i in preds.image_ids()])
-        per_image = []
-        for image_id in preds.image_ids():
-            vals = [preds.by_repetition(r)[image_id].clipped for r in range(5)]
-            per_image.append(np.mean(vals))
-        pred = np.array(per_image)
+        _, obs, clipped = preds.aligned(targets.mean_b)
+        pred = clipped.mean(axis=1)
         sse = float(((obs - pred) ** 2).sum())
         sst = float(((obs - obs.mean()) ** 2).sum())
         assert 1.0 - sse / sst > 0.6

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spidereval.error_analysis import image_abs_errors
 from spidereval.errors import ComputationError
 from spidereval.harness import PredictionSet, make_prediction
 from spidereval.metrics import (
@@ -158,3 +159,28 @@ def test_image_order_irrelevant():
     shuffled = dict(reversed(list(values.items())))
     b = metric_report(_prediction_set(shuffled), dict(reversed(list(targets.items()))))
     assert a == b
+
+
+def test_ensemble_and_errors_at_nine_repetitions_match_list_mean():
+    """Per-image means reduce each image's repetitions as one contiguous
+    row, as ``np.mean`` of a list does. From 8 repetitions on numpy sums
+    such a row pairwise, so summing repetition by repetition over the
+    other axis would move some values in the last bit."""
+    rng = np.random.default_rng(29)
+    images = [f"i{k:03d}" for k in range(300)]
+    targets = {i: float(rng.uniform(0, 100)) for i in images}
+    values = {(rep, i): float(rng.uniform(-10, 110)) for rep in range(9) for i in images}
+    ps = _prediction_set(values)
+    clip = lambda v: min(100.0, max(0.0, v))
+    ensemble = ensemble_predictions(ps, targets)
+    errors = image_abs_errors(ps, targets)
+    for i in images:
+        clipped = [clip(values[(rep, i)]) for rep in range(9)]
+        assert ensemble[i] == float(np.mean(clipped))
+        assert errors[i] == float(np.mean([abs(c - targets[i]) for c in clipped]))
+
+
+def test_ensemble_rejects_untargeted_images():
+    ps = _prediction_set({(0, "a"): 10.0, (0, "b"): 20.0, (0, "zz"): 5.0})
+    with pytest.raises(ComputationError, match="untargeted"):
+        ensemble_predictions(ps, {"a": 10.0, "b": 20.0})

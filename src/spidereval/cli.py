@@ -53,6 +53,7 @@ from .ingest import (
     InputFile,
     RatingsTable,
     first_trial_filter,
+    json_text,
     load_categories,
     load_features,
     load_float_grid,
@@ -567,7 +568,7 @@ def _cmd_prop_ci(opts, run: _Run) -> None:
         "low": low,
         "high": high,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(doc))
     if opts.out is not None:
         write_json(run.path("prop_ci.json"), doc)
 

@@ -18,7 +18,9 @@ maxval 255, gray >= 128 counts as inside the mask).
 
 Every input file of the package is read through :class:`InputFile`, so
 text is UTF-8 whatever the locale and every failure to read it is an
-:class:`InputError`.
+:class:`InputError`. Every text artifact is written through :func:`write_csv`
+or :func:`write_json`, which share one float rule, 9 significant digits
+(``%.9g``): a JSON float carries the digits of its CSV cell.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ __all__ = [
     "FeatureTable",
     "FloatGrid",
     "BinaryMask",
+    "fmt",
+    "write_csv",
+    "json_text",
+    "write_json",
     "load_ratings",
     "write_ratings",
     "first_trial_filter",
@@ -73,6 +79,8 @@ CRITERIA = (
 )
 
 RATINGS_HEADER = ["participant_id", "image_id", "trial_index", "rating"]
+#: The float rule of every text artifact: 9 significant digits.
+FLOAT_FORMAT = "%.9g"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -178,6 +186,60 @@ class InputFile:
         if value < low:
             raise self.error(f"{column} must be an integer >= {low}, got {text!r}", line)
         return value
+
+
+def fmt(value) -> str:
+    """One CSV cell: floats by the float rule, bools lower case, ``None`` empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FORMAT % value
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), *,
+              columns: Sequence[Iterable] | None = None) -> None:
+    """A CSV with LF newlines from ``rows``, each cell rendered by :func:`fmt`,
+    or from ``columns``, one per header field: a float array is rendered
+    by the float rule in one pass and any other column holds str or int
+    cells, written as they are."""
+    if columns is not None:
+        rows = zip(*(map(FLOAT_FORMAT.__mod__, c.tolist())
+                     if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
+                     for c in columns))
+    else:
+        rows = ([fmt(v) for v in row] for row in rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _rounded(obj):
+    """``obj`` with every float in it, at any depth, rounded by the float rule."""
+    if isinstance(obj, float):  # numpy's float64 too
+        return float(FLOAT_FORMAT % obj)
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):  # mostly id lists: strings skip the call
+        return [value if type(value) is str else _rounded(value) for value in obj]
+    return obj
+
+
+def json_text(obj, indent: int | None = None) -> str:
+    """``obj`` as JSON with sorted keys and floats rounded by the float
+    rule, ending in a newline."""
+    return json.dumps(_rounded(obj), indent=indent, sort_keys=True) + "\n"
+
+
+def write_json(path, obj, *, lines: bool = False) -> None:
+    """``obj`` as indented JSON; with ``lines``, each record of the
+    sequence ``obj`` on a line of its own (JSONL)."""
+    text = "".join(map(json_text, obj)) if lines else json_text(obj, indent=2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -296,7 +358,8 @@ class CategoryTable:
             return self.entries[(image_id, criterion)]
         except KeyError:
             raise InputError(
-                f"no category label for image {image_id!r}, criterion {criterion!r}"
+                f"no category label for image {image_id!r}, criterion {criterion!r}",
+                field="categories",
             ) from None
 
 
@@ -431,15 +494,12 @@ def load_ratings(path: str | Path) -> RatingsTable:
 
 
 def write_ratings(table: RatingsTable, path: str | Path) -> None:
-    participant_ids, image_ids = table.participant_ids, table.image_ids
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATINGS_HEADER)
-        writer.writerows(
-            [participant_ids[p], image_ids[i], t, f"{r:.9g}"]
-            for p, i, t, r in zip(table.participant.tolist(), table.image.tolist(),
-                                  table.trial.tolist(), table.rating.tolist())
-        )
+    write_csv(path, RATINGS_HEADER, columns=[
+        map(table.participant_ids.__getitem__, table.participant.tolist()),
+        map(table.image_ids.__getitem__, table.image.tolist()),
+        table.trial.tolist(),
+        table.rating,
+    ])
 
 
 def first_trial_filter(table: RatingsTable) -> RatingsTable:
@@ -507,12 +567,10 @@ def load_features(path: str | Path) -> FeatureTable:
 
 
 def write_features(features: FeatureTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image_id"] + [f"f{i}" for i in range(features.dim)])
-        for image in sorted(features.ids):
-            vec = features.array[features.row[image]]
-            writer.writerow([image] + [f"{v:.9g}" for v in vec])
+    ids = sorted(features.ids)
+    vectors = features.array[[features.row[image] for image in ids]]
+    write_csv(path, ["image_id"] + [f"f{i}" for i in range(features.dim)],
+              columns=[ids, *vectors.T])
 
 
 # -- PFM (grayscale float grids) --------------------------------------------

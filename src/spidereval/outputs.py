@@ -1,8 +1,9 @@
 """Serialization of analysis artifacts.
 
-Every CSV is written with Unix line endings and floats rendered via
-``%.9g`` so that identical results are identical bytes. JSON files use
-sorted keys and Python's shortest-round-trip float repr. The run
+Every CSV and JSON file goes through the writers of :mod:`.ingest`:
+CSVs with Unix line endings, JSON with sorted keys, and floats in both
+rounded to 9 significant digits (``%.9g``), so that identical results
+are identical bytes whatever the BLAS thread count. The run
 manifest records the command, config snapshot, seed, library versions,
 and SHA-256 digests of inputs and outputs; it deliberately contains no
 timestamps or thread counts.
@@ -10,19 +11,17 @@ timestamps or thread counts.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import os
 import platform
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .error_analysis import ErrorAnalysisReport
 from .harness import Prediction, PredictionSet
-from .ingest import InputFile
+from .ingest import InputFile, fmt, write_csv, write_json
 from .metrics import MetricReport
 from .partition import ImageTargets
 from .qc import QcReport
@@ -48,32 +47,6 @@ __all__ = [
     "write_error_analysis",
     "write_manifest",
 ]
-
-
-def fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.9g" % float(value)
-    return str(value)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-
-
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def sha256_file(path) -> str:
@@ -160,33 +133,15 @@ def load_predictions(path) -> PredictionSet:
 
 
 def write_search_log(path, log: Sequence[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_json(path, log, lines=True)
 
 
 def write_metrics(path, report: MetricReport, by_rep_path=None) -> None:
-    write_csv(
-        path,
-        ["r2", "mae", "rmse", "r2_ens", "mae_ens", "rmse_ens"],
-        [
-            [
-                report.mean_r2,
-                report.mean_mae,
-                report.mean_rmse,
-                report.ensemble_r2,
-                report.ensemble_mae,
-                report.ensemble_rmse,
-            ]
-        ],
-    )
+    write_csv(path, ["r2", "mae", "rmse", "r2_ens", "mae_ens", "rmse_ens"],
+              [[report.mean_r2, report.mean_mae, report.mean_rmse,
+                report.ensemble_r2, report.ensemble_mae, report.ensemble_rmse]])
     if by_rep_path is not None:
-        write_csv(
-            by_rep_path,
-            ["rep", "mae", "rmse", "r2"],
-            [[rep, m, r_, q] for rep, m, r_, q in report.per_repetition],
-        )
+        write_csv(by_rep_path, ["rep", "mae", "rmse", "r2"], report.per_repetition)
 
 
 def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> None:
@@ -231,29 +186,17 @@ def write_error_analysis(descriptives, omnibus, posthoc, top,
             "share_ci_low", "share_ci_high", "small",
         ],
         [
-            [
-                s.criterion, s.category, s.n, s.freq, s.mean_ae, s.sd_ae, s.median_ae,
-                s.iqr_ae, s.share, s.delta,
-                None if s.mean_ci is None else s.mean_ci[0],
-                None if s.mean_ci is None else s.mean_ci[1],
-                None if s.share_ci is None else s.share_ci[0],
-                None if s.share_ci is None else s.share_ci[1],
-                s.small,
-            ]
+            [s.criterion, s.category, s.n, s.freq, s.mean_ae, s.sd_ae, s.median_ae,
+             s.iqr_ae, s.share, s.delta, *(s.mean_ci or (None, None)),
+             *(s.share_ci or (None, None)), s.small]
             for s in report.summaries
         ],
     )
     write_csv(
         omnibus,
         ["criterion", "H", "epsilon_sq", "p", "p_fdr", "significant", "N", "k", "reason"],
-        [
-            [
-                r.criterion, r.h, r.epsilon_sq, r.p, r.p_fdr,
-                None if r.significant is None else r.significant,
-                r.n_total, r.k, r.skip_reason or "",
-            ]
-            for r in report.omnibus
-        ],
+        [[r.criterion, r.h, r.epsilon_sq, r.p, r.p_fdr, r.significant, r.n_total, r.k,
+          r.skip_reason] for r in report.omnibus],
     )
     write_csv(
         posthoc,

@@ -9,14 +9,13 @@ reuse verbatim.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .ingest import InputFile, RatingsTable, rows_by_code
+from .ingest import InputFile, RatingsTable, rows_by_code, write_json
 from .rng import check_seed, substream
 
 __all__ = [
@@ -266,9 +265,7 @@ def write_cv_plan(path, plan: CvPlan) -> None:
             for fp in plan.folds
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_cv_plan(path) -> CvPlan:

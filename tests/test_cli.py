@@ -240,6 +240,20 @@ class TestErrorAnalysisCommand:
         assert len(desc) == 5  # header + texture x2 + eyes x2
         assert json.loads(_read(out / "top_criteria.json")).keys() == {"top_criteria"}
 
+    def test_missing_category_label_names_the_option(self, workspace, tmp_path, capsys):
+        cats = tmp_path / "categories.csv"
+        _write_categories(cats, _image_ids(workspace)[1:])
+        assert main([
+            "error-analysis", "--out", str(tmp_path / "errors"), "--seed", "5",
+            "--predictions", str(workspace["predictions"]),
+            "--targets", str(workspace["targets"]),
+            "--categories", str(cats), "--bootstrap", "150",
+        ]) == 1
+        error = _stderr_json(capsys)["error"]
+        assert error["type"] == "validation"
+        assert error["field"] == "categories"
+        assert "no category label for image" in error["message"]
+
 
 class TestOverlapCommand:
     def test_composite_and_ttest(self, workspace, tmp_path):
@@ -292,6 +306,13 @@ class TestPropCiCommand:
         doc = json.loads(_read(out / "prop_ci.json"))
         assert round(doc["low"], 3) == 0.103
         assert round(doc["high"], 3) == 0.162
+
+    def test_stdout_shows_the_file_digits(self, tmp_path, capsys):
+        assert main(["prop-ci", "--successes", "419", "--n", "500",
+                     "--out", str(tmp_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(_read(tmp_path / "prop_ci.json"))
+        assert printed["low"] == float("%.9g" % printed["low"])
 
     def test_missing_count_is_validation_error(self, capsys):
         assert main(["prop-ci", "--successes", "10"]) == 1
@@ -650,6 +671,31 @@ class TestDeterminism:
             )
         names = sorted(p.name for p in (tmp_path / "1").iterdir())
         assert "icc_full.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    def test_blas_threads_do_not_change_cv_bytes(self, tmp_path):
+        """At d > n the ridge losses move in their last bits with the BLAS
+        thread count; every artifact, search log and summary included, still
+        has the same bytes on 1 or 2 BLAS threads."""
+        synth, split = tmp_path / "synth", tmp_path / "split"
+        assert main(["synth", "--out", str(synth), "--seed", "7", "--images", "313",
+                     "--raters", "10", "--dim", "400"]) == 0
+        assert main(["split", "--out", str(split), "--seed", "7",
+                     "--ratings", str(synth / "ratings.csv")]) == 0
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "spidereval", "cv", "--out", str(tmp_path / threads),
+                 "--plan", str(split / "cv_plan.json"),
+                 "--targets", str(split / "image_targets.csv"),
+                 "--features", str(synth / "features.csv"), "--trials", "3"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+                check=True, timeout=120,
+            )
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert "search_log.jsonl" in names
         assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

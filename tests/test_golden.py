@@ -168,6 +168,17 @@ def test_artifact_digests(workspace):
     )
 
 
+def test_json_floats_have_nine_significant_digits(workspace):
+    """Every float in every JSON and JSONL artifact follows the CSV rule."""
+    floats = []
+    for path in sorted(workspace.rglob("*.json*")):
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_float=lambda t, p=path: floats.append((p.name, float(t))))
+    assert len({name for name, _ in floats}) >= 8
+    assert [(name, v) for name, v in floats if float("%.9g" % v) != v] == []
+
+
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 

@@ -1,5 +1,6 @@
 """File formats: stable float rendering, round-trips, manifests."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spidereval
 from spidereval.error_analysis import analyze_errors
 from spidereval.errors import InputError
 from spidereval.harness import PredictionSet, make_prediction
@@ -83,6 +85,92 @@ class TestCsvJson:
         assert len(lines) == 2
         assert json.loads(lines[0]) == {"a": 2, "b": 1}
         assert lines[0].index('"a"') < lines[0].index('"b"')
+
+
+    def test_columns_match_rows(self, tmp_path):
+        ids, counts, values = ["x", "y,z"], [1, 2], np.array([1.0 / 3.0, -0.0])
+        write_csv(tmp_path / "rows.csv", ["id", "n", "v"], zip(ids, counts, values))
+        write_csv(tmp_path / "cols.csv", ["id", "n", "v"], columns=[ids, counts, values])
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "cols.csv").read_text() == 'id,n,v\nx,1,0.333333333\n"y,z",2,-0\n'
+
+
+class TestJsonFloatRule:
+    """JSON floats carry the digits of their CSV cell: 9 significant."""
+
+    @staticmethod
+    def _text(tmp_path, obj):
+        write_json(tmp_path / "t.json", obj)
+        return (tmp_path / "t.json").read_text()
+
+    def test_short_decimals_unchanged(self, tmp_path):
+        assert self._text(tmp_path, {"x": 0.1}) == '{\n  "x": 0.1\n}\n'
+
+    def test_nine_significant_digits(self, tmp_path):
+        assert json.loads(self._text(tmp_path, [1.0 / 3.0])) == [0.333333333]
+        assert "0.333333333" + "\n" in self._text(tmp_path, [1.0 / 3.0])
+
+    def test_numpy_floats(self, tmp_path):
+        assert json.loads(self._text(tmp_path, {"x": np.float64(2.0) / 3.0})) == {"x": 0.666666667}
+
+    def test_nested_lists_and_tuples(self, tmp_path):
+        doc = {"a": [(1.0 / 3.0, [2.0 / 3.0])], "b": {"c": (0.1,)}}
+        assert json.loads(self._text(tmp_path, doc)) == {
+            "a": [[0.333333333, [0.666666667]]], "b": {"c": [0.1]}
+        }
+
+    def test_ints_bools_and_strings_untouched(self, tmp_path):
+        doc = [2**100, 2**127 - 1, True, False, None, "1.23456789012"]
+        assert json.loads(self._text(tmp_path, doc)) == doc
+
+    def test_negative_zero_and_non_finite(self, tmp_path):
+        assert self._text(tmp_path, [-0.0, float("inf")]) == "[\n  -0.0,\n  Infinity\n]\n"
+
+    def test_search_log_same_rule(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_search_log(path, [{"loss": 1.0 / 3.0}])
+        assert path.read_text() == '{"loss": 0.333333333}\n'
+
+
+class _WriterCalls(ast.NodeVisitor):
+    """``csv.writer``, ``json.dump`` and ``json.dumps`` calls by enclosing function."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and (f.value.id, f.attr) in {("csv", "writer"), ("json", "dump"),
+                                             ("json", "dumps")}):
+            self.found.append((self.module, ".".join(self.scope), f"{f.value.id}.{f.attr}"))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module in ("csv", "json"):
+            self.found.append((self.module, ".".join(self.scope), f"from {node.module} import"))
+
+
+def test_text_artifacts_have_one_writer():
+    """Every CSV and JSON text is encoded by the shared writers in ingest;
+    the one other encoder is main's error line on stderr."""
+    found = []
+    for path in sorted(Path(spidereval.__file__).parent.glob("*.py")):
+        visitor = _WriterCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert sorted(found) == [
+        ("cli", "main", "json.dumps"),
+        ("ingest", "json_text", "json.dumps"),
+        ("ingest", "write_csv", "csv.writer"),
+    ]
 
 
 class TestSha256:

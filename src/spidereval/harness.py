@@ -1,17 +1,20 @@
 """Nested cross-validation harness with random hyperparameter search.
 
-Per (repetition, fold): thirty random trials are scored by mean MSE over
-the five inner folds of the outer training set, the argmin trial wins
+Per (repetition, fold): ``n_trials`` random trials (``N_TRIALS`` = 30 by
+default; ``--trials``) are scored by mean MSE over the inner folds of the
+outer training set, the argmin trial wins
 (earliest trial on ties), the winning configuration is refit on the full
 outer training set, and the held-out test images receive one raw and one
 clipped prediction. All losses are computed on raw predictions.
 
 Two predictor kinds are provided. ``ridge_closed_form`` is ridge
 regression with an unpenalized intercept and is the deterministic
-baseline used throughout. Each fit set (every inner fit set and the outer
-training set) is centred and factored once, by an eigendecomposition of
-its smaller Gram matrix, and every trial's penalty is then priced from
-that factorization in O(nd). ``iterative_stub`` is a full-batch gradient
+baseline used throughout. Each fit set is centred and factored once, by
+an eigendecomposition of its smaller Gram matrix, and every trial's
+penalty is priced from that in O(nd). When d >= n one factorization of
+the outer training set gives every inner fold's held-out residuals, by
+grouped deletion (see ``_RidgeFit``), and the refit; when d < n each
+inner fit set is factored too. ``iterative_stub`` is a full-batch gradient
 descent linear model that exercises the epoch-checkpoint path: each
 trial also runs a monitored fit on (training minus the 20% validation
 subset) against that subset to locate ``best_epoch``, and the final fit
@@ -85,6 +88,8 @@ class PredictorSpec:
                 raise InputError(f"range {name}: invalid bounds ({low}, {high})", field="ranges")
             if scale == "log" and low <= 0:
                 raise InputError(f"range {name}: log scale needs positive bounds", field="ranges")
+        if self.kind == "ridge_closed_form" and self.ranges["lambda"][0] <= 0:
+            raise InputError("range lambda: the ridge penalty needs positive bounds", field="ranges")
         lo, hi = self.epochs_range
         if not (1 <= lo <= hi):
             raise InputError(f"invalid epochs range {self.epochs_range}", field="epochs_range")
@@ -113,7 +118,7 @@ class TrialResult:
 
     def __post_init__(self) -> None:
         if self.loss is not None and not (np.isfinite(self.loss) and self.loss >= 0):
-            raise ComputationError(f"trial {self.trial}: loss must be finite and >= 0")
+            raise ComputationError(f"loss must be finite and >= 0, got {self.loss}")
 
 
 @dataclass(frozen=True)
@@ -224,18 +229,37 @@ def _check_penalty(lam) -> None:
         raise InputError(f"lambda must be positive and finite, got {lam}")
 
 
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """``P a`` for the Householder reflector ``P = I - v v^T / v[0]``,
+    ``v = 1 / sqrt(n) + e_1``, which maps 1 to -sqrt(n) e_1: rows 1: of
+    the symmetric orthogonal P span the complement of the constants."""
+    root = np.sqrt(len(a))
+    scale = (a.sum(axis=0) / root + a[0]) / (1.0 + 1.0 / root)
+    out = a - scale / root
+    out[0] -= scale
+    return out
+
+
 class _RidgeFit:
     """Ridge regression with an unpenalized intercept on one fit set,
     factored once so that each penalty costs O(nd).
 
     With the intercept unpenalized, ridge equals ridge on centred data
-    (Hastie, Tibshirani & Friedman, ESL section 3.4.1). The smaller Gram
-    matrix of the centred X is eigendecomposed: ``Xc Xc^T = U E U^T``
-    (n x n) when d >= n, giving ``w = Xc^T U (E + lam)^-1 U^T yc``, and
-    ``Xc^T Xc = V E V^T`` (d x d) when d < n, giving
-    ``w = V (E + lam)^-1 V^T Xc^T yc``. Both sides have the same non-zero
-    eigenvalues, so ``sum e / (e + lam)`` is the effective degrees of
-    freedom either way.
+    (Hastie, Tibshirani & Friedman, ESL section 3.4.1). When d < n,
+    ``Xc^T Xc = V E V^T`` (d x d) gives ``w = V (E + lam)^-1 V^T Xc^T yc``.
+    When d >= n the kernel ``Xc Xc^T`` is factored on the complement of
+    its null vector 1: rows 1: of ``P Xc`` (P from ``_reflect``) are Z,
+    ``Z Z^T = V E V^T`` and ``w = Z^T V (E + lam)^-1 V^T (P yc)_1:``. Both
+    sides have the same non-zero eigenvalues, so ``sum e / (e + lam)`` is the
+    effective degrees of freedom either way.
+
+    When d >= n, ``W = P [0; V]`` is an orthonormal basis of that
+    complement and ``M = I - H(lam) = W diag(lam / (e + lam)) W^T``, so
+    by grouped deletion the residuals on rows H of the fit without them
+    are ``M_HH^-1 (M y)_H`` (Golub, Heath & Wahba 1979; Pahikkala et al.
+    2006): ``held_out_losses``. ``I - H`` is never formed, nor is 11^T/n
+    taken off a full-basis M: near interpolation (lam << e) both cancel
+    every digit, and with repeated rows eigh cannot single out 1.
     """
 
     __slots__ = ("x_mean", "y_mean", "eig", "coef", "vecs", "xc")
@@ -254,9 +278,9 @@ class _RidgeFit:
         yc = y - self.y_mean
         try:
             if d >= n:
-                eig, self.vecs = np.linalg.eigh(xc @ xc.T)
-                self.coef = self.vecs.T @ yc
-                self.xc = xc
+                self.xc = _reflect(xc)[1:]
+                eig, self.vecs = np.linalg.eigh(self.xc @ self.xc.T)
+                self.coef = self.vecs.T @ _reflect(yc)[1:]
             else:
                 eig, self.vecs = np.linalg.eigh(xc.T @ xc)
                 self.coef = self.vecs.T @ (xc.T @ yc)
@@ -281,6 +305,19 @@ class _RidgeFit:
     def dof(self, lam: float) -> float:
         return float(np.sum(self.eig / (self.eig + lam)))
 
+    def held_out_losses(self, held, lams: np.ndarray) -> np.ndarray:
+        """Losses ``[t, k]``: MSE on rows ``held[k]`` of the fit without them at
+        penalty t. d >= n only; parts are disjoint, non-empty and not all rows."""
+        basis = _reflect(np.vstack([np.zeros(len(self.vecs)), self.vecs]))
+        shrink = lams[:, None] / (self.eig + lams[:, None])
+        resid = basis @ (shrink * self.coef).T
+        losses = np.empty((len(lams), len(held)))
+        for k, rows in enumerate(held):
+            part = basis[rows]
+            r = np.linalg.solve((part * shrink[:, None, :]) @ part.T, resid[rows].T[..., None])
+            losses[:, k] = np.einsum("thi,thi->t", r, r) / len(rows)
+        return losses
+
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Minimize ||y - X w - b||^2 + lam ||w||^2 with an unpenalized intercept.
@@ -295,15 +332,6 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, flo
 def _mse(pred: np.ndarray, obs: np.ndarray) -> float:
     diff = pred - obs
     return float(diff @ diff / diff.shape[0])
-
-
-def _design(
-    features: FeatureTable, targets: Mapping[str, float], ids
-) -> tuple[np.ndarray, np.ndarray]:
-    ids = list(ids)
-    X = features.matrix(ids)
-    y = np.array([targets[i] for i in ids], dtype=np.float64)
-    return X, y
 
 
 class _GradientDescentModel:
@@ -447,24 +475,31 @@ def random_search(
     seed: int = 0,
     repetition: int = 0,
     fold: int = 0,
+    fitted: list | None = None,
 ) -> tuple[TrialResult, list[TrialResult]]:
     """Sample ``n_trials`` configurations and return (winner, all trials).
 
     The winner minimizes the mean MSE across the inner folds; ties go to
     the earliest trial. A trial that fails to fit is recorded with its
     error and skipped; if every trial fails a ComputationError carrying
-    the per-trial diagnostics is raised.
+    the per-trial diagnostics is raised. ``fitted``, when given, receives
+    what a refit on the training set reuses: its X and y (rows in sorted
+    id order) and, for ridge, its one factorization.
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
     train_ids = sorted({i for part in inner_folds for i in part})
     position = {image_id: k for k, image_id in enumerate(train_ids)}
-    X, y = _design(features, targets, train_ids)
+    X = features.matrix(train_ids)
+    y = np.array([targets[i] for i in train_ids], dtype=np.float64)
     held = [_rows(position, part) for part in inner_folds]
+    if not all(0 < len(rows) < len(y) for rows in held):
+        raise InputError("each inner fold must hold some but not all training images")
     draws = [
         _sample_trial(spec, substream(seed, "search", repetition, fold, t))
         for t in range(n_trials)
     ]
+    model = None
     if spec.iterative:
         outside = sorted(set(validation) - set(position))
         if outside:
@@ -474,7 +509,11 @@ def random_search(
         )
     else:
         lams = np.array([params["lambda"] for params, _ in draws], dtype=np.float64)
-        losses, errors = _ridge_losses(X, y, held, lams)
+        model = _RidgeFit(X, y)
+        if model.xc is None:  # d < n: each inner fit set is cheaper to factor alone
+            losses, errors = _ridge_losses(X, y, held, lams)
+        else:
+            losses, errors = model.held_out_losses(held, lams), [None] * n_trials
         best_epochs = [None] * n_trials
 
     trials: list[TrialResult] = []
@@ -502,6 +541,8 @@ def random_search(
         details = "; ".join(f"trial {tr.trial}: {tr.error}" for tr in trials)
         raise ComputationError(f"all {n_trials} search trials failed: {details}")
     best = min(viable, key=lambda tr: (tr.loss, tr.trial))
+    if fitted is not None:
+        fitted.extend((X, y, model))
     return best, trials
 
 
@@ -514,18 +555,12 @@ def _run_fold(
     seed: int,
 ) -> tuple[list[Prediction], list[TrialResult], Refit]:
     try:
+        fitted: list = []
         best, trials = random_search(
-            spec,
-            fp.inner,
-            features,
-            targets.mean_a,
-            validation=fp.validation,
-            n_trials=n_trials,
-            seed=seed,
-            repetition=fp.repetition,
-            fold=fp.fold,
+            spec, fp.inner, features, targets.mean_a, validation=fp.validation,
+            n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold, fitted=fitted,
         )
-        X, y = _design(features, targets.mean_a, fp.train)
+        X, y, model = fitted
         Xt = features.matrix(fp.test)
         if spec.iterative:
             epochs = effective_epochs(best.best_epoch, best.max_epochs)
@@ -533,7 +568,6 @@ def _run_fold(
             dof = None
         else:
             lam = best.params["lambda"]
-            model = _RidgeFit(X, y)
             raw = model.predict(Xt, np.array([lam], dtype=np.float64))[:, 0]
             dof = model.dof(lam)
         preds = [

@@ -191,9 +191,10 @@ def leakage_audit(plan: CvPlan, targets: ImageTargets | None = None) -> list[str
 
     Checks, per (repetition, fold): train/test disjointness and coverage,
     the validation subset and inner folds staying within the training
-    set, and (when targets are given) that train images resolve to a
-    group-A mean and test images to a group-B mean. Within a repetition
-    every image must appear in exactly one test fold.
+    set, each inner fold leaving images on both sides, and (when targets
+    are given) that train images resolve to a group-A mean and test images
+    to a group-B mean. Within a repetition every image must appear in
+    exactly one test fold.
     """
     violations: list[str] = []
     all_ids = set(plan.image_ids)
@@ -213,8 +214,11 @@ def leakage_audit(plan: CvPlan, targets: ImageTargets | None = None) -> list[str
                     f"{where}: validation image {image_id} outside training set"
                 )
             inner_union: set[str] = set()
-            for part in fp.inner:
+            for k, part in enumerate(fp.inner):
                 inner_union.update(part)
+                if not 0 < len(part) < len(train):
+                    violations.append(f"{where}: inner fold {k} holds {len(part)} of "
+                                      f"{len(train)} training images")
             if inner_union != train:
                 violations.append(f"{where}: inner folds do not partition training set")
             if sum(len(part) for part in fp.inner) != len(train):

@@ -541,6 +541,21 @@ class TestErrorContracts:
         assert (error["type"], error["field"]) == ("validation", "plan")
         assert f"{plan}: non-finite number NaN" in error["message"]
 
+    def test_empty_inner_fold_fails_the_audit(self, workspace, tmp_path, capsys):
+        # a hand-edited plan that moves one inner fold's images into another
+        doc = json.loads(_read(workspace["plan"]))
+        inner = doc["folds"][3]["inner"]
+        inner[0], inner[4] = sorted(inner[0] + inner[4]), []
+        plan = tmp_path / "cv_plan.json"
+        plan.write_text(json.dumps(doc))
+        assert self._cv(workspace, tmp_path, plan=plan) == 2
+        n_train = len(doc["folds"][3]["train"])
+        assert _one_error_line(capsys) == {
+            "type": "computation",
+            "message": f"leakage audit failed: rep=0 fold=3: inner fold 4 holds 0 of "
+                       f"{n_train} training images",
+        }
+
     @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed"])
     def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
         doc = json.loads(_read(workspace["plan"]))
@@ -994,6 +1009,24 @@ class TestTypedOptions:
             "--ratings", str(workspace["ratings"]), "--features", str(workspace["features"]),
         ]) == 1
         assert _one_error_line(capsys)["field"] == field
+
+    @pytest.mark.parametrize("bounds", [[0, 0, "linear"], [0, 1, "linear"], [-1, 1, "linear"]])
+    def test_ridge_penalty_range_reaching_zero_is_rejected(self, workspace, tmp_path, capsys,
+                                                            bounds):
+        # [0, 1] used to run whenever no draw happened to hit 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"predictor": {"ranges": {"lambda": bounds}}}))
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--out", str(out), "--config", str(path), "--trials", "2",
+            "--plan", str(workspace["plan"]), "--targets", str(workspace["targets"]),
+            "--features", str(workspace["features"]),
+        ]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "ranges",
+            "message": "range lambda: the ridge penalty needs positive bounds",
+        }
+        assert not out.exists() or not any(out.iterdir())
 
     def test_epochs_range_applies_without_ranges(self, workspace, tmp_path):
         path = tmp_path / "config.json"

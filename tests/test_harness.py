@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spidereval import harness
+from spidereval.cli import main
 from spidereval.errors import ComputationError, InputError
 from spidereval.harness import (
     PredictionSet,
@@ -121,6 +125,12 @@ class TestPredictorSpec:
     def test_range_of_the_searched_parameter_required(self, kind, ranges):
         with pytest.raises(InputError) as exc:
             PredictorSpec(kind=kind, ranges=ranges)
+        assert exc.value.field == "ranges"
+
+    @pytest.mark.parametrize("low, scale", [(0.0, "linear"), (-1.0, "linear"), (0.0, "log")])
+    def test_ridge_penalty_range_must_be_positive(self, low, scale):
+        with pytest.raises(InputError) as exc:
+            PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (low, 1.0, scale)})
         assert exc.value.field == "ranges"
 
     def test_epoch_range_ordering(self):
@@ -299,6 +309,14 @@ class TestRandomSearch:
                 fold_losses.append(float(np.mean(resid ** 2)))
             assert t.loss == pytest.approx(np.mean(fold_losses), rel=1e-7)
 
+    @pytest.mark.parametrize("d", [3, 30])
+    @pytest.mark.parametrize("cut", ["empty", "whole"])
+    def test_inner_fold_leaving_nothing_on_one_side_is_rejected(self, d, cut):
+        ids, features, targets = _linear_problem(20, d, noise=1.0, seed=10)
+        inner = (tuple(ids[:10]), (), tuple(ids[10:])) if cut == "empty" else (tuple(ids),)
+        with pytest.raises(InputError, match="some but not all training images"):
+            random_search(default_spec(), inner, features, targets, n_trials=2)
+
     def test_zero_trials_names_the_option(self):
         ids, features, targets = _linear_problem(20, 3, noise=3.0, seed=5)
         with pytest.raises(InputError) as exc:
@@ -380,6 +398,19 @@ class TestRandomSearch:
         with pytest.raises(ComputationError, match="trials failed"):
             random_search(doomed, _inner_partition(ids), features, targets,
                           validation=tuple(ids[:4]), n_trials=3, seed=0)
+
+    @pytest.mark.parametrize("d", [3, 30])
+    def test_each_failed_trial_is_named_once(self, d):
+        # squared residuals of 1e200 overflow every loss on both ridge routes
+        ids, features, _ = _linear_problem(20, d, noise=1.0, seed=10)
+        targets = {i: (-1) ** k * 1e200 for k, i in enumerate(ids)}
+        with pytest.raises(ComputationError) as exc:
+            random_search(default_spec(), _inner_partition(ids), features, targets,
+                          n_trials=2, seed=0)
+        assert str(exc.value) == (
+            "all 2 search trials failed: trial 0: loss must be finite and >= 0, got inf; "
+            "trial 1: loss must be finite and >= 0, got inf"
+        )
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -525,3 +556,112 @@ class TestSearchSummary:
         assert failed > 0
         assert summary["failed_trials"] == failed
         assert all(w["effective_dof"] is None for w in summary["winners"])
+
+
+@st.composite
+def _wide_case(draw):
+    """A d >= n training set at any scale and offset, some rows repeated,
+    split into 2..6 inner folds of unequal sizes, and six penalties over
+    [1e-8, 1e6], both ends included."""
+    n = draw(st.integers(3, 24))
+    d = draw(st.integers(n, 2 * n + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-2, 2)
+    X = scale * (rng.standard_normal((n, d)) + rng.uniform(-10, 10, d))
+    copies = draw(st.integers(0, n // 2))
+    X[rng.integers(0, n, copies)] = X[rng.integers(0, n, copies)]
+    y = rng.uniform(0, 100, n)
+    cuts = np.sort(rng.choice(np.arange(1, n), draw(st.integers(1, min(n, 6) - 1)),
+                              replace=False))
+    held = [np.sort(part) for part in np.split(rng.permutation(n), cuts)]
+    lams = np.concatenate([[1e-8, 1e6], 10.0 ** rng.uniform(-8, 6, 4)])
+    return X, y, held, lams
+
+
+def _remember_designs(monkeypatch) -> list:
+    """Patch ``_RidgeFit.__init__`` to record every fit's (X, y); returns
+    the record, one entry per factorization."""
+    designs = []
+    init = harness._RidgeFit.__init__
+
+    def recording(self, X, y):
+        init(self, X, y)
+        designs.append((self, X, y))
+
+    monkeypatch.setattr(harness._RidgeFit, "__init__", recording)
+    return designs
+
+
+class TestGroupedDeletion:
+    """When d >= n, one factorization of the outer training set prices
+    every inner fold; the per-inner-fit-set route is the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_wide_case())
+    def test_matches_the_per_fold_route(self, case):
+        X, y, held, lams = case
+        fit = harness._RidgeFit(X, y)
+        want, errors = harness._ridge_losses(X, y, held, lams)
+        assert errors == [None] * len(lams)
+        # Both routes take lam + e for eigenvalues e of a Gram matrix, which
+        # carry absolute rounding error ~ eps * e_max; each so loses about
+        # eps * cond digits, cond = (e_max + lam) / (e_min + lam). Repeated
+        # rows make e_min 0, so tiny penalties lose many (60-digit mpmath
+        # finds both routes off alike there). The scale is max(loss, var y):
+        # a held-out residual near 0 by chance has no relative accuracy.
+        cond = (fit.eig.max() + lams) / (fit.eig.min() + lams)
+        tol = (1e-12 + 16 * np.finfo(float).eps * cond)[:, None] * np.maximum(want, y.var())
+        assert (np.abs(fit.held_out_losses(held, lams) - want) <= tol).all()
+
+    def test_matches_the_per_fold_route_to_1e12_at_bench_shape(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((200, 600))
+        y = X @ rng.standard_normal(600) + rng.standard_normal(200) * 5 + 50
+        held = np.array_split(rng.permutation(200), 5)
+        held = [np.sort(rows) for rows in held]
+        lams = np.array([1e-8, 1e-4, 1.0, 1e2, 1e6])
+        want = harness._ridge_losses(X, y, held, lams)[0]
+        got = harness._RidgeFit(X, y).held_out_losses(held, lams)
+        assert np.abs(got / want - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, per_outer_fold", [(70, 1), (48, 1), (5, 6)])
+    def test_factorizations_per_outer_fold(self, monkeypatch, d, per_outer_fold):
+        # 60 images leave 48 training rows per outer fold: d >= 48 factors
+        # once, d < 48 factors the 5 inner fit sets and the training set
+        designs = _remember_designs(monkeypatch)
+        ids, features, mean_a = _linear_problem(60, d, noise=2.0, seed=12)
+        run_nested_cv(make_cv_plan(ids, seed=21), _targets_from(mean_a), features,
+                      default_spec(), n_trials=3)
+        assert len(designs) == 25 * per_outer_fold
+        assert {X.shape[0] for _, X, _ in designs} == (
+            {48} if per_outer_fold == 1 else {38, 39, 48})
+
+    def test_cli_bytes_match_the_per_fold_route(self, tmp_path, monkeypatch):
+        synth, split = tmp_path / "synth", tmp_path / "split"
+        assert main(["synth", "--out", str(synth), "--seed", "4", "--images", "40",
+                     "--raters", "8", "--dim", "48"]) == 0
+        assert main(["split", "--out", str(split), "--seed", "4",
+                     "--ratings", str(synth / "ratings.csv")]) == 0
+
+        def cv(out):
+            assert main(["cv", "--out", str(out), "--trials", "8",
+                         "--plan", str(split / "cv_plan.json"),
+                         "--targets", str(split / "image_targets.csv"),
+                         "--features", str(synth / "features.csv")]) == 0
+            return {name: (out / name).read_bytes()
+                    for name in ("predictions.csv", "search_log.jsonl", "search_summary.json")}
+
+        grouped = cv(tmp_path / "grouped")
+        designs = _remember_designs(monkeypatch)
+
+        def per_fold(self, held, lams):
+            _, X, y = next(entry for entry in designs if entry[0] is self)
+            losses, errors = harness._ridge_losses(X, y, held, lams)
+            assert errors == [None] * len(lams)
+            return losses
+
+        monkeypatch.setattr(harness._RidgeFit, "held_out_losses", per_fold)
+        assert cv(tmp_path / "per_fold") == grouped
+        # 32 training rows per outer fold at d = 48: only the forced route fit sets
+        assert len(designs) == 25 * 6

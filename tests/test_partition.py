@@ -194,6 +194,24 @@ class TestLeakageAudit:
         violations = leakage_audit(_replace_fold(plan, 1, bad_fold))
         assert any("inner" in v for v in violations)
 
+    @pytest.mark.parametrize("merge", ["one_empty", "all_in_one"])
+    def test_inner_fold_leaving_nothing_on_one_side_detected(self, merge):
+        # the parts still partition the training set, so only this check fires
+        plan = make_cv_plan(IMAGES_313, seed=3)
+        fp = plan.folds[6]
+        if merge == "one_empty":
+            inner = (fp.inner[0] + fp.inner[2],) + fp.inner[1:2] + ((),) + fp.inner[3:]
+            count, k = 0, 2
+        else:
+            inner, count, k = (fp.train,), len(fp.train), 0
+        bad_fold = FoldPlan(
+            repetition=fp.repetition, fold=fp.fold, train=fp.train,
+            test=fp.test, validation=fp.validation, inner=inner,
+        )
+        assert leakage_audit(_replace_fold(plan, 6, bad_fold)) == [
+            f"rep=1 fold=1: inner fold {k} holds {count} of {len(fp.train)} training images"
+        ]
+
     def test_missing_target_detected(self):
         plan = make_cv_plan(IMAGES_313, seed=3)
         targets = _full_targets(IMAGES_313[:-1])

@@ -9,19 +9,19 @@ clipped prediction. All losses are computed on raw predictions.
 
 Two predictor kinds are provided. ``ridge_closed_form`` is ridge
 regression with an unpenalized intercept and is the deterministic
-baseline used throughout. Each fit set is centred and factored once, by
-an eigendecomposition of its smaller Gram matrix, and every trial's
-penalty is priced from that in O(nd). When d >= n one factorization of
-the outer training set gives every inner fold's held-out residuals, by
-grouped deletion (see ``_RidgeFit``), and the refit; when d < n each
-inner fit set is factored too. ``iterative_stub`` is a full-batch gradient
+baseline used throughout. Each fit set is factored once, by an
+eigendecomposition of its smaller Gram matrix. When d >= n a run forms
+one kernel of every planned image, and each fold's block of it gives
+every inner fold's held-out residuals, by grouped deletion (see
+``_RidgeFit``), and the refit; when d < n each inner fit set is
+factored too. ``iterative_stub`` is a full-batch gradient
 descent linear model that exercises the epoch-checkpoint path: each
 trial also runs a monitored fit on (training minus the 20% validation
 subset) against that subset to locate ``best_epoch``, and the final fit
 uses ``best_epoch + 5`` epochs capped at the trial's sampled maximum.
 
-Feature rows are gathered by integer index arrays once per fold, never
-per trial. (rep, fold) tasks are independent; every random draw comes
+Feature rows, or kernel blocks when d >= n, are gathered once per fold,
+never per trial. (rep, fold) tasks are independent; every random draw comes
 from a substream keyed by (seed, purpose, rep, fold, trial), so results
 do not depend on the number of worker threads.
 """
@@ -247,9 +247,12 @@ class _RidgeFit:
     With the intercept unpenalized, ridge equals ridge on centred data
     (Hastie, Tibshirani & Friedman, ESL section 3.4.1). When d < n,
     ``Xc^T Xc = V E V^T`` (d x d) gives ``w = V (E + lam)^-1 V^T Xc^T yc``.
-    When d >= n the kernel ``Xc Xc^T`` is factored on the complement of
-    its null vector 1: rows 1: of ``P Xc`` (P from ``_reflect``) are Z,
-    ``Z Z^T = V E V^T`` and ``w = Z^T V (E + lam)^-1 V^T (P yc)_1:``. Both
+    When d >= n it is ridge in dual variables (Saunders, Gammerman & Vovk
+    1998) on ``K = G G^T``, G the rows centred by any common vector (X is K
+    with ``kernel=True``): rows 1: of P (``_reflect``) span the complement
+    of the constants, so ``Z = (P G)_1:`` has ``Z Z^T = (P K P)_1:,1: = V E V^T``
+    and ``a = V (E + lam)^-1 V^T (P yc)_1:`` weighs the coordinates
+    ``Z g_x = (P K_Rx)_1:`` of a row x (``predict``); ``w = Z^T a``. Both
     sides have the same non-zero eigenvalues, so ``sum e / (e + lam)`` is the
     effective degrees of freedom either way.
 
@@ -262,9 +265,9 @@ class _RidgeFit:
     every digit, and with repeated rows eigh cannot single out 1.
     """
 
-    __slots__ = ("x_mean", "y_mean", "eig", "coef", "vecs", "xc")
+    __slots__ = ("x_mean", "y_mean", "eig", "coef", "vecs", "xc", "kernel")
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
+    def __init__(self, X: np.ndarray, y: np.ndarray, kernel: bool = False):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
@@ -272,35 +275,38 @@ class _RidgeFit:
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise InputError("ridge fit inputs must be finite")
         n, d = X.shape
-        self.x_mean = X.mean(axis=0)
+        # a kernel fit is linear in its rows' coordinates, whose mean is (P K 1 / n)_1:
+        self.x_mean = _reflect(X.mean(axis=0))[1:] if kernel else X.mean(axis=0)
         self.y_mean = float(y.mean())
-        xc = X - self.x_mean
         yc = y - self.y_mean
+        self.xc = None if kernel or d < n else X - self.x_mean
+        self.kernel = kernel
         try:
-            if d >= n:
-                self.xc = _reflect(xc)[1:]
-                eig, self.vecs = np.linalg.eigh(self.xc @ self.xc.T)
-                self.coef = self.vecs.T @ _reflect(yc)[1:]
-            else:
+            if d < n:
+                xc = X - self.x_mean
                 eig, self.vecs = np.linalg.eigh(xc.T @ xc)
                 self.coef = self.vecs.T @ (xc.T @ yc)
-                self.xc = None
+            else:
+                gram = X if kernel else self.xc @ self.xc.T
+                eig, self.vecs = np.linalg.eigh(_reflect(_reflect(gram).T)[1:, 1:])
+                self.coef = self.vecs.T @ _reflect(yc)[1:]
         except np.linalg.LinAlgError as exc:
             raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
         # The Gram matrix is positive semi-definite; clip rounding below zero.
         self.eig = np.maximum(eig, 0.0)
 
     def weights(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights (d, T) and intercepts (T,) for each of T penalties."""
+        """Weights (d, T; for a kernel fit on its coordinates) and intercepts (T,)."""
         w = self.vecs @ (self.coef[:, None] / (self.eig[:, None] + lams[None, :]))
         if self.xc is not None:
-            w = self.xc.T @ w
+            w = _reflect(self.xc)[1:].T @ w
         return w, self.y_mean - self.x_mean @ w
 
     def predict(self, X: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Predictions (len(X), T) for the rows of X at each of T penalties."""
+        """Predictions (t, T) for t rows at each of T penalties: the rows of
+        X, or for a kernel fit their kernel block ``K_RT`` (n, t)."""
         w, b = self.weights(lams)
-        return X @ w + b
+        return (_reflect(X)[1:].T if self.kernel else X) @ w + b
 
     def dof(self, lam: float) -> float:
         return float(np.sum(self.eig / (self.eig + lam)))
@@ -408,6 +414,19 @@ def _fit_mask(n: int, held: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _kernel(features: FeatureTable, ids):
+    """Blocks (by image id) of the Gram matrix of ``ids``' centred features."""
+    row = {image_id: k for k, image_id in enumerate(ids)}
+    g = features.matrix(ids)
+    g -= g.mean(axis=0)
+    gram = g @ g.T
+    return lambda rows, cols: gram[np.ix_([row[i] for i in rows], [row[i] for i in cols])]
+
+
+def _kernel_route(spec: PredictorSpec, features: FeatureTable, n: int) -> bool:
+    return not spec.iterative and features.dim >= n  # the kernel is the smaller Gram matrix
+
+
 def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
     """Losses ``[t, k]``, the MSE of trial t's penalty on inner fold k, from
     one factorization per inner fit set, plus each trial's error: a failed
@@ -476,6 +495,7 @@ def random_search(
     repetition: int = 0,
     fold: int = 0,
     fitted: list | None = None,
+    kernel=None,
 ) -> tuple[TrialResult, list[TrialResult]]:
     """Sample ``n_trials`` configurations and return (winner, all trials).
 
@@ -483,14 +503,13 @@ def random_search(
     the earliest trial. A trial that fails to fit is recorded with its
     error and skipped; if every trial fails a ComputationError carrying
     the per-trial diagnostics is raised. ``fitted``, when given, receives
-    what a refit on the training set reuses: its X and y (rows in sorted
-    id order) and, for ridge, its one factorization.
+    what a refit reuses: a reader of rows as the fit takes them, X, y and,
+    for ridge, its one factorization (of ``kernel`` or a new ``_kernel``).
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
     train_ids = sorted({i for part in inner_folds for i in part})
     position = {image_id: k for k, image_id in enumerate(train_ids)}
-    X = features.matrix(train_ids)
     y = np.array([targets[i] for i in train_ids], dtype=np.float64)
     held = [_rows(position, part) for part in inner_folds]
     if not all(0 < len(rows) < len(y) for rows in held):
@@ -500,6 +519,7 @@ def random_search(
         for t in range(n_trials)
     ]
     model = None
+    X = None if _kernel_route(spec, features, len(y)) else features.matrix(train_ids)
     if spec.iterative:
         outside = sorted(set(validation) - set(position))
         if outside:
@@ -509,11 +529,13 @@ def random_search(
         )
     else:
         lams = np.array([params["lambda"] for params, _ in draws], dtype=np.float64)
-        model = _RidgeFit(X, y)
-        if model.xc is None:  # d < n: each inner fit set is cheaper to factor alone
-            losses, errors = _ridge_losses(X, y, held, lams)
-        else:
+        if X is None:
+            kernel = kernel or _kernel(features, train_ids)
+            model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
             losses, errors = model.held_out_losses(held, lams), [None] * n_trials
+        else:
+            model = _RidgeFit(X, y)
+            losses, errors = _ridge_losses(X, y, held, lams)
         best_epochs = [None] * n_trials
 
     trials: list[TrialResult] = []
@@ -542,7 +564,8 @@ def random_search(
         raise ComputationError(f"all {n_trials} search trials failed: {details}")
     best = min(viable, key=lambda tr: (tr.loss, tr.trial))
     if fitted is not None:
-        fitted.extend((X, y, model))
+        rows = features.matrix if X is not None else lambda ids: kernel(train_ids, ids)
+        fitted.extend((rows, X, y, model))
     return best, trials
 
 
@@ -553,15 +576,16 @@ def _run_fold(
     spec: PredictorSpec,
     n_trials: int,
     seed: int,
+    kernel,
 ) -> tuple[list[Prediction], list[TrialResult], Refit]:
     try:
         fitted: list = []
         best, trials = random_search(
-            spec, fp.inner, features, targets.mean_a, validation=fp.validation,
+            spec, fp.inner, features, targets.mean_a, validation=fp.validation, kernel=kernel,
             n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold, fitted=fitted,
         )
-        X, y, model = fitted
-        Xt = features.matrix(fp.test)
+        rows, X, y, model = fitted
+        Xt = rows(fp.test)
         if spec.iterative:
             epochs = effective_epochs(best.best_epoch, best.max_epochs)
             raw = _GradientDescentModel(X, y, best.params["learning_rate"], epochs).predict(Xt)
@@ -597,15 +621,21 @@ def run_nested_cv(
     The log holds one record per (repetition, fold, trial) with the
     winning trial flagged; the prediction set carries each fold's refit.
     ``seed`` defaults to the plan's own seed so a stored plan fully
-    determines the run.
+    determines the run. Every planned image needs a feature vector.
     """
     assert_no_leakage(plan, targets)
+    missing = sorted(set(plan.image_ids) - features.row.keys())
+    if missing:
+        raise InputError(f"no feature vector for {len(missing)} planned images "
+                         f"(first: {missing[:5]})", field="features")
     if seed is None:
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
+    wide = any(_kernel_route(spec, features, len(fp.train)) for fp in tasks)
+    kernel = _kernel(features, plan.image_ids) if wide else None
 
     def work(fp: FoldPlan):
-        return _run_fold(fp, features, targets, spec, n_trials, seed)
+        return _run_fold(fp, features, targets, spec, n_trials, seed, kernel)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

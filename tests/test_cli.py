@@ -422,6 +422,26 @@ class TestErrorContracts:
         assert error["type"] == "validation"
         assert f"{targets}:3: non-finite" in error["message"]
 
+    @pytest.mark.parametrize("command", ["cv", "all"])
+    def test_missing_feature_vectors_name_the_option(self, workspace, tmp_path, capsys,
+                                                     command):
+        # used to exit 2 naming only fold 0's gaps, as a computation error
+        lines = _read(workspace["features"]).splitlines(keepends=True)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(line for line in lines if line.split(",", 1)[0]
+                                    not in {"img040", "img002", "img017"}))
+        inputs = {
+            "cv": ["--plan", str(workspace["plan"]), "--targets", str(workspace["targets"])],
+            "all": ["--seed", "5", "--ratings", str(workspace["ratings"])],
+        }[command]
+        assert main([command, "--out", str(tmp_path / "o"), "--trials", "2", *inputs,
+                     "--features", str(features)]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "features",
+            "message": "no feature vector for 3 planned images "
+                       "(first: ['img002', 'img017', 'img040'])",
+        }
+
     # option -> the command that reads it in the probes below
     READER = {
         "ratings": "qc", "config": "cv", "features": "cv", "plan": "cv", "targets": "metrics",

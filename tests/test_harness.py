@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,6 +499,25 @@ class TestRunNestedCv:
         with pytest.raises(ComputationError):
             run_nested_cv(plan, incomplete, features, default_spec(), n_trials=2)
 
+    @pytest.mark.parametrize("d, kind", [
+        (70, "ridge_closed_form"), (4, "ridge_closed_form"), (4, "iterative_stub"),
+    ])
+    def test_missing_feature_vectors_fail_before_any_fold(self, monkeypatch, d, kind):
+        plan, targets, features = self._setup(d=d)
+        gone = {"i052", "i003", "i044", "i059", "i031", "i007"}
+        kept = [i for i in features.ids if i not in gone]
+        partial = FeatureTable.from_array(kept, features.matrix(kept))
+        monkeypatch.setattr(harness, "_run_fold", lambda *args: pytest.fail("a fold ran"))
+        kernels = _remember_kernels(monkeypatch)
+        with pytest.raises(InputError) as exc:
+            run_nested_cv(plan, targets, partial, default_spec(kind), n_trials=2)
+        assert (exc.value.field, str(exc.value)) == (
+            "features",
+            "no feature vector for 6 planned images "
+            "(first: ['i003', 'i007', 'i031', 'i044', 'i052'])",
+        )
+        assert kernels == []
+
 
 class TestSearchSummary:
     def test_counts_quantiles_and_edges(self):
@@ -558,16 +579,69 @@ class TestSearchSummary:
         assert all(w["effective_dof"] is None for w in summary["winners"])
 
 
+class TestSharedKernel:
+    """When d >= n one kernel of every planned image serves all folds:
+    a fold reads no test target, and test features only centre it."""
+
+    def _run(self, mean_a, features, **kw):
+        return run_nested_cv(self.plan, _targets_from(mean_a), features, default_spec(),
+                             n_trials=4, **kw)
+
+    def setup_method(self):
+        self.ids, self.features, self.mean_a = _linear_problem(40, 50, noise=2.0, seed=5)
+        self.plan = make_cv_plan(self.ids, seed=9)
+        self.test = self.plan.fold_plan(0, 0).test
+
+    @staticmethod
+    def _fold(preds, log, rep=0, fold=0):
+        return ([p for p in preds.entries if (p.repetition, p.fold) == (rep, fold)],
+                [r for r in log if (r["repetition"], r["fold"]) == (rep, fold)])
+
+    def test_test_targets_do_not_reach_their_fold(self):
+        base = self._run(self.mean_a, self.features)
+        moved = dict(self.mean_a)
+        for k, image_id in enumerate(self.test):
+            moved[image_id] = 1e3 * (-1) ** k
+        preds, log = self._run(moved, self.features)
+        assert self._fold(preds, log) == self._fold(*base)
+        # the same images train the other folds of repetition 0, which move
+        assert self._fold(preds, log, fold=1) != self._fold(*base, fold=1)
+
+    def test_test_features_only_centre_their_fold(self):
+        _, base = self._run(self.mean_a, self.features)
+        array = np.array(self.features.array)
+        array[self.features.row[self.test[0]]] += 25.0
+        _, log = self._run(self.mean_a, FeatureTable.from_array(self.features.ids, array))
+        in_fold = [(a["loss"], b["loss"]) for a, b in zip(base, log)
+                   if (a["repetition"], a["fold"]) == (0, 0)]
+        assert all(abs(b / a - 1) <= 1e-12 for a, b in in_fold)
+        elsewhere = [abs(b["loss"] / a["loss"] - 1) for a, b in zip(base, log)]
+        assert max(elsewhere) > 1e-3
+
+    def test_threads_share_the_kernel_without_changing_results(self):
+        alone = self._run(self.mean_a, self.features)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = self._run(self.mean_a, self.features, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == alone
+
+
 @st.composite
 def _wide_case(draw):
     """A d >= n training set at any scale and offset, some rows repeated,
-    split into 2..6 inner folds of unequal sizes, and six penalties over
-    [1e-8, 1e6], both ends included."""
+    split into 2..6 inner folds of unequal sizes, six penalties over
+    [1e-8, 1e6], both ends included, and 1..6 test rows drawn alike, some
+    repeating training rows."""
     n = draw(st.integers(3, 24))
     d = draw(st.integers(n, 2 * n + 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** rng.uniform(-2, 2)
-    X = scale * (rng.standard_normal((n, d)) + rng.uniform(-10, 10, d))
+    noise = rng.standard_normal((n, d))
+    offset = rng.uniform(-10, 10, d)
+    X = scale * (noise + offset)
     copies = draw(st.integers(0, n // 2))
     X[rng.integers(0, n, copies)] = X[rng.integers(0, n, copies)]
     y = rng.uniform(0, 100, n)
@@ -575,21 +649,60 @@ def _wide_case(draw):
                               replace=False))
     held = [np.sort(part) for part in np.split(rng.permutation(n), cuts)]
     lams = np.concatenate([[1e-8, 1e6], 10.0 ** rng.uniform(-8, 6, 4)])
-    return X, y, held, lams
+    t = draw(st.integers(1, 6))
+    Xt = scale * (rng.standard_normal((t, d)) + offset)
+    copies = draw(st.integers(0, t))
+    Xt[rng.integers(0, t, copies)] = X[rng.integers(0, n, copies)]
+    return X, y, held, lams, Xt
 
 
 def _remember_designs(monkeypatch) -> list:
-    """Patch ``_RidgeFit.__init__`` to record every fit's (X, y); returns
-    the record, one entry per factorization."""
+    """Patch ``_RidgeFit.__init__`` to record every fit's (X, y, kernel);
+    returns the record, one entry per factorization."""
     designs = []
     init = harness._RidgeFit.__init__
 
-    def recording(self, X, y):
-        init(self, X, y)
-        designs.append((self, X, y))
+    def recording(self, X, y, kernel=False):
+        init(self, X, y, kernel)
+        designs.append((self, X, y, kernel))
 
     monkeypatch.setattr(harness._RidgeFit, "__init__", recording)
     return designs
+
+
+def _remember_kernels(monkeypatch) -> list:
+    """Patch ``_kernel`` to record the ids of every kernel formed."""
+    kernels = []
+    kernel = harness._kernel
+
+    def recording(features, ids):
+        kernels.append(tuple(ids))
+        return kernel(features, ids)
+
+    monkeypatch.setattr(harness, "_kernel", recording)
+    return kernels
+
+
+def _count_eigh(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh`` to record the shape of every matrix it factors."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+def _kernel_fit(X, y):
+    """The kernel route on the first len(y) rows of X: one ``_kernel`` of
+    every row, the training block's fit and the test block."""
+    ids = [f"i{k:03d}" for k in range(len(X))]
+    kernel = harness._kernel(FeatureTable.from_array(ids, X), ids)
+    train, test = ids[:len(y)], ids[len(y):]
+    return harness._RidgeFit(kernel(train, train), y, kernel=True), kernel(train, test)
 
 
 class TestGroupedDeletion:
@@ -600,7 +713,7 @@ class TestGroupedDeletion:
               suppress_health_check=[HealthCheck.too_slow])
     @given(_wide_case())
     def test_matches_the_per_fold_route(self, case):
-        X, y, held, lams = case
+        X, y, held, lams, Xt = case
         fit = harness._RidgeFit(X, y)
         want, errors = harness._ridge_losses(X, y, held, lams)
         assert errors == [None] * len(lams)
@@ -611,8 +724,19 @@ class TestGroupedDeletion:
         # finds both routes off alike there). The scale is max(loss, var y):
         # a held-out residual near 0 by chance has no relative accuracy.
         cond = (fit.eig.max() + lams) / (fit.eig.min() + lams)
-        tol = (1e-12 + 16 * np.finfo(float).eps * cond)[:, None] * np.maximum(want, y.var())
+        rel = 1e-12 + 16 * np.finfo(float).eps * cond
+        tol = rel[:, None] * np.maximum(want, y.var())
         assert (np.abs(fit.held_out_losses(held, lams) - want) <= tol).all()
+        # The kernel route, with the test rows centred alongside as in a run,
+        # within the same bound: its losses, its test predictions against the
+        # X-side refit (scale: prediction offset or sd y) and dof (scale 1).
+        kernel_fit, cross = _kernel_fit(np.vstack([X, Xt]), y)
+        assert (np.abs(kernel_fit.held_out_losses(held, lams) - want) <= tol).all()
+        want_pred = fit.predict(Xt, lams)
+        scale = np.maximum(np.abs(want_pred - y.mean()), y.std())
+        assert (np.abs(kernel_fit.predict(cross, lams) - want_pred) <= rel * scale).all()
+        dof = np.array([[kernel_fit.dof(lam), fit.dof(lam)] for lam in lams])
+        assert (np.abs(dof[:, 0] - dof[:, 1]) <= rel * np.maximum(dof[:, 1], 1)).all()
 
     def test_matches_the_per_fold_route_to_1e12_at_bench_shape(self):
         rng = np.random.default_rng(3)
@@ -624,18 +748,35 @@ class TestGroupedDeletion:
         want = harness._ridge_losses(X, y, held, lams)[0]
         got = harness._RidgeFit(X, y).held_out_losses(held, lams)
         assert np.abs(got / want - 1).max() <= 1e-12
+        # the kernel route, centred with 50 test images as a run centres them
+        Xt = rng.standard_normal((50, 600)) + 3
+        fit, cross = _kernel_fit(np.vstack([X, Xt]), y)
+        assert np.abs(fit.held_out_losses(held, lams) / want - 1).max() <= 1e-12
+        refit = harness._RidgeFit(X, y)
+        assert _rel_err(fit.predict(cross, lams), refit.predict(Xt, lams)) <= 1e-12
+        for lam in lams:
+            assert fit.dof(lam) == pytest.approx(refit.dof(lam), rel=1e-12)
 
     @pytest.mark.parametrize("d, per_outer_fold", [(70, 1), (48, 1), (5, 6)])
     def test_factorizations_per_outer_fold(self, monkeypatch, d, per_outer_fold):
-        # 60 images leave 48 training rows per outer fold: d >= 48 factors
+        # 60 images leave 48 training rows per outer fold: d >= 48 forms one
+        # kernel of all 60 images per run and factors each fold's block of it
         # once, d < 48 factors the 5 inner fit sets and the training set
         designs = _remember_designs(monkeypatch)
+        kernels = _remember_kernels(monkeypatch)
+        eighs = _count_eigh(monkeypatch)
         ids, features, mean_a = _linear_problem(60, d, noise=2.0, seed=12)
         run_nested_cv(make_cv_plan(ids, seed=21), _targets_from(mean_a), features,
                       default_spec(), n_trials=3)
-        assert len(designs) == 25 * per_outer_fold
-        assert {X.shape[0] for _, X, _ in designs} == (
-            {48} if per_outer_fold == 1 else {38, 39, 48})
+        assert len(designs) == len(eighs) == 25 * per_outer_fold
+        if per_outer_fold == 1:
+            assert kernels == [tuple(ids)]
+            assert {(X.shape, kernel) for _, X, _, kernel in designs} == {((48, 48), True)}
+            assert set(eighs) == {(47, 47)}
+        else:
+            assert kernels == []
+            assert {(X.shape[0], kernel) for _, X, _, kernel in designs} == {
+                (38, False), (39, False), (48, False)}
 
     def test_cli_bytes_match_the_per_fold_route(self, tmp_path, monkeypatch):
         synth, split = tmp_path / "synth", tmp_path / "split"
@@ -654,14 +795,10 @@ class TestGroupedDeletion:
 
         grouped = cv(tmp_path / "grouped")
         designs = _remember_designs(monkeypatch)
-
-        def per_fold(self, held, lams):
-            _, X, y = next(entry for entry in designs if entry[0] is self)
-            losses, errors = harness._ridge_losses(X, y, held, lams)
-            assert errors == [None] * len(lams)
-            return losses
-
-        monkeypatch.setattr(harness._RidgeFit, "held_out_losses", per_fold)
+        kernels = _remember_kernels(monkeypatch)
+        monkeypatch.setattr(harness, "_kernel_route", lambda spec, features, n: False)
         assert cv(tmp_path / "per_fold") == grouped
-        # 32 training rows per outer fold at d = 48: only the forced route fit sets
+        # 32 training rows per outer fold at d = 48: the forced route factors the
+        # 5 inner fit sets and the training set from X, and forms no kernel
         assert len(designs) == 25 * 6
+        assert kernels == [] and not any(kernel for *_, kernel in designs)

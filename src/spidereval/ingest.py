@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -271,7 +272,9 @@ class RatingsTable:
 
     ``participant_ids`` and ``image_ids`` are the sorted ids that have a
     row; ``participant`` and ``image`` code each row by its position in
-    them, next to its ``trial`` (int64) and ``rating`` (float64).
+    them (:func:`load_ratings` codes ids in the order it first sees them,
+    then remaps the codes to these positions), next to its ``trial``
+    (int64) and ``rating`` (float64).
     ``RatingsTable(records)`` and :attr:`records` convert from and to
     :class:`RatingRecord` objects.
     """
@@ -457,40 +460,63 @@ def load_ratings(path: str | Path) -> RatingsTable:
 
     Any malformed row raises :class:`InputError` with its line number, so
     nothing is ever dropped silently; of several, the first in the file
-    is named.
+    is named, and a file without rows is an error too. No Python object is
+    kept per row: ids are coded in the order first seen, the codes, trials,
+    ratings and line numbers go to typed arrays, and at the end the codes
+    are remapped to positions among the sorted ids.
     """
     src = InputFile(path, "ratings")
-    participants, images, trials, ratings, lines = [], [], [], [], []
+    participant_ids: dict[str, int] = {}  # id -> first-seen code
+    image_ids: dict[str, int] = {}
+    participants, images, trials, lines, ratings = map(array, "qqqqd")
     error = None
     try:
         for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
-            if not participant or not image:
-                raise src.error("empty participant or image id", line)
-            trial = src.integer(trial_raw, line, "trial_index", 1)
-            if trial > _INT64_MAX:
-                raise src.error(f"trial_index must be <= {_INT64_MAX}, got {trial_raw!r}", line)
-            rating = src.number(rating_raw, line, "rating")
-            if not 0.0 <= rating <= 100.0:
-                raise src.error(f"rating {rating_raw} outside [0, 100]", line)
-            participants.append(participant)
-            images.append(image)
+            try:
+                trial, rating = int(trial_raw), float(rating_raw)
+            except ValueError:
+                trial = rating = -1
+            if not (participant and image and 1 <= trial <= _INT64_MAX
+                    and 0.0 <= rating <= 100.0):
+                raise _row_error(src, line, participant, image, trial_raw, rating_raw)
+            participants.append(participant_ids.setdefault(participant, len(participant_ids)))
+            images.append(image_ids.setdefault(image, len(image_ids)))
             trials.append(trial)
             ratings.append(rating)
             lines.append(line)
     except InputError as exc:
         error = exc  # a repeat in the rows above it comes first in the file
-    table = RatingsTable.from_codes(*_encode(participants), *_encode(images), trials, ratings)
+    if error is None and not ratings:
+        raise src.error("no rating rows")
+    columns = []
+    for ids, column in ((participant_ids, participants), (image_ids, images)):
+        ordered = sorted(ids)
+        rank = np.argsort([ids[i] for i in ordered])  # first-seen code -> sorted position
+        columns += [ordered, rank[np.asarray(column)]]
+    table = RatingsTable.from_codes(*columns, trials, ratings)
     pair = table.participant * table.n_images + table.image
     order = np.lexsort((table.trial, pair))  # stable: a repeat follows its first row
     pair, trial = pair[order], table.trial[order]
     repeats = order[1:][(pair[1:] == pair[:-1]) & (trial[1:] == trial[:-1])]
     if repeats.size:
         row = int(repeats.min())
-        key = (participants[row], images[row], trials[row])
+        key = (table.participant_ids[table.participant[row]],
+               table.image_ids[table.image[row]], trials[row])
         raise src.error(f"duplicate (participant, image, trial) {key}", lines[row])
     if error is not None:
         raise error
     return table
+
+
+def _row_error(src: InputFile, line: int, participant: str, image: str,
+               trial_raw: str, rating_raw: str) -> InputError:
+    """The error of a row :func:`load_ratings` refused, found cell by cell."""
+    if not participant or not image:
+        return src.error("empty participant or image id", line)
+    if src.integer(trial_raw, line, "trial_index", 1) > _INT64_MAX:
+        return src.error(f"trial_index must be <= {_INT64_MAX}, got {trial_raw!r}", line)
+    src.number(rating_raw, line, "rating")
+    return src.error(f"rating {rating_raw} outside [0, 100]", line)
 
 
 def write_ratings(table: RatingsTable, path: str | Path) -> None:
@@ -506,7 +532,11 @@ def first_trial_filter(table: RatingsTable) -> RatingsTable:
     """Keep only the earliest-trial row per (participant, image) pair, in file order."""
     pair = table.participant * table.n_images + table.image
     order = np.lexsort((table.trial, pair))  # stable: of equal trials, the earliest row first
-    _, first = np.unique(pair[order], return_index=True)
+    # The lexsort has grouped equal pairs, so a run's first row is where the pair
+    # differs from its neighbour; np.unique would sort the sorted pairs again.
+    pair = pair[order]
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
     return table.select(np.sort(order[first]))
 
 

@@ -442,6 +442,19 @@ class TestErrorContracts:
                        "(first: ['img002', 'img017', 'img040'])",
         }
 
+    @pytest.mark.parametrize("command", ["qc", "split", "icc", "all"])
+    def test_ratings_without_rows_name_the_option(self, workspace, tmp_path, capsys, command):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("participant_id,image_id,trial_index,rating\n")
+        extra = {"qc": [], "split": ["--seed", "5"], "icc": ["--seed", "5"],
+                 "all": ["--seed", "5", "--features", str(workspace["features"])]}[command]
+        assert main([command, "--out", str(tmp_path / "o"), "--ratings", str(ratings),
+                     *extra]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "ratings",
+            "message": f"{ratings}: no rating rows",
+        }
+
     # option -> the command that reads it in the probes below
     READER = {
         "ratings": "qc", "config": "cv", "features": "cv", "plan": "cv", "targets": "metrics",

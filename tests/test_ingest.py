@@ -1,14 +1,19 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spidereval.errors import InputError
 from spidereval.ingest import (
     CRITERIA,
+    RATINGS_HEADER,
     BinaryMask,
     FloatGrid,
+    InputFile,
     RatingRecord,
     RatingsTable,
     first_trial_filter,
@@ -164,6 +169,106 @@ class TestRatingsErrors:
     def test_line_numbers_count_physical_lines(self, tmp_path):
         body = 'p1,"i\n1",1,5\np1,"i\n1",1,6\n'
         assert self._error(tmp_path, body).startswith("5: duplicate")
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_a_file_without_rows_is_an_error(self, tmp_path, body):
+        path = write_text(tmp_path / "r.csv", RATINGS_HEAD + body)
+        with pytest.raises(InputError) as info:
+            load_ratings(path)
+        assert info.value.field == "ratings"
+        assert str(info.value) == f"{path}: no rating rows"
+
+
+def _reference_error(path):
+    """The first error of a ratings file by a row-by-row parse: each row's
+    cells are checked in column order and a repeated (participant, image,
+    trial) is reported at the repeat, whichever comes first in the file."""
+    src = InputFile(path, "ratings")
+    seen = set()
+    try:
+        for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
+            if not participant or not image:
+                raise src.error("empty participant or image id", line)
+            trial = src.integer(trial_raw, line, "trial_index", 1)
+            if trial > 2**63 - 1:
+                raise src.error(f"trial_index must be <= {2**63 - 1}, got {trial_raw!r}", line)
+            rating = src.number(rating_raw, line, "rating")
+            if not 0.0 <= rating <= 100.0:
+                raise src.error(f"rating {rating_raw} outside [0, 100]", line)
+            key = (participant, image, trial)
+            if key in seen:
+                raise src.error(f"duplicate (participant, image, trial) {key}", line)
+            seen.add(key)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+CORRUPTIONS = [
+    (0, ""), (1, ""),
+    (2, "0"), (2, "x"), (2, str(2**63)),
+    (3, "-0.1"), (3, "101"), (3, "nan"), (3, "inf"), (3, "oops"),
+    ("fields", 3), ("fields", 5),
+]
+
+
+@st.composite
+def corrupted_ratings(draw):
+    """Valid rating rows with one corrupted row and, sometimes, a repeat of
+    a valid row's (participant, image, trial) inserted above or below it."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["p1", "p2", "p10"]), st.sampled_from(["i1", "i2", "a"]),
+                  st.sampled_from(["1", "2", "07"]), st.sampled_from(["0", "5.5", "100", "1e1"])),
+        min_size=1, max_size=12, unique_by=lambda r: (r[0], r[1], int(r[2]))))
+    rows = [list(r) for r in rows]
+    bad = draw(st.integers(0, len(rows) - 1))
+    # one or two cells of the row, so that the order of the checks shows
+    corruptions = draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2,
+                                unique_by=lambda c: c[0]))
+    for where, value in sorted(corruptions, key=lambda c: c[0] == "fields"):
+        if where == "fields":
+            rows[bad] = (rows[bad] + ["9"])[:value]
+        else:
+            rows[bad][where] = value
+    valid = [k for k in range(len(rows)) if k != bad]
+    if valid and draw(st.booleans()):
+        source = rows[draw(st.sampled_from(valid))]
+        repeat = source[:3] + ["50"]
+        rows.insert(draw(st.integers(0, len(rows))), repeat)
+    return rows
+
+
+class TestRatingsErrorOrder:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corrupted_ratings())
+    def test_same_message_and_line_as_a_row_by_row_parse(self, tmp_path, rows):
+        path = tmp_path / "r.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RATINGS_HEADER)
+            writer.writerows(rows)
+        expected = _reference_error(path)
+        assert expected is not None
+        with pytest.raises(InputError) as info:
+            load_ratings(path)
+        assert (str(info.value), info.value.field) == (expected, "ratings")
+
+
+def test_parse_keeps_no_python_object_per_row(tmp_path):
+    # Per-row str/int/float objects alone would take ~270 bytes a row.
+    path = tmp_path / "r.csv"
+    rows = [f"p{p},img{i},{1 + (p + i) % 3},{(p * 7 + i) % 100}.25"
+            for p in range(200) for i in range(100)]
+    path.write_text(RATINGS_HEAD + "\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        table = load_ratings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak / len(table) <= 160
 
 
 class TestFirstTrialFilter:

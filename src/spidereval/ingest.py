@@ -472,13 +472,14 @@ def load_ratings(path: str | Path) -> RatingsTable:
     error = None
     try:
         for line, (participant, image, trial_raw, rating_raw) in src.rows(RATINGS_HEADER):
-            try:
-                trial, rating = int(trial_raw), float(rating_raw)
-            except ValueError:
-                trial = rating = -1
-            if not (participant and image and 1 <= trial <= _INT64_MAX
-                    and 0.0 <= rating <= 100.0):
-                raise _row_error(src, line, participant, image, trial_raw, rating_raw)
+            if not participant or not image:
+                raise src.error("empty participant or image id", line)
+            trial = src.integer(trial_raw, line, "trial_index", 1)
+            if trial > _INT64_MAX:
+                raise src.error(f"trial_index must be <= {_INT64_MAX}, got {trial_raw!r}", line)
+            rating = src.number(rating_raw, line, "rating")
+            if not 0.0 <= rating <= 100.0:
+                raise src.error(f"rating {rating_raw} outside [0, 100]", line)
             participants.append(participant_ids.setdefault(participant, len(participant_ids)))
             images.append(image_ids.setdefault(image, len(image_ids)))
             trials.append(trial)
@@ -508,17 +509,6 @@ def load_ratings(path: str | Path) -> RatingsTable:
     return table
 
 
-def _row_error(src: InputFile, line: int, participant: str, image: str,
-               trial_raw: str, rating_raw: str) -> InputError:
-    """The error of a row :func:`load_ratings` refused, found cell by cell."""
-    if not participant or not image:
-        return src.error("empty participant or image id", line)
-    if src.integer(trial_raw, line, "trial_index", 1) > _INT64_MAX:
-        return src.error(f"trial_index must be <= {_INT64_MAX}, got {trial_raw!r}", line)
-    src.number(rating_raw, line, "rating")
-    return src.error(f"rating {rating_raw} outside [0, 100]", line)
-
-
 def write_ratings(table: RatingsTable, path: str | Path) -> None:
     write_csv(path, RATINGS_HEADER, columns=[
         map(table.participant_ids.__getitem__, table.participant.tolist()),
@@ -532,11 +522,7 @@ def first_trial_filter(table: RatingsTable) -> RatingsTable:
     """Keep only the earliest-trial row per (participant, image) pair, in file order."""
     pair = table.participant * table.n_images + table.image
     order = np.lexsort((table.trial, pair))  # stable: of equal trials, the earliest row first
-    # The lexsort has grouped equal pairs, so a run's first row is where the pair
-    # differs from its neighbour; np.unique would sort the sorted pairs again.
-    pair = pair[order]
-    first = np.ones(len(pair), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
+    _, first = np.unique(pair[order], return_index=True)
     return table.select(np.sort(order[first]))
 
 

@@ -25,21 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .attribution import (
-    composite_heatmap,
-    delta_fear_correlations,
-    overlap_stats,
-    paired_one_sided_t,
-    representative_examples,
-)
-from .curvefit import FORMS, fit_curve, model_value
-from .error_analysis import (
-    ALPHA,
-    DEFAULT_BOOTSTRAP,
-    MIN_CELL,
-    analyze_errors,
-    image_abs_errors,
-)
+from .defaults import ALPHA, DEFAULT_BOOTSTRAP, DEFAULT_REPS, FORMS, MIN_CELL, MISSING_MODES
 from .errors import ComputationError, InputError
 from .harness import (
     N_TRIALS,
@@ -62,7 +48,6 @@ from .ingest import (
     write_features,
     write_ratings,
 )
-from .metrics import metric_report
 from .outputs import (
     load_image_targets,
     load_predictions,
@@ -89,19 +74,11 @@ from .partition import (
     split_participants,
     write_cv_plan,
 )
-from .qc import run_qc
-from .reliability import (
-    DEFAULT_REPS,
-    DEFAULT_SIZES,
-    MISSING_MODES,
-    bootstrap_icc,
-    build_rating_matrix,
-    icc2k,
-    wilson_ci,
-)
 from .rng import check_seed
-from .svgplot import grouped_bar_plot, line_plot, mean_sd_plot
-from .synth import SynthSpec, generate
+
+# The analysis modules (qc, reliability, metrics, error_analysis,
+# attribution, curvefit, svgplot, synth) are imported by the stage that
+# runs them, so a command loads only what it runs.
 
 log = logging.getLogger("spidereval")
 
@@ -118,15 +95,29 @@ class _Parser(argparse.ArgumentParser):
 # -- option table ------------------------------------------------------------
 
 
+def _int(value) -> int:
+    """A JSON integer or a decimal string: a float would be truncated and a
+    bool read as 0 or 1, so both are refused."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _count(value) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
 
 
 def _seed(value) -> int:
-    return check_seed(int(value))
+    return check_seed(_int(value))
 
 
 def _path(value) -> str:
@@ -159,7 +150,7 @@ def _out_dir(value) -> str:
 def _sizes(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def _object(value) -> dict:
@@ -212,29 +203,29 @@ OPTIONS = (
     Option("trials", _count, N_TRIALS, "search trials per fold", "cv all"),
     Option("threads", _count, 1, "worker threads", "cv all"),
     Option("sizes", _sizes, None, "comma-separated ICC subsample sizes", "icc all"),
-    Option("reps", int, DEFAULT_REPS, "ICC bootstrap repetitions per size", "icc all"),
+    Option("reps", _int, DEFAULT_REPS, "ICC bootstrap repetitions per size", "icc all"),
     Option("missing", str, "impute", "ICC missing-cell handling", "icc all",
            choices=MISSING_MODES),
-    Option("bootstrap", int, DEFAULT_BOOTSTRAP, "error-analysis bootstrap replicates",
+    Option("bootstrap", _int, DEFAULT_BOOTSTRAP, "error-analysis bootstrap replicates",
            "error-analysis all"),
-    Option("min_cell", int, MIN_CELL, "minimum category size for tests", "error-analysis all"),
-    Option("alpha", float, ALPHA, "FDR significance level", "error-analysis all"),
-    Option("level", float, 0.95, "confidence level", "error-analysis prop-ci all"),
+    Option("min_cell", _int, MIN_CELL, "minimum category size for tests", "error-analysis all"),
+    Option("alpha", _float, ALPHA, "FDR significance level", "error-analysis all"),
+    Option("level", _float, 0.95, "confidence level", "error-analysis prop-ci all"),
     Option("points", _path, None, "CSV with header n,y", "curve"),
     Option("form", str, None, "curve form", "curve", choices=FORMS),
     Option("model", str, "", "label for the output row", "curve"),
     Option("metric", str, "", "label for the output row", "curve"),
-    Option("successes", int, None, "number of successes", "prop-ci"),
-    Option("n", int, None, "number of trials", "prop-ci"),
-    Option("images", int, 313, "number of images", "synth"),
-    Option("raters", int, 148, "number of raters", "synth"),
-    Option("var_image", float, 100.0, "image variance component", "synth"),
-    Option("var_rater", float, 25.0, "rater variance component", "synth"),
-    Option("var_residual", float, 25.0, "residual variance", "synth"),
-    Option("mu", float, 50.0, "grand mean rating", "synth"),
-    Option("outliers", int, 0, "number of outlier raters", "synth"),
-    Option("offset", float, 0.0, "rating offset of the outlier raters", "synth"),
-    Option("dim", int, 0, "feature dimension (0: no features)", "synth"),
+    Option("successes", _int, None, "number of successes", "prop-ci"),
+    Option("n", _int, None, "number of trials", "prop-ci"),
+    Option("images", _int, 313, "number of images", "synth"),
+    Option("raters", _int, 148, "number of raters", "synth"),
+    Option("var_image", _float, 100.0, "image variance component", "synth"),
+    Option("var_rater", _float, 25.0, "rater variance component", "synth"),
+    Option("var_residual", _float, 25.0, "residual variance", "synth"),
+    Option("mu", _float, 50.0, "grand mean rating", "synth"),
+    Option("outliers", _int, 0, "number of outlier raters", "synth"),
+    Option("offset", _float, 0.0, "rating offset of the outlier raters", "synth"),
+    Option("dim", _int, 0, "feature dimension (0: no features)", "synth"),
 )
 
 
@@ -315,6 +306,7 @@ class _Run:
 
 
 def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
+    from .qc import run_qc
     report, cleaned = run_qc(table)
     counts = {
         "n_ratings_input": len(table),
@@ -359,10 +351,10 @@ def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
     base = default_spec(kind)
     try:
         ranges = {
-            str(name): (float(lo), float(hi), str(scale))
+            str(name): (_float(lo), _float(hi), str(scale))
             for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
         }
-        epochs = tuple(int(v) for v in pconf.get("epochs_range", base.epochs_range))
+        epochs = tuple(_int(v) for v in pconf.get("epochs_range", base.epochs_range))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
     spec = PredictorSpec(kind=kind, ranges=ranges, epochs_range=epochs)
@@ -384,11 +376,14 @@ def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
 
 
 def _metrics(run: _Run, ps: PredictionSet, targets) -> None:
+    from .metrics import metric_report
     report = metric_report(ps, targets.mean_b)
     write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
 
 
 def _icc(run: _Run, opts, table: RatingsTable) -> None:
+    from .reliability import DEFAULT_SIZES, bootstrap_icc, build_rating_matrix, icc2k
+    from .svgplot import mean_sd_plot
     matrix = build_rating_matrix(table)
     if opts.sizes is None:
         n_raters = len(matrix.rater_ids)
@@ -416,6 +411,8 @@ def _icc(run: _Run, opts, table: RatingsTable) -> None:
 
 
 def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
+    from .error_analysis import analyze_errors, image_abs_errors
+    from .svgplot import grouped_bar_plot
     report = analyze_errors(
         image_abs_errors(ps, targets.mean_b), cats,
         bootstrap=opts.bootstrap, level=opts.level,
@@ -438,6 +435,8 @@ def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
 def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
     """Overlap of the averaged heatmaps with each mask; ``fear`` (image ->
     target) adds the fear filter and the delta-fear correlations."""
+    from .attribution import (composite_heatmap, delta_fear_correlations, overlap_stats,
+                              paired_one_sided_t, representative_examples)
     records = []
     for fname in sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm")):
         image_id = fname[: -len(".pgm")]
@@ -513,6 +512,8 @@ def _load_points(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_curve(opts, run: _Run) -> None:
+    from .curvefit import fit_curve, model_value
+    from .svgplot import line_plot
     form, model_label, metric_label = opts.form, opts.model, opts.metric
     points = _load_points(opts.points)
     result = fit_curve(form, points)
@@ -559,6 +560,7 @@ def _cmd_error_analysis(opts, run: _Run) -> None:
 
 
 def _cmd_prop_ci(opts, run: _Run) -> None:
+    from .reliability import wilson_ci
     low, high = wilson_ci(opts.successes, opts.n, opts.level)
     doc = {
         "successes": opts.successes,
@@ -582,6 +584,7 @@ _SYNTH_FIELDS = {
 
 
 def _cmd_synth(opts, run: _Run) -> None:
+    from .synth import SynthSpec, generate
     try:
         spec = SynthSpec(seed=opts.seed,
                          **{field: getattr(opts, name) for name, field in _SYNTH_FIELDS.items()})

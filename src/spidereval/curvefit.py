@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import FORMS
 from .errors import ComputationError, InputError
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "levenberg_marquardt",
     "fit_curve",
 ]
-
-FORMS = ("decay", "rise")
 
 MAX_ITERATIONS = 500
 RSS_RTOL = 1e-12

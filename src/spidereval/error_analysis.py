@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .defaults import ALPHA, DEFAULT_BOOTSTRAP, MIN_CELL
 from .errors import ComputationError, InputError
 from .harness import PredictionSet
 from .ingest import CategoryTable
@@ -42,10 +43,6 @@ __all__ = [
     "rank_top_criteria",
     "analyze_errors",
 ]
-
-MIN_CELL = 10
-DEFAULT_BOOTSTRAP = 2000
-ALPHA = 0.05
 
 
 def image_abs_errors(

@@ -288,7 +288,12 @@ class RatingsTable:
 
     @classmethod
     def from_codes(cls, participant_ids, participant, image_ids, image, trial, rating):
-        """A table from sorted id lists and the rows coded by position in them."""
+        """A table from sorted id lists and the rows coded by position in them.
+
+        The table takes ownership of a column whose buffer already holds
+        its dtype (intp codes, int64 trials, float64 ratings): the column
+        is marked read-only, not copied, so the caller must not write to it
+        afterwards. Any other column is copied."""
         table = cls.__new__(cls)
         table._set(participant_ids, participant, image_ids, image, trial, rating)
         return table
@@ -299,7 +304,7 @@ class RatingsTable:
                                     ("image", image, np.intp),
                                     ("trial", trial, np.int64),
                                     ("rating", rating, np.float64)):
-            column = np.array(values, dtype=dtype)
+            column = np.asarray(values, dtype=dtype)
             column.flags.writeable = False
             setattr(self, name, column)
 

@@ -14,18 +14,20 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .error_analysis import ErrorAnalysisReport
 from .harness import Prediction, PredictionSet
 from .ingest import InputFile, fmt, write_csv, write_json
-from .metrics import MetricReport
 from .partition import ImageTargets
-from .qc import QcReport
-from .reliability import IccBootstrapReport
+
+if TYPE_CHECKING:  # report types only; importing the analysis modules costs start-up
+    from .error_analysis import ErrorAnalysisReport
+    from .metrics import MetricReport
+    from .qc import QcReport
+    from .reliability import IccBootstrapReport
 
 __all__ = [
     "fmt",

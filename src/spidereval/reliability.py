@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_REPS, MISSING_MODES
 from .errors import ComputationError, InputError
 from .ingest import RatingsTable
 from .rng import substream
@@ -37,9 +38,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MISSING_MODES = ("impute", "complete")
 DEFAULT_SIZES = tuple(range(10, 81, 10))
-DEFAULT_REPS = 100
 
 
 @dataclass(frozen=True)

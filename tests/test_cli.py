@@ -133,9 +133,18 @@ COMMAND_LINES = {
 }
 
 
+CV_ARGV = ["cv", "--plan", "{plan}", "--targets", "{targets}", "--features", "{features}"]
+ICC_ARGV = ["icc", "--seed", "5", "--ratings", "{filtered}"]
+EA_ARGV = ["error-analysis", "--seed", "5", "--predictions", "{predictions}",
+           "--targets", "{targets}", "--categories", "{categories}"]
+
+
+def _fill(argv, files):
+    return [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv]
+
+
 def _command(name, files, out):
-    argv = COMMAND_LINES[name]
-    return [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv] + ["--out", str(out)]
+    return _fill(COMMAND_LINES[name], files) + ["--out", str(out)]
 
 
 class TestMetricsCommand:
@@ -454,6 +463,35 @@ class TestErrorContracts:
             "type": "validation", "field": "ratings",
             "message": f"{ratings}: no rating rows",
         }
+
+    # a config number of the wrong kind: int() would truncate a float and
+    # read a bool as 0 or 1, float() would read a bool as 0.0 or 1.0
+    @pytest.mark.parametrize("argv, config, field", [
+        (ICC_ARGV, {"reps": 20.7}, "reps"),
+        (ICC_ARGV, {"sizes": [2, 3.9]}, "sizes"),
+        (ICC_ARGV, {"reps": True}, "reps"),
+        (["split", "--ratings", "{filtered}"], {"seed": 1.5}, "seed"),
+        (CV_ARGV, {"trials": 2.9}, "trials"),
+        (CV_ARGV, {"threads": True}, "threads"),
+        (CV_ARGV, {"predictor": {"kind": "iterative_stub", "epochs_range": [3, 4.5]}},
+         "predictor"),
+        (CV_ARGV, {"predictor": {"ranges": {"lambda": [True, 10, "log"]}}}, "predictor"),
+        (EA_ARGV, {"bootstrap": 150.0}, "bootstrap"),
+        (EA_ARGV, {"min_cell": True}, "min_cell"),
+        (["synth", "--seed", "3"], {"var_rater": True}, "var_rater"),
+        (["synth", "--seed", "3"], {"dim": 2.5}, "dim"),
+        (["synth", "--seed", "3"], {"mu": False}, "mu"),
+        (["prop-ci", "--successes", "3"], {"n": 10.0}, "n"),
+    ])
+    def test_config_number_of_the_wrong_kind(self, inputs, tmp_path, capsys, argv, config,
+                                             field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([*_fill(argv, inputs), "--out", str(out), "--config", str(path)]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", field)
+        assert not out.exists() or not any(out.iterdir())
 
     # option -> the command that reads it in the probes below
     READER = {
@@ -807,6 +845,51 @@ ALL_FLAGS = {"--seed": "5", "--trials": "2", "--sizes": "3", "--reps": "5",
 
 # the manifest's `predictor` record when nothing overrides the ridge defaults
 RIDGE_DEFAULT = {"ranges": {"lambda": [0.0001, 100.0, "log"]}}
+
+
+# Runs one command line and prints its exit code and the spidereval
+# modules it loaded.
+LOADED = """\
+import sys
+from spidereval.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("spidereval")))
+"""
+
+CORE_MODULES = ["", ".cli", ".defaults", ".errors", ".harness", ".ingest", ".outputs",
+                ".partition", ".rng"]
+
+
+class TestModulesLoaded:
+    """Each command imports the core every command needs plus the analysis
+    modules it runs, and no other."""
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["--version"], []),
+        (CV_ARGV + ["--trials", "2"], []),
+        (["qc", "--ratings", "{ratings}"], [".qc", ".ranking"]),
+        (ICC_ARGV + ["--sizes", "3", "--reps", "5"], [".reliability", ".special", ".svgplot"]),
+        (["all", *[a for kv in ALL_FLAGS.items() for a in kv], "--ratings", "{ratings}",
+          "--features", "{features}", "--categories", "{categories}",
+          "--heatmaps", "{heat_a}", "{heat_b}", "--masks", "{masks}"],
+         [".attribution", ".error_analysis", ".metrics", ".qc", ".ranking", ".reliability",
+          ".special", ".svgplot"]),
+    ])
+    def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, runs):
+        argv = _fill(argv, {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])})
+        if argv != ["--version"]:
+            argv += ["--out", str(tmp_path / "o")]
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", LOADED, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        code, *modules = done.stdout.splitlines()[-1].split()
+        assert code == "0", done.stderr
+        assert modules == sorted("spidereval" + m for m in CORE_MODULES + runs)
 
 
 class TestManifestConfig:

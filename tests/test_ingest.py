@@ -268,7 +268,7 @@ def test_parse_keeps_no_python_object_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(table) == 20_000
-    assert peak / len(table) <= 160
+    assert peak / len(table) <= 110
 
 
 class TestFirstTrialFilter:

@@ -20,21 +20,14 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .defaults import ALPHA, DEFAULT_BOOTSTRAP, DEFAULT_REPS, FORMS, MIN_CELL, MISSING_MODES
+from .defaults import (ALPHA, DEFAULT_BOOTSTRAP, DEFAULT_REPS, FORMS, MIN_CELL, MISSING_MODES,
+                       N_TRIALS)
 from .errors import ComputationError, InputError
-from .harness import (
-    N_TRIALS,
-    PredictionSet,
-    PredictorSpec,
-    default_spec,
-    run_nested_cv,
-    search_summary,
-)
 from .ingest import (
     InputFile,
     RatingsTable,
@@ -66,19 +59,13 @@ from .outputs import (
     write_qc_summary,
     write_search_log,
 )
-from .partition import (
-    assert_no_leakage,
-    image_group_means,
-    load_cv_plan,
-    make_cv_plan,
-    split_participants,
-    write_cv_plan,
-)
 from .rng import check_seed
 
-# The analysis modules (qc, reliability, metrics, error_analysis,
-# attribution, curvefit, svgplot, synth) are imported by the stage that
-# runs them, so a command loads only what it runs.
+if TYPE_CHECKING:
+    from .harness import PredictionSet, PredictorSpec
+
+# The split, the search and the analysis modules are imported by the
+# stage that runs them, so a command loads only what it runs.
 
 log = logging.getLogger("spidereval")
 
@@ -324,6 +311,8 @@ def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
 
 
 def _split(run: _Run, table: RatingsTable, seed: int):
+    from .partition import (assert_no_leakage, image_group_means, make_cv_plan,
+                            split_participants, write_cv_plan)
     split = split_participants(table.participant_ids, seed)
     targets = image_group_means(table, split)
     if not targets.mean_a:
@@ -343,6 +332,7 @@ def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
     ``epochs_range`` replace the kind's defaults. The resolved kind and
     the parts of the spec that kind reads go back onto ``opts``, so the
     manifest records the spec however it was spelled."""
+    from .harness import PredictorSpec, default_spec
     pconf = opts.predictor
     unknown = sorted(set(pconf) - {"kind", "ranges", "epochs_range"})
     if unknown:
@@ -365,6 +355,7 @@ def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
 
 
 def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
+    from .harness import run_nested_cv, search_summary
     ps, search_log = run_nested_cv(
         plan, targets, features, spec,
         n_trials=opts.trials, seed=opts.seed, threads=opts.threads,
@@ -485,6 +476,7 @@ def _cmd_split(opts, run: _Run) -> None:
 
 
 def _cmd_cv(opts, run: _Run) -> None:
+    from .partition import load_cv_plan
     spec = _predictor_spec(opts)
     plan = load_cv_plan(opts.plan)
     if opts.seed is None:

@@ -34,6 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .defaults import N_TRIALS
 from .errors import ComputationError, InputError
 from .ingest import FeatureTable
 from .partition import CvPlan, FoldPlan, ImageTargets, assert_no_leakage
@@ -55,7 +56,6 @@ __all__ = [
 
 # Predictor kind -> the hyperparameter its fit reads.
 KINDS = {"ridge_closed_form": "lambda", "iterative_stub": "learning_rate"}
-N_TRIALS = 30
 EPOCH_BUFFER = 5
 SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -188,7 +188,8 @@ class PredictionSet:
         an (images, repetitions) array, repetitions in ascending order.
 
         The one coverage rule of every score: the set is not empty, and
-        each repetition predicts every targeted image and no other.
+        each repetition predicts every targeted image and no other; a
+        mismatch is bad input naming the predictions or the targets.
         """
         if not self._by_rep:
             raise ComputationError("prediction set is empty")
@@ -197,14 +198,15 @@ class PredictionSet:
             predicted = self._by_rep[rep].keys()
             missing = sorted(targets.keys() - predicted)
             if missing:
-                raise ComputationError(
+                raise InputError(
                     f"repetition {rep} lacks predictions for {len(missing)} images "
-                    f"(first: {missing[:3]})"
+                    f"(first: {missing[:3]})", field="predictions"
                 )
             extra = sorted(predicted - targets.keys())
             if extra:
-                raise ComputationError(
-                    f"repetition {rep} has predictions for untargeted images {extra[:3]}"
+                raise InputError(
+                    f"repetition {rep} has predictions for untargeted images {extra[:3]}",
+                    field="targets",
                 )
         ids = tuple(sorted(targets))
         clipped = np.array(
@@ -621,8 +623,15 @@ def run_nested_cv(
     The log holds one record per (repetition, fold, trial) with the
     winning trial flagged; the prediction set carries each fold's refit.
     ``seed`` defaults to the plan's own seed so a stored plan fully
-    determines the run. Every planned image needs a feature vector.
+    determines the run. Every planned training image needs a group-A
+    target, every test image a group-B target, and every planned image a
+    feature vector.
     """
+    for group, means, part in (("A", targets.mean_a, "train"), ("B", targets.mean_b, "test")):
+        lacking = sorted({i for fp in plan.folds for i in getattr(fp, part)} - means.keys())
+        if lacking:
+            raise InputError(f"no group-{group} target for {len(lacking)} planned {part} "
+                             f"images (first: {lacking[:5]})", field="targets")
     assert_no_leakage(plan, targets)
     missing = sorted(set(plan.image_ids) - features.row.keys())
     if missing:

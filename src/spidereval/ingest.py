@@ -572,13 +572,13 @@ def load_features(path: str | Path) -> FeatureTable:
         if image in seen:
             raise src.error(f"duplicate image {image!r}", line)
         try:
-            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            vec = np.array(row[1:], dtype=np.float64)  # each cell as float() reads it
             finite = np.isfinite(vec).all()
         except ValueError:
             finite = False
         if not finite:  # name the first bad cell
-            for column, text in zip(header[1:], row[1:]):
-                src.number(text, line, column)
+            vec = np.array([src.number(text, line, column)
+                            for column, text in zip(header[1:], row[1:])])
         seen.add(image)
         ids.append(image)
         vectors.append(vec)

@@ -19,13 +19,13 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .harness import Prediction, PredictionSet
 from .ingest import InputFile, fmt, write_csv, write_json
-from .partition import ImageTargets
 
-if TYPE_CHECKING:  # report types only; importing the analysis modules costs start-up
+if TYPE_CHECKING:  # types only; importing these modules costs start-up
     from .error_analysis import ErrorAnalysisReport
+    from .harness import PredictionSet
     from .metrics import MetricReport
+    from .partition import ImageTargets
     from .qc import QcReport
     from .reliability import IccBootstrapReport
 
@@ -94,6 +94,7 @@ def write_image_targets(path, targets) -> None:
 
 
 def load_image_targets(path) -> ImageTargets:
+    from .partition import ImageTargets
     src = InputFile(path, "targets")
     mean_a: dict[str, float] = {}
     mean_b: dict[str, float] = {}
@@ -107,6 +108,8 @@ def load_image_targets(path) -> ImageTargets:
         mean_b[image_id] = src.number(b, line, "mean_b")
         n_a[image_id] = src.integer(count_a, line, "n_a", 1)
         n_b[image_id] = src.integer(count_b, line, "n_b", 1)
+    if not mean_a:
+        raise src.error("no target rows")
     return ImageTargets(mean_a=mean_a, mean_b=mean_b, n_a=n_a, n_b=n_b, dropped=())
 
 
@@ -117,6 +120,7 @@ def write_predictions(path, ps: PredictionSet) -> None:
 
 
 def load_predictions(path) -> PredictionSet:
+    from .harness import Prediction, PredictionSet
     src = InputFile(path, "predictions")
     header = ["rep", "fold", "image_id", "raw", "clipped"]
     entries: dict[tuple[int, str], Prediction] = {}

@@ -451,6 +451,30 @@ class TestErrorContracts:
                        "(first: ['img002', 'img017', 'img040'])",
         }
 
+    def test_targets_missing_planned_images_name_the_option(self, workspace, tmp_path,
+                                                            capsys):
+        # used to exit 2 from the leakage audit, listing every fold's gaps
+        lines = _read(workspace["targets"]).splitlines(keepends=True)
+        targets = tmp_path / "image_targets.csv"
+        targets.write_text("".join(line for line in lines if line.split(",", 1)[0]
+                                   not in {"img040", "img002", "img017"}))
+        assert self._cv(workspace, tmp_path, targets=targets) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "targets",
+            "message": "no group-A target for 3 planned train images "
+                       "(first: ['img002', 'img017', 'img040'])",
+        }
+
+    @pytest.mark.parametrize("command", ["cv", "metrics", "error-analysis", "overlap"])
+    def test_targets_without_rows_name_the_option(self, inputs, tmp_path, capsys, command):
+        targets = tmp_path / "image_targets.csv"
+        targets.write_text("image_id,mean_a,mean_b,n_a,n_b\n")
+        assert main(_command(command, {**inputs, "targets": targets}, tmp_path / "o")) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "targets",
+            "message": f"{targets}: no target rows",
+        }
+
     @pytest.mark.parametrize("command", ["qc", "split", "icc", "all"])
     def test_ratings_without_rows_name_the_option(self, workspace, tmp_path, capsys, command):
         ratings = tmp_path / "ratings.csv"
@@ -567,18 +591,33 @@ class TestErrorContracts:
         rep, _, image = lines[1].split(",")[:3]
         assert error["message"] == f"{bad}:3: duplicate prediction for rep={rep} image={image}"
 
-    def test_untargeted_prediction_fails_every_scorer_alike(self, inputs, tmp_path, capsys):
+    def _score_both(self, inputs, tmp_path, capsys, predictions):
+        """The one error line each scorer gives for a predictions file with
+        these lines: used to exit 2 naming no option."""
         bad = tmp_path / "predictions.csv"
-        bad.write_text(_read(inputs["predictions"]) + "0,0,ghost,50,50\n")
+        bad.write_text("".join(predictions))
         errors = []
         for command in ("metrics", "error-analysis"):
             out = tmp_path / command
-            assert main(_command(command, {**inputs, "predictions": bad}, out)) == 2
+            assert main(_command(command, {**inputs, "predictions": bad}, out)) == 1
             errors.append(_one_error_line(capsys))
             assert not out.exists() or not any(out.iterdir())
-        assert errors[0] == errors[1] == {
-            "type": "computation",
+        assert errors[0] == errors[1]
+        return errors[0]
+
+    def test_untargeted_prediction_fails_every_scorer_alike(self, inputs, tmp_path, capsys):
+        lines = _read(inputs["predictions"]).splitlines(keepends=True)
+        assert self._score_both(inputs, tmp_path, capsys, lines + ["0,0,ghost,50,50\n"]) == {
+            "type": "validation", "field": "targets",
             "message": "repetition 0 has predictions for untargeted images ['ghost']",
+        }
+
+    def test_unpredicted_target_fails_every_scorer_alike(self, inputs, tmp_path, capsys):
+        lines = _read(inputs["predictions"]).splitlines(keepends=True)
+        image = lines[1].split(",")[2]
+        assert self._score_both(inputs, tmp_path, capsys, lines[:1] + lines[2:]) == {
+            "type": "validation", "field": "predictions",
+            "message": f"repetition 0 lacks predictions for 1 images (first: ['{image}'])",
         }
 
     def test_missing_heatmap_names_the_option(self, inputs, tmp_path, capsys):
@@ -859,8 +898,8 @@ except SystemExit as exc:
 print(code, *sorted(m for m in sys.modules if m.startswith("spidereval")))
 """
 
-CORE_MODULES = ["", ".cli", ".defaults", ".errors", ".harness", ".ingest", ".outputs",
-                ".partition", ".rng"]
+CORE_MODULES = ["", ".cli", ".defaults", ".errors", ".ingest", ".outputs", ".rng"]
+SEARCH = [".harness", ".partition"]
 
 
 class TestModulesLoaded:
@@ -869,14 +908,18 @@ class TestModulesLoaded:
 
     @pytest.mark.parametrize("argv, runs", [
         (["--version"], []),
-        (CV_ARGV + ["--trials", "2"], []),
+        (CV_ARGV + ["--trials", "2"], SEARCH),
         (["qc", "--ratings", "{ratings}"], [".qc", ".ranking"]),
         (ICC_ARGV + ["--sizes", "3", "--reps", "5"], [".reliability", ".special", ".svgplot"]),
         (["all", *[a for kv in ALL_FLAGS.items() for a in kv], "--ratings", "{ratings}",
           "--features", "{features}", "--categories", "{categories}",
           "--heatmaps", "{heat_a}", "{heat_b}", "--masks", "{masks}"],
          [".attribution", ".error_analysis", ".metrics", ".qc", ".ranking", ".reliability",
-          ".special", ".svgplot"]),
+          ".special", ".svgplot", *SEARCH]),
+        (["overlap", "--heatmaps", "{heat_a}", "--masks", "{masks}"],
+         [".attribution", ".qc", ".ranking", ".special"]),
+        (["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
+         [".metrics", *SEARCH]),
     ])
     def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, runs):
         argv = _fill(argv, {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])})
@@ -890,6 +933,10 @@ class TestModulesLoaded:
         code, *modules = done.stdout.splitlines()[-1].split()
         assert code == "0", done.stderr
         assert modules == sorted("spidereval" + m for m in CORE_MODULES + runs)
+
+    def test_trials_default_has_one_definition(self):
+        from spidereval import defaults, harness
+        assert harness.N_TRIALS is defaults.N_TRIALS
 
 
 class TestManifestConfig:

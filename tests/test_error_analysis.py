@@ -533,12 +533,12 @@ class TestImageAbsErrors:
 
     def test_missing_prediction(self):
         ps = PredictionSet((make_prediction(0, 0, "a", 10.0),))
-        with pytest.raises(ComputationError, match="lacks predictions"):
+        with pytest.raises(InputError, match="lacks predictions"):
             image_abs_errors(ps, {"a": 5.0, "b": 5.0})
 
     def test_untargeted_prediction(self):
         ps = PredictionSet((make_prediction(0, 0, "a", 10.0), make_prediction(0, 0, "zz", 1.0)))
-        with pytest.raises(ComputationError, match=r"untargeted images \['zz'\]"):
+        with pytest.raises(InputError, match=r"untargeted images \['zz'\]"):
             image_abs_errors(ps, {"a": 5.0})
 
     def test_empty_set(self):

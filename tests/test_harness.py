@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -184,10 +185,10 @@ class TestAligned:
             make_prediction(0, 0, "zz", 1.0),
             make_prediction(1, 0, "a", 1.0),
         ))
-        with pytest.raises(ComputationError,
+        with pytest.raises(InputError,
                            match=r"repetition 0 lacks predictions for 1 images \(first: \['b'\]\)"):
             ps.aligned({"a": 1.0, "b": 2.0})
-        with pytest.raises(ComputationError,
+        with pytest.raises(InputError,
                            match=r"repetition 0 has predictions for untargeted images \['zz'\]"):
             ps.aligned({"a": 1.0})
 
@@ -197,7 +198,7 @@ class TestAligned:
             make_prediction(3, 0, "a", 1.0),
             make_prediction(3, 0, "b", 1.0),
         ))
-        with pytest.raises(ComputationError, match="repetition 3 has predictions for untargeted"):
+        with pytest.raises(InputError, match="repetition 3 has predictions for untargeted"):
             ps.aligned({"a": 1.0})
 
 
@@ -489,15 +490,25 @@ class TestRunNestedCv:
         sst = float(((obs - obs.mean()) ** 2).sum())
         assert 1.0 - sse / sst > 0.6
 
-    def test_audit_runs_before_fitting(self):
+    def test_audit_runs_before_fitting(self, monkeypatch):
         plan, targets, features = self._setup(n=40)
         incomplete = ImageTargets(
             mean_a={k: v for k, v in list(targets.mean_a.items())[:-1]},
             mean_b=targets.mean_b, n_a=targets.n_a, n_b=targets.n_b,
             dropped=(),
         )
-        with pytest.raises(ComputationError):
+        monkeypatch.setattr(harness, "_run_fold", lambda *args: pytest.fail("a fold ran"))
+        # a gap in the targets is bad input, found before the leakage audit
+        with pytest.raises(InputError, match=r"no group-A target for 1 planned train images"):
             run_nested_cv(plan, incomplete, features, default_spec(), n_trials=2)
+        incomplete = dataclasses.replace(targets, mean_b=dict(list(targets.mean_b.items())[1:]))
+        with pytest.raises(InputError, match=r"no group-B target for 1 planned test images"):
+            run_nested_cv(plan, incomplete, features, default_spec(), n_trials=2)
+        leaky = dataclasses.replace(plan, folds=(dataclasses.replace(
+            plan.folds[0], train=plan.folds[0].train + plan.folds[0].test[:1]),
+            *plan.folds[1:]))
+        with pytest.raises(ComputationError, match="in both train and test"):
+            run_nested_cv(leaky, targets, features, default_spec(), n_trials=2)
 
     @pytest.mark.parametrize("d, kind", [
         (70, "ridge_closed_form"), (4, "ridge_closed_form"), (4, "iterative_stub"),

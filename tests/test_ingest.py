@@ -382,6 +382,24 @@ class TestFeatures:
         with pytest.raises(InputError, match="non-finite"):
             load_features(p)
 
+    # A row is converted in one numpy call; each cell must read as float()
+    # reads it, which InputFile.number applies to one cell.
+    @pytest.mark.parametrize("text", ["1_0", " 1.5 ", "\u0661", "nan", "Infinity", "1e400",
+                                      "+.5", "1.", "-0", "0x10", "1e", "1d5", ""])
+    def test_cell_reads_as_float_does(self, tmp_path, text):
+        p = tmp_path / "f.csv"
+        p.write_bytes(f"image_id,f0,f1\ni1,2,{text}\n".encode())
+        try:
+            expected = InputFile(p, "features").number(text, 2, "f1")
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                load_features(p)
+            assert (str(got.value), got.value.field) == (str(exc), "features")
+        else:
+            row = load_features(p).matrix(["i1"])[0]
+            assert row.tolist() == [2.0, expected]
+            assert np.signbit(row[1]) == np.signbit(expected)
+
 
 class TestFloatGrid:
     def test_round_trip_known_values(self, tmp_path):

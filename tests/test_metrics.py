@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidereval.error_analysis import image_abs_errors
-from spidereval.errors import ComputationError
+from spidereval.errors import ComputationError, InputError
 from spidereval.harness import PredictionSet, make_prediction
 from spidereval.metrics import (
     ensemble_metrics,
@@ -91,14 +91,14 @@ def test_ensemble_is_per_image_mean_of_clipped():
 def test_missing_prediction_detected():
     targets = {"a": 10.0, "b": 20.0}
     ps = _prediction_set({(0, "a"): 10.0})
-    with pytest.raises(ComputationError, match="lacks predictions"):
+    with pytest.raises(InputError, match="lacks predictions"):
         repetition_metrics(ps, targets)
 
 
 def test_extra_prediction_detected():
     targets = {"a": 10.0}
     ps = _prediction_set({(0, "a"): 10.0, (0, "zz"): 5.0})
-    with pytest.raises(ComputationError, match="untargeted"):
+    with pytest.raises(InputError, match="untargeted"):
         repetition_metrics(ps, targets)
 
 
@@ -182,5 +182,5 @@ def test_ensemble_and_errors_at_nine_repetitions_match_list_mean():
 
 def test_ensemble_rejects_untargeted_images():
     ps = _prediction_set({(0, "a"): 10.0, (0, "b"): 20.0, (0, "zz"): 5.0})
-    with pytest.raises(ComputationError, match="untargeted"):
+    with pytest.raises(InputError, match="untargeted"):
         ensemble_predictions(ps, {"a": 10.0, "b": 20.0})

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .ingest import BinaryMask, FloatGrid
-from .qc import spearman_rho
+from .ranking import spearman_rho
 from .special import student_t_sf
 
 __all__ = [

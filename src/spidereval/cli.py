@@ -328,29 +328,26 @@ def _split(run: _Run, table: RatingsTable, seed: int):
 
 
 def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
-    """``--kind`` or the config's ``predictor`` object; its ``ranges`` and
-    ``epochs_range`` replace the kind's defaults. The resolved kind and
-    the parts of the spec that kind reads go back onto ``opts``, so the
-    manifest records the spec however it was spelled."""
-    from .harness import PredictorSpec, default_spec
+    """``--kind`` or the config's ``predictor`` object; its ``ranges``
+    replace the default search space. The resolved kind and ranges go back
+    onto ``opts``, so the manifest records the spec however it was
+    spelled."""
+    from .harness import KIND, PredictorSpec, default_spec
     pconf = opts.predictor
-    unknown = sorted(set(pconf) - {"kind", "ranges", "epochs_range"})
+    unknown = sorted(set(pconf) - {"kind", "ranges"})
     if unknown:
         raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
-    kind = opts.kind if opts.kind is not None else pconf.get("kind", "ridge_closed_form")
+    kind = opts.kind if opts.kind is not None else pconf.get("kind", KIND)
     base = default_spec(kind)
     try:
         ranges = {
             str(name): (_float(lo), _float(hi), str(scale))
             for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
         }
-        epochs = tuple(_int(v) for v in pconf.get("epochs_range", base.epochs_range))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
-    spec = PredictorSpec(kind=kind, ranges=ranges, epochs_range=epochs)
+    spec = PredictorSpec(kind=kind, ranges=ranges)
     opts.kind, opts.predictor = kind, {"ranges": ranges}
-    if spec.iterative:
-        opts.predictor["epochs_range"] = epochs
     return spec
 
 

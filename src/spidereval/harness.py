@@ -7,18 +7,14 @@ outer training set, the argmin trial wins
 outer training set, and the held-out test images receive one raw and one
 clipped prediction. All losses are computed on raw predictions.
 
-Two predictor kinds are provided. ``ridge_closed_form`` is ridge
-regression with an unpenalized intercept and is the deterministic
-baseline used throughout. Each fit set is factored once, by an
-eigendecomposition of its smaller Gram matrix. When d >= n a run forms
-one kernel of every planned image, and each fold's block of it gives
-every inner fold's held-out residuals, by grouped deletion (see
-``_RidgeFit``), and the refit; when d < n each inner fit set is
-factored too. ``iterative_stub`` is a full-batch gradient
-descent linear model that exercises the epoch-checkpoint path: each
-trial also runs a monitored fit on (training minus the 20% validation
-subset) against that subset to locate ``best_epoch``, and the final fit
-uses ``best_epoch + 5`` epochs capped at the trial's sampled maximum.
+The one predictor kind, ``ridge_closed_form``, is ridge regression with
+an unpenalized intercept, searched over its penalty lambda; deep models
+are trained elsewhere and only their predictions are scored. Each fit
+set is factored once, by an eigendecomposition of its smaller Gram
+matrix. When d >= n a run forms one kernel of every planned image, and
+each fold's block of it gives every inner fold's held-out residuals, by
+grouped deletion (see ``_RidgeFit``), and the refit; when d < n each
+inner fit set is factored too.
 
 Feature rows, or kernel blocks when d >= n, are gathered once per fold,
 never per trial. (rep, fold) tasks are independent; every random draw comes
@@ -47,16 +43,13 @@ __all__ = [
     "PredictionSet",
     "Refit",
     "default_spec",
-    "effective_epochs",
     "fit_ridge",
     "random_search",
     "run_nested_cv",
     "search_summary",
 ]
 
-# Predictor kind -> the hyperparameter its fit reads.
-KINDS = {"ridge_closed_form": "lambda", "iterative_stub": "learning_rate"}
-EPOCH_BUFFER = 5
+KIND = "ridge_closed_form"
 SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -64,56 +57,42 @@ SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 class PredictorSpec:
     """Predictor kind plus the hyperparameter search space.
 
-    ``ranges`` maps a parameter name to (low, high, scale) with scale
-    "linear" or "log"; sampling is uniform on the declared scale.
-    ``epochs_range`` bounds the per-trial integer max-epoch draw and is
-    used by iterative kinds only.
+    ``ranges`` maps the one searched parameter, ``lambda``, to (low, high,
+    scale) with scale "linear" or "log"; sampling is uniform on the
+    declared scale.
     """
 
     kind: str
     ranges: Mapping[str, tuple[float, float, str]]
-    epochs_range: tuple[int, int] = (10, 50)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind != KIND:
             raise InputError(f"unknown predictor kind {self.kind!r}", field="kind")
-        if KINDS[self.kind] not in self.ranges:
-            raise InputError(
-                f"{self.kind} needs a range for {KINDS[self.kind]!r}", field="ranges"
-            )
-        for name, (low, high, scale) in self.ranges.items():
-            if scale not in ("linear", "log"):
-                raise InputError(f"range {name}: unknown scale {scale!r}", field="ranges")
-            if not (np.isfinite(low) and np.isfinite(high) and low <= high):
-                raise InputError(f"range {name}: invalid bounds ({low}, {high})", field="ranges")
-            if scale == "log" and low <= 0:
-                raise InputError(f"range {name}: log scale needs positive bounds", field="ranges")
-        if self.kind == "ridge_closed_form" and self.ranges["lambda"][0] <= 0:
+        if "lambda" not in self.ranges:
+            raise InputError(f"{KIND} needs a range for 'lambda'", field="ranges")
+        unread = sorted(set(self.ranges) - {"lambda"})
+        if unread:
+            raise InputError(f"{KIND} reads no range {unread}", field="ranges")
+        low, high, scale = self.ranges["lambda"]
+        if scale not in ("linear", "log"):
+            raise InputError(f"range lambda: unknown scale {scale!r}", field="ranges")
+        if not (np.isfinite(low) and np.isfinite(high) and low <= high):
+            raise InputError(f"range lambda: invalid bounds ({low}, {high})", field="ranges")
+        if scale == "log" and low <= 0:
+            raise InputError("range lambda: log scale needs positive bounds", field="ranges")
+        if low <= 0:
             raise InputError("range lambda: the ridge penalty needs positive bounds", field="ranges")
-        lo, hi = self.epochs_range
-        if not (1 <= lo <= hi):
-            raise InputError(f"invalid epochs range {self.epochs_range}", field="epochs_range")
-
-    @property
-    def iterative(self) -> bool:
-        return self.kind == "iterative_stub"
 
 
-def default_spec(kind: str = "ridge_closed_form") -> PredictorSpec:
-    if kind == "ridge_closed_form":
-        return PredictorSpec(kind=kind, ranges={"lambda": (1e-4, 1e2, "log")})
-    if kind == "iterative_stub":
-        return PredictorSpec(kind=kind, ranges={"learning_rate": (1e-3, 1e-1, "log")})
-    raise InputError(f"unknown predictor kind {kind!r}", field="kind")
+def default_spec(kind: str = KIND) -> PredictorSpec:
+    return PredictorSpec(kind=kind, ranges={"lambda": (1e-4, 1e2, "log")})
 
 
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
     params: dict[str, float]
-    max_epochs: int | None
     loss: float | None
-    best_epoch: int | None
     error: str | None = None
 
     def __post_init__(self) -> None:
@@ -145,13 +124,13 @@ class Refit:
     """The winning trial of one (repetition, fold), refit on its outer
     training set. ``effective_dof`` is the ridge fit's effective degrees
     of freedom, sum e / (e + lambda) over the eigenvalues e of the centred
-    Gram matrix; None for iterative kinds."""
+    Gram matrix."""
 
     repetition: int
     fold: int
     trial: int
     params: dict[str, float]
-    effective_dof: float | None
+    effective_dof: float
 
 
 @dataclass(frozen=True)
@@ -213,17 +192,6 @@ class PredictionSet:
             [[self._by_rep[rep][i].clipped for rep in reps] for i in ids], dtype=np.float64
         )
         return ids, np.array([targets[i] for i in ids], dtype=np.float64), clipped
-
-
-def effective_epochs(best_epoch: int, max_epochs: int | None = None) -> int:
-    """Checkpoint epoch plus the fixed 5-epoch buffer, capped at the
-    sampled maximum when one is given."""
-    if best_epoch < 1:
-        raise InputError(f"best_epoch must be >= 1, got {best_epoch}")
-    epochs = best_epoch + EPOCH_BUFFER
-    if max_epochs is not None:
-        epochs = min(epochs, max_epochs)
-    return epochs
 
 
 def _check_penalty(lam) -> None:
@@ -337,70 +305,12 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, flo
     return w[:, 0].copy(), float(b[0])
 
 
-def _mse(pred: np.ndarray, obs: np.ndarray) -> float:
-    diff = pred - obs
-    return float(diff @ diff / diff.shape[0])
-
-
-class _GradientDescentModel:
-    """Linear model fit by full-batch gradient descent on the MSE."""
-
-    __slots__ = ("w", "b")
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, lr: float, epochs: int):
-        n, d = X.shape
-        self.w = np.zeros(d, dtype=np.float64)
-        self.b = 0.0
-        for _ in range(epochs):
-            self._step(X, y, lr)
-
-    def _step(self, X: np.ndarray, y: np.ndarray, lr: float) -> None:
-        n = X.shape[0]
-        resid = X @ self.w + self.b - y
-        self.w -= lr * (2.0 / n) * (X.T @ resid)
-        self.b -= lr * 2.0 * float(resid.mean())
-        if not (np.isfinite(self.w).all() and np.isfinite(self.b)):
-            raise ComputationError("gradient descent diverged to non-finite weights")
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.w + self.b
-
-
-def _monitored_best_epoch(
-    X: np.ndarray,
-    y: np.ndarray,
-    Xv: np.ndarray,
-    yv: np.ndarray,
-    lr: float,
-    max_epochs: int,
-) -> int:
-    """Epoch (1-based) with the lowest validation MSE; earliest on ties."""
-    model = _GradientDescentModel(X, y, lr, epochs=0)
-    best_epoch, best_loss = 1, np.inf
-    for epoch in range(1, max_epochs + 1):
-        model._step(X, y, lr)
-        loss = _mse(model.predict(Xv), yv)
-        if not np.isfinite(loss):
-            raise ComputationError(f"validation loss non-finite at epoch {epoch}")
-        if loss < best_loss:
-            best_epoch, best_loss = epoch, loss
-    return best_epoch
-
-
-def _sample_trial(spec: PredictorSpec, rng: np.random.Generator) -> tuple[dict, int | None]:
-    params: dict[str, float] = {}
-    for name in sorted(spec.ranges):
-        low, high, scale = spec.ranges[name]
-        u = float(rng.random())
-        if scale == "log":
-            params[name] = float(np.exp(np.log(low) + u * (np.log(high) - np.log(low))))
-        else:
-            params[name] = float(low + u * (high - low))
-    max_epochs = None
-    if spec.iterative:
-        lo, hi = spec.epochs_range
-        max_epochs = int(rng.integers(lo, hi + 1))
-    return params, max_epochs
+def _sample_trial(spec: PredictorSpec, rng: np.random.Generator) -> dict[str, float]:
+    low, high, scale = spec.ranges["lambda"]
+    u = float(rng.random())
+    if scale == "log":
+        return {"lambda": float(np.exp(np.log(low) + u * (np.log(high) - np.log(low))))}
+    return {"lambda": float(low + u * (high - low))}
 
 
 def _rows(position: Mapping[str, int], ids) -> np.ndarray:
@@ -425,8 +335,8 @@ def _kernel(features: FeatureTable, ids):
     return lambda rows, cols: gram[np.ix_([row[i] for i in rows], [row[i] for i in cols])]
 
 
-def _kernel_route(spec: PredictorSpec, features: FeatureTable, n: int) -> bool:
-    return not spec.iterative and features.dim >= n  # the kernel is the smaller Gram matrix
+def _kernel_route(features: FeatureTable, n: int) -> bool:
+    return features.dim >= n  # the kernel is the smaller Gram matrix
 
 
 def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
@@ -449,49 +359,12 @@ def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
     return losses, errors
 
 
-def _iterative_losses(
-    X, y, held, validation, draws
-) -> tuple[np.ndarray, list[str | None], list[int | None]]:
-    """Losses ``[t, k]`` from one gradient-descent fit per (trial, inner
-    fold), each trial's error (its first failed fit) and the best epoch
-    of a monitored fit on the rows outside ``validation`` against it."""
-    losses = np.zeros((len(draws), len(held)))
-    errors: list[str | None] = [None] * len(draws)
-    best_epochs: list[int | None] = [None] * len(draws)
-    for k, rows in enumerate(held):
-        fit = _fit_mask(len(y), rows)
-        Xf, yf, Xh, yh = X[fit], y[fit], X[rows], y[rows]
-        for t, (params, max_epochs) in enumerate(draws):
-            if errors[t] is None:
-                try:
-                    model = _GradientDescentModel(Xf, yf, params["learning_rate"], max_epochs)
-                    losses[t, k] = _mse(model.predict(Xh), yh)
-                except ComputationError as exc:
-                    errors[t] = str(exc)
-    fit = _fit_mask(len(y), validation)
-    for t, (params, max_epochs) in enumerate(draws):
-        if errors[t] is None:
-            try:
-                if not fit.any() or not len(validation):
-                    raise ComputationError(
-                        "iterative search needs a non-empty validation subset"
-                    )
-                best_epochs[t] = _monitored_best_epoch(
-                    X[fit], y[fit], X[validation], y[validation],
-                    params["learning_rate"], max_epochs,
-                )
-            except ComputationError as exc:
-                errors[t] = str(exc)
-    return losses, errors, best_epochs
-
-
 def random_search(
     spec: PredictorSpec,
     inner_folds: tuple[tuple[str, ...], ...],
     features: FeatureTable,
     targets: Mapping[str, float],
     *,
-    validation: tuple[str, ...] = (),
     n_trials: int = N_TRIALS,
     seed: int = 0,
     repetition: int = 0,
@@ -505,8 +378,8 @@ def random_search(
     the earliest trial. A trial that fails to fit is recorded with its
     error and skipped; if every trial fails a ComputationError carrying
     the per-trial diagnostics is raised. ``fitted``, when given, receives
-    what a refit reuses: a reader of rows as the fit takes them, X, y and,
-    for ridge, its one factorization (of ``kernel`` or a new ``_kernel``).
+    what a refit reuses: a reader of rows as the fit takes them and its
+    one factorization (of ``kernel`` or a new ``_kernel``).
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
@@ -520,46 +393,26 @@ def random_search(
         _sample_trial(spec, substream(seed, "search", repetition, fold, t))
         for t in range(n_trials)
     ]
-    model = None
-    X = None if _kernel_route(spec, features, len(y)) else features.matrix(train_ids)
-    if spec.iterative:
-        outside = sorted(set(validation) - set(position))
-        if outside:
-            raise InputError(f"validation images outside the inner folds: {outside[:5]}")
-        losses, errors, best_epochs = _iterative_losses(
-            X, y, held, _rows(position, set(validation)), draws
-        )
+    lams = np.array([params["lambda"] for params in draws], dtype=np.float64)
+    X = None if _kernel_route(features, len(y)) else features.matrix(train_ids)
+    if X is None:
+        kernel = kernel or _kernel(features, train_ids)
+        model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
+        losses, errors = model.held_out_losses(held, lams), [None] * n_trials
     else:
-        lams = np.array([params["lambda"] for params, _ in draws], dtype=np.float64)
-        if X is None:
-            kernel = kernel or _kernel(features, train_ids)
-            model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
-            losses, errors = model.held_out_losses(held, lams), [None] * n_trials
-        else:
-            model = _RidgeFit(X, y)
-            losses, errors = _ridge_losses(X, y, held, lams)
-        best_epochs = [None] * n_trials
+        model = _RidgeFit(X, y)
+        losses, errors = _ridge_losses(X, y, held, lams)
 
     trials: list[TrialResult] = []
-    for t, (params, max_epochs) in enumerate(draws):
+    for t, params in enumerate(draws):
         error = errors[t]
         if error is None:
             try:
-                trials.append(
-                    TrialResult(
-                        trial=t, params=params, max_epochs=max_epochs,
-                        loss=float(np.mean(losses[t])), best_epoch=best_epochs[t],
-                    )
-                )
+                trials.append(TrialResult(trial=t, params=params, loss=float(np.mean(losses[t]))))
                 continue
             except ComputationError as exc:
                 error = str(exc)
-        trials.append(
-            TrialResult(
-                trial=t, params=params, max_epochs=max_epochs,
-                loss=None, best_epoch=None, error=error,
-            )
-        )
+        trials.append(TrialResult(trial=t, params=params, loss=None, error=error))
     viable = [tr for tr in trials if tr.loss is not None]
     if not viable:
         details = "; ".join(f"trial {tr.trial}: {tr.error}" for tr in trials)
@@ -567,7 +420,7 @@ def random_search(
     best = min(viable, key=lambda tr: (tr.loss, tr.trial))
     if fitted is not None:
         rows = features.matrix if X is not None else lambda ids: kernel(train_ids, ids)
-        fitted.extend((rows, X, y, model))
+        fitted.extend((rows, model))
     return best, trials
 
 
@@ -583,24 +436,17 @@ def _run_fold(
     try:
         fitted: list = []
         best, trials = random_search(
-            spec, fp.inner, features, targets.mean_a, validation=fp.validation, kernel=kernel,
+            spec, fp.inner, features, targets.mean_a, kernel=kernel,
             n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold, fitted=fitted,
         )
-        rows, X, y, model = fitted
-        Xt = rows(fp.test)
-        if spec.iterative:
-            epochs = effective_epochs(best.best_epoch, best.max_epochs)
-            raw = _GradientDescentModel(X, y, best.params["learning_rate"], epochs).predict(Xt)
-            dof = None
-        else:
-            lam = best.params["lambda"]
-            raw = model.predict(Xt, np.array([lam], dtype=np.float64))[:, 0]
-            dof = model.dof(lam)
+        rows, model = fitted
+        lam = best.params["lambda"]
+        raw = model.predict(rows(fp.test), np.array([lam], dtype=np.float64))[:, 0]
         preds = [
             make_prediction(fp.repetition, fp.fold, image_id, raw_val)
             for image_id, raw_val in zip(fp.test, raw)
         ]
-        refit = Refit(fp.repetition, fp.fold, best.trial, best.params, dof)
+        refit = Refit(fp.repetition, fp.fold, best.trial, best.params, model.dof(lam))
         return preds, trials, refit
     except (ComputationError, InputError) as exc:
         raise ComputationError(
@@ -640,7 +486,7 @@ def run_nested_cv(
     if seed is None:
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
-    wide = any(_kernel_route(spec, features, len(fp.train)) for fp in tasks)
+    wide = any(_kernel_route(features, len(fp.train)) for fp in tasks)
     kernel = _kernel(features, plan.image_ids) if wide else None
 
     def work(fp: FoldPlan):
@@ -663,8 +509,6 @@ def run_nested_cv(
                     "fold": fp.fold,
                     "trial": tr.trial,
                     "params": tr.params,
-                    "max_epochs": tr.max_epochs,
-                    "best_epoch": tr.best_epoch,
                     "loss": tr.loss,
                     "error": tr.error,
                     "selected": tr.trial == refit.trial,
@@ -681,7 +525,7 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
     of winners in the lowest and in the highest tenth of the range on its
     sampling scale; many winners there suggest a mis-set search space
     (Bergstra & Bengio, JMLR 2012). Also the failed-trial counts and each
-    winner's effective degrees of freedom (ridge only).
+    winner's effective degrees of freedom.
     """
     parameters = {}
     for name, (low, high, scale) in sorted(spec.ranges.items()):

@@ -135,6 +135,8 @@ def load_predictions(path) -> PredictionSet:
         if (p.repetition, image_id) in entries:
             raise src.error(f"duplicate prediction for rep={p.repetition} image={image_id}", line)
         entries[p.repetition, image_id] = p
+    if not entries:
+        raise src.error("no prediction rows")
     return PredictionSet(entries=tuple(entries.values()))
 
 

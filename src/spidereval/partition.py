@@ -149,9 +149,10 @@ def make_cv_plan(image_ids, seed: int) -> CvPlan:
 
     Five repetitions of an independent shuffle, each partitioned into
     five outer folds. Every outer training set carries a seeded 20%
-    internal validation subset and a five-way inner fold partition for
-    the hyperparameter search. All stored id lists are sorted, so the
-    plan is invariant to the input ordering of ``image_ids``.
+    internal validation subset, kept for trainers outside spidereval, and
+    a five-way inner fold partition for the hyperparameter search. All
+    stored id lists are sorted, so the plan is invariant to the input
+    ordering of ``image_ids``.
     """
     ordered = sorted(set(image_ids))
     if len(ordered) < 25:

@@ -21,18 +21,16 @@ import numpy as np
 
 from .errors import ComputationError
 from .ingest import RatingsTable, first_trial_filter, rows_by_code
-from .ranking import average_ranks
+from .ranking import MIN_PAIRS, spearman_rho
 
 __all__ = [
     "QcReport",
     "consensus_median",
-    "spearman_rho",
     "flag_correlation_outliers",
     "flag_mad_outliers",
     "run_qc",
 ]
 
-MIN_COMMON_IMAGES = 3
 MIN_PARTICIPANTS = 4
 
 
@@ -41,31 +39,6 @@ def consensus_median(table: RatingsTable) -> dict[str, float]:
     by_image = rows_by_code(table.image, table.n_images)
     return {image_id: float(np.median(table.rating[rows]))
             for image_id, rows in zip(table.image_ids, by_image)}
-
-
-def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation with average ranks for ties.
-
-    Computed as the Pearson correlation of the rank vectors. Raises
-    :class:`ComputationError` when either rank vector is constant, since
-    the correlation is undefined in that case.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ComputationError("spearman_rho expects two 1-d arrays of equal length")
-    if x.shape[0] < MIN_COMMON_IMAGES:
-        raise ComputationError(
-            f"spearman_rho needs at least {MIN_COMMON_IMAGES} pairs, got {x.shape[0]}"
-        )
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = np.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        raise ComputationError("spearman_rho undefined: a rank vector is constant")
-    return float((rx @ ry) / denom)
 
 
 def _fence(scores: dict[str, float], rule: str, upper: bool) -> float:
@@ -128,7 +101,7 @@ def run_qc(table: RatingsTable) -> tuple[QcReport, RatingsTable]:
         own, cons = filtered.rating[rows], consensus[rows]
         mad[pid] = float(np.median(np.abs(own - cons)))
         rho[pid] = None
-        if own.shape[0] >= MIN_COMMON_IMAGES:
+        if own.shape[0] >= MIN_PAIRS:
             try:
                 rho[pid] = spearman_rho(own, cons)
             except ComputationError:

@@ -475,6 +475,18 @@ class TestErrorContracts:
             "message": f"{targets}: no target rows",
         }
 
+    @pytest.mark.parametrize("command", ["metrics", "error-analysis"])
+    def test_predictions_without_rows_name_the_option(self, inputs, tmp_path, capsys, command):
+        # used to exit 2 from metrics with "prediction set is empty"
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("rep,fold,image_id,raw,clipped\n")
+        assert main(_command(command, {**inputs, "predictions": predictions},
+                             tmp_path / "o")) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "predictions",
+            "message": f"{predictions}: no prediction rows",
+        }
+
     @pytest.mark.parametrize("command", ["qc", "split", "icc", "all"])
     def test_ratings_without_rows_name_the_option(self, workspace, tmp_path, capsys, command):
         ratings = tmp_path / "ratings.csv"
@@ -497,8 +509,7 @@ class TestErrorContracts:
         (["split", "--ratings", "{filtered}"], {"seed": 1.5}, "seed"),
         (CV_ARGV, {"trials": 2.9}, "trials"),
         (CV_ARGV, {"threads": True}, "threads"),
-        (CV_ARGV, {"predictor": {"kind": "iterative_stub", "epochs_range": [3, 4.5]}},
-         "predictor"),
+        (CV_ARGV, {"predictor": {"ranges": {"lambda": [0.001, False, "log"]}}}, "predictor"),
         (CV_ARGV, {"predictor": {"ranges": {"lambda": [True, 10, "log"]}}}, "predictor"),
         (EA_ARGV, {"bootstrap": 150.0}, "bootstrap"),
         (EA_ARGV, {"min_cell": True}, "min_cell"),
@@ -917,7 +928,7 @@ class TestModulesLoaded:
          [".attribution", ".error_analysis", ".metrics", ".qc", ".ranking", ".reliability",
           ".special", ".svgplot", *SEARCH]),
         (["overlap", "--heatmaps", "{heat_a}", "--masks", "{masks}"],
-         [".attribution", ".qc", ".ranking", ".special"]),
+         [".attribution", ".ranking", ".special"]),
         (["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
          [".metrics", *SEARCH]),
     ])
@@ -969,7 +980,6 @@ class TestManifestConfig:
         }
 
     RANGES = {"lambda": [0.01, 10.0, "log"]}
-    STUB_DEFAULT = {"epochs_range": [10, 50], "ranges": {"learning_rate": [0.001, 0.1, "log"]}}
 
     @pytest.mark.parametrize("flags, config, key, value", [
         ({"--reps": "9"}, None, "reps", 9),
@@ -980,18 +990,13 @@ class TestManifestConfig:
         ({"--level": "0.9"}, None, "level", 0.9),
         ({"--min-cell": "5"}, None, "min_cell", 5),
         ({"--trials": "3"}, None, "trials", 3),
-        ({"--kind": "iterative_stub"}, None, "kind", "iterative_stub"),
         ({}, {"predictor": {"ranges": RANGES}}, "predictor", {"ranges": RANGES}),
     ])
     def test_one_changed_setting_changes_the_config(self, inputs, base, tmp_path, flags,
                                                     config, key, value):
         changed = self._all(inputs, tmp_path / "all", flags, config)
         assert changed[key] == value
-        moved = {key}
-        if key == "kind":  # another kind brings its own default search space
-            assert changed["predictor"] == self.STUB_DEFAULT
-            moved.add("predictor")
-        assert {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)} == moved
+        assert {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)} == {key}
 
     def test_threads_and_path_spelling_change_no_byte(self, inputs, tmp_path, monkeypatch):
         data = tmp_path / "data"
@@ -1026,8 +1031,8 @@ class TestManifestConfig:
     @pytest.mark.parametrize("predictor", [
         {"kind": "ridge_closed_form"},
         {"ranges": {"lambda": [0.0001, 100, "log"]}},
-        {"ranges": {"lambda": [1e-4, 1e2, "log"]}, "epochs_range": [10, 50]},
-        {"epochs_range": [5, 6]},  # ridge reads no epochs
+        {"kind": "ridge_closed_form", "ranges": {"lambda": [1e-4, 1e2, "log"]}},
+        {"ranges": {"lambda": ["0.0001", "100", "log"]}},
     ])
     def test_spelled_out_predictor_defaults_change_no_byte(self, workspace, tmp_path,
                                                            predictor):
@@ -1163,6 +1168,10 @@ class TestTypedOptions:
         ({"predictor": {"batch_size": 16}}, "predictor"),
         ({"predictor": [1, 2]}, "predictor"),
         ({"missing": "drop"}, "missing"),
+        # ridge_closed_form is the one kind, and it reads no epoch range
+        ({"kind": "iterative_stub"}, "kind"),
+        ({"predictor": {"kind": "iterative_stub"}}, "kind"),
+        ({"predictor": {"epochs_range": [10, 50]}}, "predictor"),
     ])
     def test_unsupported_config_is_rejected(self, workspace, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
@@ -1190,21 +1199,6 @@ class TestTypedOptions:
             "message": "range lambda: the ridge penalty needs positive bounds",
         }
         assert not out.exists() or not any(out.iterdir())
-
-    def test_epochs_range_applies_without_ranges(self, workspace, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(
-            {"predictor": {"kind": "iterative_stub", "epochs_range": [3, 4]}}
-        ))
-        out = tmp_path / "cv"
-        assert main([
-            "cv", "--out", str(out), "--config", str(path), "--trials", "2",
-            "--plan", str(workspace["plan"]), "--targets", str(workspace["targets"]),
-            "--features", str(workspace["features"]),
-        ]) == 0
-        with open(out / "search_log.jsonl") as fh:
-            epochs = {json.loads(line)["max_epochs"] for line in fh}
-        assert epochs <= {3, 4}
 
 
 class TestAllOverlapValidation:

@@ -2,10 +2,9 @@
 
 The workspace runs ``synth``, then every subcommand in pipeline order
 (qc -> split -> cv -> metrics -> icc -> error-analysis -> overlap, plus
-``cv`` with the iterative predictor, curve and prop-ci), then ``all`` on
-the same raw inputs. It runs from a temporary directory so the paths
-recorded in manifests are relative, and uses d = 6 features so BLAS
-threading cannot change any byte.
+curve and prop-ci), then ``all`` on the same raw inputs. It runs from a
+temporary directory so the paths recorded in manifests are relative, and
+uses d = 6 features so BLAS threading cannot change any byte.
 
 ``run_manifest.json`` is hashed with its ``versions`` block removed.
 When a digest differs, the failure message holds the complete
@@ -112,9 +111,6 @@ def _build_workspace():
     _run(["cv", "--out", "cv", "--seed", SEED, "--plan", "split/cv_plan.json",
           "--targets", "split/image_targets.csv", "--features", "synth/features.csv",
           "--trials", TRIALS])
-    _run(["cv", "--out", "cv_iterative", "--seed", SEED, "--plan", "split/cv_plan.json",
-          "--targets", "split/image_targets.csv", "--features", "synth/features.csv",
-          "--trials", TRIALS, "--kind", "iterative_stub"])
     _write_categories("cv/predictions.csv", "split/image_targets.csv")
     _run(["metrics", "--out", "metrics", "--predictions", "cv/predictions.csv",
           "--targets", "split/image_targets.csv"])

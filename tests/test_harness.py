@@ -14,7 +14,6 @@ from spidereval.harness import (
     PredictorSpec,
     Refit,
     default_spec,
-    effective_epochs,
     fit_ridge,
     make_prediction,
     random_search,
@@ -71,6 +70,16 @@ def _linear_problem(n, d, noise, seed, coef_scale=8.0):
     return ids, features, targets
 
 
+def _overflowing_problem(n, d, seed):
+    """A noiseless linear problem scaled by 1e154: a light penalty fits it
+    closely, while the squared held-out residuals of a heavy one overflow."""
+    ids, features, targets = _linear_problem(n, d, noise=0.0, seed=seed)
+    return ids, features, {i: v * 1e154 for i, v in targets.items()}
+
+
+WIDE_PENALTIES = PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (1e-4, 1e4, "log")})
+
+
 def _targets_from(mean_a, jitter_seed=0, sd=1.0):
     rng = np.random.default_rng(jitter_seed)
     mean_b = {i: v + float(rng.standard_normal()) * sd for i, v in mean_a.items()}
@@ -80,32 +89,16 @@ def _targets_from(mean_a, jitter_seed=0, sd=1.0):
     )
 
 
-class TestEffectiveEpochs:
-    def test_buffer_added(self):
-        assert effective_epochs(12) == 17
-
-    def test_capped_at_sampled_maximum(self):
-        assert effective_epochs(45, 50) == 50
-        assert effective_epochs(48, 50) == 50
-        assert effective_epochs(3, 40) == 8
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(InputError):
-            effective_epochs(0)
-
-
 class TestPredictorSpec:
     def test_defaults(self):
-        ridge = default_spec("ridge_closed_form")
-        assert not ridge.iterative
-        assert "lambda" in ridge.ranges
-        stub = default_spec("iterative_stub")
-        assert stub.iterative
-        assert stub.epochs_range == (10, 50)
+        assert default_spec() == PredictorSpec(kind="ridge_closed_form",
+                                               ranges={"lambda": (1e-4, 1e2, "log")})
 
     def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            PredictorSpec(kind="boosted_trees", ranges={"x": (0.0, 1.0, "linear")})
+        for kind in ("boosted_trees", "iterative_stub"):
+            with pytest.raises(InputError) as exc:
+                PredictorSpec(kind=kind, ranges={"lambda": (0.1, 1.0, "log")})
+            assert exc.value.field == "kind"
 
     def test_bad_scale(self):
         with pytest.raises(InputError):
@@ -123,7 +116,6 @@ class TestPredictorSpec:
 
     @pytest.mark.parametrize("kind, ranges", [
         ("ridge_closed_form", {"alpha": (0.1, 1.0, "linear")}),
-        ("iterative_stub", {"lambda": (0.1, 1.0, "log")}),
     ])
     def test_range_of_the_searched_parameter_required(self, kind, ranges):
         with pytest.raises(InputError) as exc:
@@ -136,11 +128,12 @@ class TestPredictorSpec:
             PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (low, 1.0, scale)})
         assert exc.value.field == "ranges"
 
-    def test_epoch_range_ordering(self):
-        with pytest.raises(InputError):
-            PredictorSpec(kind="iterative_stub",
-                          ranges={"learning_rate": (0.01, 0.1, "log")},
-                          epochs_range=(50, 10))
+    def test_range_no_predictor_reads_is_rejected(self):
+        with pytest.raises(InputError) as exc:
+            PredictorSpec(kind="ridge_closed_form",
+                          ranges={"alpha": (0.0, 1.0, "linear"), "lambda": (1e-4, 1e2, "log")})
+        assert (exc.value.field, str(exc.value)) == (
+            "ranges", "ridge_closed_form reads no range ['alpha']")
 
 
 class TestPredictions:
@@ -371,36 +364,12 @@ class TestRandomSearch:
         assert all(t.loss < 1e-12 for t in trials)
         assert best.loss < 1e-12
 
-    def test_iterative_records_epochs(self):
-        ids, features, targets = _linear_problem(20, 2, noise=1.0, seed=9,
-                                                 coef_scale=2.0)
-        spec = default_spec("iterative_stub")
-        best, trials = random_search(
-            spec, _inner_partition(ids), features, targets,
-            validation=tuple(ids[:4]), n_trials=8, seed=3,
-        )
-        for t in trials:
-            if t.error is None:
-                assert 10 <= t.max_epochs <= 50
-                assert 1 <= t.best_epoch <= t.max_epochs
-        assert best.loss is not None and np.isfinite(best.loss)
-
-    def test_iterative_requires_validation(self):
-        ids, features, targets = _linear_problem(20, 2, noise=1.0, seed=9)
-        with pytest.raises(ComputationError):
-            random_search(default_spec("iterative_stub"),
-                          _inner_partition(ids), features, targets,
-                          validation=(), n_trials=2, seed=0)
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_all_trials_failed_raises_with_diagnostics(self):
-        ids, features, targets = _linear_problem(20, 2, noise=1.0, seed=10)
-        doomed = PredictorSpec(kind="iterative_stub",
-                               ranges={"learning_rate": (1e8, 1e9, "log")})
-        with pytest.raises(ComputationError, match="trials failed"):
+        ids, features, targets = _overflowing_problem(20, 3, seed=10)
+        doomed = PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (1e3, 1e4, "log")})
+        with pytest.raises(ComputationError, match="all 3 search trials failed: trial 0: "):
             random_search(doomed, _inner_partition(ids), features, targets,
-                          validation=tuple(ids[:4]), n_trials=3, seed=0)
+                          n_trials=3, seed=0)
 
     @pytest.mark.parametrize("d", [3, 30])
     def test_each_failed_trial_is_named_once(self, d):
@@ -415,23 +384,15 @@ class TestRandomSearch:
             "trial 1: loss must be finite and >= 0, got inf"
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_trials_are_recorded_not_fatal(self):
-        # pathological data large enough to overflow only the huge-lr trials
-        rng = np.random.default_rng(11)
-        ids = [f"i{k}" for k in range(20)]
-        X = rng.standard_normal((20, 2)) * 50
-        features = FeatureTable(vectors={i: X[k] for k, i in enumerate(ids)})
-        targets = {i: float(rng.uniform(0, 100)) for i in ids}
-        spec = PredictorSpec(kind="iterative_stub",
-                             ranges={"learning_rate": (1e-5, 1e3, "log")})
-        best, trials = random_search(spec, _inner_partition(ids), features,
-                                     targets, validation=tuple(ids[:4]),
-                                     n_trials=30, seed=4)
-        failed = [t for t in trials if t.error is not None]
-        assert failed, "expected at least one diverging trial"
-        assert best.error is None
+        ids, features, targets = _overflowing_problem(20, 3, seed=10)
+        best, trials = random_search(WIDE_PENALTIES, _inner_partition(ids), features,
+                                     targets, n_trials=30, seed=4)
+        failed = [t.params["lambda"] for t in trials if t.error is not None]
+        viable = [t.params["lambda"] for t in trials if t.error is None]
+        assert failed and viable
+        assert min(failed) > max(viable)  # only the heavy penalties overflow
+        assert best.error is None and best.params["lambda"] in viable
 
 
 class TestRunNestedCv:
@@ -456,6 +417,8 @@ class TestRunNestedCv:
         preds, log = run_nested_cv(plan, targets, features, default_spec(),
                                    n_trials=4)
         assert len(log) == 25 * 4
+        assert {tuple(entry) for entry in log} == {
+            ("repetition", "fold", "trial", "params", "loss", "error", "selected")}
         by_fold = {}
         for entry in log:
             by_fold.setdefault((entry["repetition"], entry["fold"]), []).append(entry)
@@ -511,7 +474,7 @@ class TestRunNestedCv:
             run_nested_cv(leaky, targets, features, default_spec(), n_trials=2)
 
     @pytest.mark.parametrize("d, kind", [
-        (70, "ridge_closed_form"), (4, "ridge_closed_form"), (4, "iterative_stub"),
+        (70, "ridge_closed_form"), (4, "ridge_closed_form"),
     ])
     def test_missing_feature_vectors_fail_before_any_fold(self, monkeypatch, d, kind):
         plan, targets, features = self._setup(d=d)
@@ -573,21 +536,14 @@ class TestSearchSummary:
             assert refit.effective_dof == pytest.approx(np.trace(hat), rel=1e-9)
 
     def test_failed_trials_are_counted(self):
-        rng = np.random.default_rng(11)
-        ids = [f"i{k:02d}" for k in range(30)]
-        X = rng.standard_normal((30, 2)) * 50
-        features = FeatureTable(vectors={i: X[k] for k, i in enumerate(ids)})
-        mean_a = {i: float(rng.uniform(0, 100)) for i in ids}
-        spec = PredictorSpec(kind="iterative_stub",
-                             ranges={"learning_rate": (1e-5, 1e3, "log")})
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds, log = run_nested_cv(make_cv_plan(ids, seed=4), _targets_from(mean_a),
-                                       features, spec, n_trials=6)
-        summary = search_summary(spec, log, preds.refits)
+        ids, features, mean_a = _overflowing_problem(30, 2, seed=11)
+        preds, log = run_nested_cv(make_cv_plan(ids, seed=4), _targets_from(mean_a),
+                                   features, WIDE_PENALTIES, n_trials=8)
+        summary = search_summary(WIDE_PENALTIES, log, preds.refits)
         failed = sum(r["error"] is not None for r in log)
         assert failed > 0
         assert summary["failed_trials"] == failed
-        assert all(w["effective_dof"] is None for w in summary["winners"])
+        assert all(isinstance(w["effective_dof"], float) for w in summary["winners"])
 
 
 class TestSharedKernel:
@@ -807,7 +763,7 @@ class TestGroupedDeletion:
         grouped = cv(tmp_path / "grouped")
         designs = _remember_designs(monkeypatch)
         kernels = _remember_kernels(monkeypatch)
-        monkeypatch.setattr(harness, "_kernel_route", lambda spec, features, n: False)
+        monkeypatch.setattr(harness, "_kernel_route", lambda features, n: False)
         assert cv(tmp_path / "per_fold") == grouped
         # 32 training rows per outer fold at d = 48: the forced route factors the
         # 5 inner fit sets and the training set from X, and forms no kernel

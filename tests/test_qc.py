@@ -9,8 +9,8 @@ from spidereval.qc import (
     flag_correlation_outliers,
     flag_mad_outliers,
     run_qc,
-    spearman_rho,
 )
+from spidereval.ranking import spearman_rho
 from spidereval.synth import SynthSpec, generate
 
 

@@ -21,7 +21,8 @@ from spidereval.ingest import (
     write_ratings,
 )
 from spidereval.partition import image_group_means, split_participants
-from spidereval.qc import MIN_COMMON_IMAGES, MIN_PARTICIPANTS, consensus_median, run_qc
+from spidereval.qc import MIN_PARTICIPANTS, consensus_median, run_qc
+from spidereval.ranking import MIN_PAIRS
 from spidereval.reliability import build_rating_matrix
 from test_ranking import loop_average_ranks
 
@@ -79,7 +80,7 @@ def ref_run_qc(records):
         own = np.array([r.rating for r in recs], dtype=np.float64)
         cons = np.array([consensus[r.image_id] for r in recs], dtype=np.float64)
         mad[pid] = float(np.median(np.abs(own - cons)))
-        rho[pid] = ref_spearman(own, cons) if len(recs) >= MIN_COMMON_IMAGES else None
+        rho[pid] = ref_spearman(own, cons) if len(recs) >= MIN_PAIRS else None
     defined = {pid: v for pid, v in rho.items() if v is not None}
     lower, _ = ref_fences(defined)
     _, upper = ref_fences(mad)
@@ -129,7 +130,7 @@ def ratings_tables(draw):
         return draw(st.lists(some_id, min_size=n, max_size=n, unique=True))
 
     participants = ids(draw(st.integers(MIN_PARTICIPANTS + 1, 7)), "pqr")
-    images = ids(draw(st.integers(MIN_COMMON_IMAGES, 6)), "ijk")
+    images = ids(draw(st.integers(MIN_PAIRS, 6)), "ijk")
     tied = draw(st.booleans())
     value = st.sampled_from([0.0, 25.0, 50.0, 50.0, 100.0]) if tied else st.floats(0, 100)
     effects = [10.0 * k for k in range(len(images))]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .ingest import BinaryMask, FloatGrid
-from .ranking import spearman_rho
+from .ranking import pearson_r, spearman_rho
 from .special import student_t_sf
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "overlap_stats",
     "paired_one_sided_t",
     "representative_examples",
-    "pearson_r",
     "delta_fear_correlations",
 ]
 
@@ -137,19 +136,6 @@ def representative_examples(
     zero_id = min(pool, key=lambda r: (abs(r.delta), r.image_id)).image_id
     min_id = min(pool, key=lambda r: (r.delta, r.image_id)).image_id
     return max_id, zero_id, min_id
-
-
-def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 3:
-        raise ComputationError("pearson_r expects two 1-d arrays of length >= 3")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        raise ComputationError("pearson_r undefined: zero variance")
-    return float(xc @ yc / denom)
 
 
 def delta_fear_correlations(

@@ -200,16 +200,11 @@ def fit_curve(
     start = default_init(form, points) if init is None else init
     a0, b0, c0 = start
     candidates: list[FitResult] = []
-    try:
-        candidates.append(levenberg_marquardt(form, points, start))
-    except ComputationError:
-        pass
-    for factor in (0.01, 0.1, 10.0, 100.0):
+    for factor in (1.0, 0.01, 0.1, 10.0, 100.0):
         try:
-            res = levenberg_marquardt(form, points, (a0, b0 * factor, c0))
+            candidates.append(levenberg_marquardt(form, points, (a0, b0 * factor, c0)))
         except ComputationError:
-            continue
-        candidates.append(res)
+            pass
     if not candidates:
         raise ComputationError(f"curve fit failed for form {form!r} at every start")
     # lowest RSS wins outright; a stationary fit with a clearly worse RSS

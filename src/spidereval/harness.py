@@ -78,8 +78,6 @@ class PredictorSpec:
             raise InputError(f"range lambda: unknown scale {scale!r}", field="ranges")
         if not (np.isfinite(low) and np.isfinite(high) and low <= high):
             raise InputError(f"range lambda: invalid bounds ({low}, {high})", field="ranges")
-        if scale == "log" and low <= 0:
-            raise InputError("range lambda: log scale needs positive bounds", field="ranges")
         if low <= 0:
             raise InputError("range lambda: the ridge penalty needs positive bounds", field="ranges")
 

@@ -1,5 +1,5 @@
-"""Rank transforms shared by the rank-based statistics, and the Spearman
-correlation built on them."""
+"""Rank transforms shared by the rank-based statistics, the Pearson
+correlation, and the Spearman correlation built on both."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ComputationError
 
-__all__ = ["average_ranks", "spearman_rho", "tie_group_sizes"]
+__all__ = ["average_ranks", "pearson_r", "spearman_rho", "tie_group_sizes"]
 
 MIN_PAIRS = 3
 
@@ -26,13 +26,27 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation with average ranks for ties.
+def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two 1-d arrays of at least ``MIN_PAIRS`` values.
 
-    Computed as the Pearson correlation of the rank vectors. Raises
-    :class:`ComputationError` when either rank vector is constant, since
+    Raises :class:`ComputationError` when either array is constant, since
     the correlation is undefined in that case.
     """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < MIN_PAIRS:
+        raise ComputationError(f"pearson_r expects two 1-d arrays of length >= {MIN_PAIRS}")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    denom = np.sqrt(float(xc @ xc) * float(yc @ yc))
+    if denom == 0.0:
+        raise ComputationError("pearson_r undefined: zero variance")
+    return float(xc @ yc / denom)
+
+
+def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation with average ranks for ties: the Pearson
+    correlation of the rank vectors, undefined when one is constant."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -41,14 +55,7 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
         raise ComputationError(
             f"spearman_rho needs at least {MIN_PAIRS} pairs, got {x.shape[0]}"
         )
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = np.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        raise ComputationError("spearman_rho undefined: a rank vector is constant")
-    return float((rx @ ry) / denom)
+    return pearson_r(average_ranks(x), average_ranks(y))
 
 
 def tie_group_sizes(values: np.ndarray) -> np.ndarray:

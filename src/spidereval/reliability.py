@@ -25,7 +25,6 @@ from .defaults import DEFAULT_REPS, MISSING_MODES
 from .errors import ComputationError, InputError
 from .ingest import RatingsTable
 from .rng import substream
-from .special import normal_ppf
 
 __all__ = [
     "RatingMatrix",
@@ -225,14 +224,21 @@ def bootstrap_icc(
 
 
 def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    z comes from the lower tail ``(1 - level) / 2``, which is exact for a
+    level >= 0.5; the upper tail ``1 - (1 - level) / 2`` rounds, to 1 for
+    a level within ~1e-16 of 1.
+    """
+    from statistics import NormalDist  # pulls in decimal and fractions: load on use
+
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}", field="n")
     if not 0 <= successes <= n:
         raise InputError(f"successes must be in [0, {n}], got {successes}", field="successes")
     if not 0.0 < level < 1.0:
         raise InputError(f"level must be in (0, 1), got {level}", field="level")
-    z = normal_ppf(1.0 - (1.0 - level) / 2.0)
+    z = -NormalDist().inv_cdf((1.0 - level) / 2.0)
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom

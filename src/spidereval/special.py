@@ -3,14 +3,15 @@
 Self-contained double-precision implementations (no dependency beyond the
 stdlib ``math`` module):
 
-* regularized incomplete gamma ``P``/``Q``: power series for ``x < a + 1``,
-  modified Lentz continued fraction otherwise;
+* regularized upper incomplete gamma ``Q``: ``1 - P`` from the power series
+  for ``x < a + 1``, modified Lentz continued fraction otherwise;
 * regularized incomplete beta: continued fraction with the usual symmetry
   switch at ``x = (a + 1)/(a + b + 2)``;
 * Student-t and chi-square upper tails expressed through the two above;
-* standard normal CDF/tail via ``math.erfc`` and its inverse via the Acklam
-  rational approximation polished with one Halley step (relative error well
-  below 1e-12 over (0, 1)).
+* the standard normal upper tail via ``math.erfc``.
+
+The normal quantile comes from the standard library
+(``statistics.NormalDist.inv_cdf``), so it is not repeated here.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "gamma_p",
     "gamma_q",
     "betainc_reg",
     "chi2_sf",
     "student_t_sf",
-    "normal_cdf",
     "normal_sf",
-    "normal_ppf",
 ]
 
 _ITMAX = 500
@@ -66,19 +64,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gamma_p requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_p requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
 
 
 def gamma_q(a: float, x: float) -> float:
@@ -169,75 +154,6 @@ def student_t_sf(t: float, df: float) -> float:
     return half if t >= 0.0 else 1.0 - half
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def normal_sf(z: float) -> float:
     """Standard normal upper tail P(Z >= z)."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-# Acklam's rational approximation coefficients for the normal inverse CDF.
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def normal_ppf(p: float) -> float:
-    """Standard normal quantile (inverse CDF) for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("normal_ppf requires 0 < p < 1")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5])
-            * q
-            / (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    # One Halley step against the erfc-based CDF drives the approximation
-    # from ~1e-9 to near machine precision.
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)

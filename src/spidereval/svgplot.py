@@ -21,6 +21,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _esc(text: str) -> str:
+    """Caller text as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
@@ -60,7 +65,7 @@ class _Frame:
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
             f'<text x="{_W / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="15">{title}</text>',
+            f'font-size="15">{_esc(title)}</text>',
         ]
         self._axes(xlabel, ylabel)
 
@@ -99,12 +104,12 @@ class _Frame:
             )
         self.parts.append(
             f'<text x="{(x0 + x1) / 2}" y="{_H - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="13">{_esc(xlabel)}</text>'
         )
         self.parts.append(
             f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {(y0 + y1) / 2})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {(y0 + y1) / 2})">{_esc(ylabel)}</text>'
         )
 
     def finish(self) -> str:
@@ -126,7 +131,7 @@ def line_plot(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
         )
         frame.parts.append(
             f'<text x="{_W - _MR - 5}" y="{_MT + 15 + 14 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{color}">{_esc(label)}</text>'
         )
     for x, y in markers:
         frame.parts.append(
@@ -181,11 +186,11 @@ def grouped_bar_plot(categories: Sequence[str],
             )
         frame.parts.append(
             f'<text x="{_fmt(_ML + (i + 0.5) * slot)}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{cat}</text>'
+            f'font-family="sans-serif" font-size="10">{_esc(cat)}</text>'
         )
     for j, label in enumerate(pair_labels):
         frame.parts.append(
             f'<text x="{_W - _MR - 5}" y="{_MT + 15 + 14 * j}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{_COLORS[j]}">{label}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{_COLORS[j]}">{_esc(label)}</text>'
         )
     return frame.finish()

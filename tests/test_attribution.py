@@ -10,11 +10,11 @@ from spidereval.attribution import (
     delta_fear_correlations,
     overlap_stats,
     paired_one_sided_t,
-    pearson_r,
     representative_examples,
 )
 from spidereval.errors import ComputationError
 from spidereval.ingest import BinaryMask, FloatGrid
+from spidereval.ranking import pearson_r
 
 
 def _grid(values):

@@ -1,5 +1,6 @@
 """Subcommand smoke tests through main(argv), plus error-path contracts."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,14 @@ class TestCurveCommand:
         assert float(rows[1][3]) == pytest.approx(5.461, rel=0.05)
         assert (out / "curve_resnet_mae.svg").exists()
 
+    def test_model_label_with_markup_gives_a_parsable_plot(self, inputs, tmp_path):
+        out = tmp_path / "curve"
+        assert main(["curve", "--out", str(out), "--points", str(inputs["points"]),
+                     "--form", "decay", "--model", "a<b"]) == 0
+        (svg,) = out.glob("*.svg")
+        root = ET.parse(svg).getroot()
+        assert "a<b" in {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+
     def test_rejects_unknown_form(self, tmp_path, capsys):
         points = tmp_path / "p.csv"
         points.write_text("n,y\n1,2\n2,3\n3,4\n4,5\n")
@@ -322,6 +332,15 @@ class TestPropCiCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed == json.loads(_read(tmp_path / "prop_ci.json"))
         assert printed["low"] == float("%.9g" % printed["low"])
+
+    def test_level_next_to_one_gives_an_interval(self, capsys):
+        # 1 - (1 - level) / 2 rounds to 1 here; the quantile used to reject it
+        assert main(["prop-ci", "--successes", "1", "--n", "2",
+                     "--level", "0.9999999999999999"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        doc = json.loads(out)
+        assert 0.0 < doc["low"] < 0.5 < doc["high"] < 1.0
 
     def test_missing_count_is_validation_error(self, capsys):
         assert main(["prop-ci", "--successes", "10"]) == 1
@@ -921,7 +940,7 @@ class TestModulesLoaded:
         (["--version"], []),
         (CV_ARGV + ["--trials", "2"], SEARCH),
         (["qc", "--ratings", "{ratings}"], [".qc", ".ranking"]),
-        (ICC_ARGV + ["--sizes", "3", "--reps", "5"], [".reliability", ".special", ".svgplot"]),
+        (ICC_ARGV + ["--sizes", "3", "--reps", "5"], [".reliability", ".svgplot"]),
         (["all", *[a for kv in ALL_FLAGS.items() for a in kv], "--ratings", "{ratings}",
           "--features", "{features}", "--categories", "{categories}",
           "--heatmaps", "{heat_a}", "{heat_b}", "--masks", "{masks}"],
@@ -931,6 +950,7 @@ class TestModulesLoaded:
          [".attribution", ".ranking", ".special"]),
         (["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
          [".metrics", *SEARCH]),
+        (["prop-ci", "--successes", "419", "--n", "500"], [".reliability"]),
     ])
     def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, runs):
         argv = _fill(argv, {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])})
@@ -948,6 +968,20 @@ class TestModulesLoaded:
     def test_trials_default_has_one_definition(self):
         from spidereval import defaults, harness
         assert harness.N_TRIALS is defaults.N_TRIALS
+
+    def test_package_imports_only_the_stdlib_and_numpy(self):
+        """The test extras install scipy and mpmath, so an import of either in
+        the package would pass every other test."""
+        allowed = set(sys.stdlib_module_names) | {"numpy", "spidereval"}
+        found = set()
+        for path in sorted(Path(spidereval.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found |= {(path.name, a.name.split(".")[0]) for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add((path.name, node.module.split(".")[0]))
+        assert {name for _, name in found} >= {"math", "numpy"}
+        assert sorted(f for f in found if f[1] not in allowed) == []
 
 
 class TestManifestConfig:
@@ -1182,7 +1216,8 @@ class TestTypedOptions:
         ]) == 1
         assert _one_error_line(capsys)["field"] == field
 
-    @pytest.mark.parametrize("bounds", [[0, 0, "linear"], [0, 1, "linear"], [-1, 1, "linear"]])
+    @pytest.mark.parametrize("bounds", [[0, 0, "linear"], [0, 1, "linear"], [-1, 1, "linear"],
+                                        [0, 1, "log"], [-1, 1, "log"]])
     def test_ridge_penalty_range_reaching_zero_is_rejected(self, workspace, tmp_path, capsys,
                                                             bounds):
         # [0, 1] used to run whenever no draw happened to hit 0

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -523,6 +524,20 @@ class TestWilsonCi:
         narrow = wilson_ci(30, 100, level=0.8)
         wide = wilson_ci(30, 100, level=0.99)
         assert wide[0] < narrow[0] < narrow[1] < wide[1]
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.95, 0.99, 0.999999, 1 - 1e-16])
+    def test_matches_mpmath(self, level):
+        # 50-digit Wilson bounds from z = sqrt(2) erfinv(level) for the same float level;
+        # center - half cancels to 2.6e-13 relative at (1, 1000) next to level 1
+        with mp.workdps(50):
+            z = mp.sqrt(2) * mp.erfinv(mp.mpf(level))
+            for k, n in [(0, 10), (1, 2), (3, 10), (65, 500), (419, 500), (10, 10), (1, 1000)]:
+                p, z2 = mp.mpf(k) / n, z * z
+                center = (p + z2 / (2 * n)) / (1 + z2 / n)
+                half = z * mp.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+                want = (0.0 if k == 0 else float(center - half),
+                        1.0 if k == n else float(center + half))
+                assert wilson_ci(k, n, level) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(InputError):

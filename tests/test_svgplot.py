@@ -140,3 +140,22 @@ def test_constant_series_padded_axes():
     (poly,) = root.findall(f"{SVG_NS}polyline")
     ys = {pair.split(",")[1] for pair in poly.attrib["points"].split()}
     assert len(ys) == 1  # flat line stays flat after the y-pad
+
+
+MARKUP = "a & b <c>"
+
+
+def _texts(svg: str) -> set[str]:
+    return {t.text for t in _parse(svg).iter(f"{SVG_NS}text")}
+
+
+def test_caller_text_is_escaped_in_every_field():
+    line = line_plot([(MARKUP + " 1", [(1, 2.0), (2, 3.0)])], MARKUP + " 2",
+                     MARKUP + " 3", MARKUP + " 4")
+    bars = grouped_bar_plot([MARKUP + " 5", "plain"], [(0.2, 0.8), (0.5, 0.5)],
+                            (MARKUP + " 6", MARKUP + " 7"), MARKUP + " 8", MARKUP + " 9")
+    sd = mean_sd_plot([(5, 0.5, 0.1), (10, 0.7, 0.1)], MARKUP + " 10", MARKUP + " 11",
+                      MARKUP + " 12")
+    assert {MARKUP + f" {k}" for k in range(1, 5)} <= _texts(line)
+    assert {MARKUP + f" {k}" for k in range(5, 10)} <= _texts(bars)
+    assert {MARKUP + f" {k}" for k in range(10, 13)} <= _texts(sd)

@@ -140,6 +140,14 @@ def _sizes(value) -> tuple[int, ...]:
     return tuple(_int(v) for v in value)
 
 
+def _text(value) -> str:
+    """A label written into CSV and SVG files: text UTF-8 cannot encode (a
+    lone surrogate from undecodable argv bytes or a JSON escape) is refused."""
+    value = str(value)
+    value.encode("utf-8")  # UnicodeEncodeError is a ValueError
+    return value
+
+
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError("must be a JSON object")
@@ -200,8 +208,8 @@ OPTIONS = (
     Option("level", _float, 0.95, "confidence level", "error-analysis prop-ci all"),
     Option("points", _path, None, "CSV with header n,y", "curve"),
     Option("form", str, None, "curve form", "curve", choices=FORMS),
-    Option("model", str, "", "label for the output row", "curve"),
-    Option("metric", str, "", "label for the output row", "curve"),
+    Option("model", _text, "", "label for the output row", "curve"),
+    Option("metric", _text, "", "label for the output row", "curve"),
     Option("successes", _int, None, "number of successes", "prop-ci"),
     Option("n", _int, None, "number of trials", "prop-ci"),
     Option("images", _int, 313, "number of images", "synth"),
@@ -490,14 +498,12 @@ def _cmd_icc(opts, run: _Run) -> None:
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
+    """(n, y) rows; fit_curve checks that they can identify three parameters."""
     src = InputFile(path, "points")
-    points = [
+    return [
         (src.number(n, line, "n"), src.number(y, line, "y"))
         for line, (n, y) in src.rows(["n", "y"])
     ]
-    if len(points) < 4:
-        raise src.error(f"need at least 4 points, got {len(points)}")
-    return points
 
 
 def _cmd_curve(opts, run: _Run) -> None:
@@ -508,7 +514,7 @@ def _cmd_curve(opts, run: _Run) -> None:
     result = fit_curve(form, points)
     if not result.converged:
         raise ComputationError(
-            f"curve fit did not converge (stop reason: {result.stop_reason})"
+            f"curve fit has no interior optimum of the rate b (stop reason: {result.stop_reason})"
         )
     a, b, c = result.params
     write_fit_results(

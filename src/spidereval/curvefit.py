@@ -1,20 +1,25 @@
-"""Three-parameter learning-curve fits by Levenberg-Marquardt.
+"""Three-parameter learning-curve fits by variable projection.
 
 Two model forms:
 
 * ``decay``: f(n) = a * exp(-b * n) + c  (error metrics falling with n)
 * ``rise``:  f(n) = a * (1 - exp(-b * n)) + c  (scores rising with n)
 
-The solver minimizes the residual sum of squares with an analytic
-Jacobian and multiplicative damping. Iteration stops when the relative
-RSS change drops below 1e-12, the gradient infinity-norm drops below
-1e-10, or after 500 iterations. :func:`fit_curve` always fits the
-heuristic start plus four rescaled rates b and keeps the lowest-RSS
-fit, which protects against the constant-plateau local minimum.
+For a fixed rate b both forms are linear least squares on the columns
+[exp(-b n), 1]: decay gives a = alpha, c = gamma; rise gives a = -alpha,
+c = alpha + gamma. So the residual sum of squares is a function of b alone
+(variable projection, Golub & Pereyra 1973). :func:`fit_curve` evaluates
+that profile at 61 rates b = t / (max n - min n), t log-spaced from 1e-3 to
+1e3, and refines the best grid rate by golden-section search on log b
+between its two neighbours, to a bracket narrower than 1e-9. A best rate at
+either end of the grid is an ``edge`` fit with no interior optimum: the
+points lie on a line in n (b -> 0) or on a constant apart from the
+smallest n (b -> infinity).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,22 +27,11 @@ import numpy as np
 from .defaults import FORMS
 from .errors import ComputationError, InputError
 
-__all__ = [
-    "FORMS",
-    "FitResult",
-    "model_value",
-    "model_jacobian",
-    "default_init",
-    "levenberg_marquardt",
-    "fit_curve",
-]
+__all__ = ["FORMS", "FitResult", "model_value", "model_jacobian", "fit_curve"]
 
-MAX_ITERATIONS = 500
-RSS_RTOL = 1e-12
-GRAD_ATOL = 1e-10
-_DAMP_INIT = 1e-3
-_DAMP_FACTOR = 10.0
-_DAMP_MAX = 1e12
+_GRID = np.log(np.geomspace(1e-3, 1e3, 61))  # log of b * (max n - min n)
+_LOG_TOL = 1e-9
+_SHRINK = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
 
 def model_value(form: str, params: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -63,6 +57,10 @@ def model_jacobian(form: str, params: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitResult:
+    """``stop_reason`` is ``interior`` when the best grid rate was refined
+    between its neighbours (``converged``), ``edge`` when it ended the grid;
+    ``iterations`` counts profile evaluations."""
+
     form: str
     params: tuple[float, float, float]
     rss: float
@@ -72,143 +70,56 @@ class FitResult:
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """(n, y) sorted by n, then y, so point order cannot change a bit."""
+    if len(points) < 4:
+        raise InputError(f"need at least 4 points for a 3-parameter fit, got {len(points)}",
+                         field="points")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InputError("points must be an (m, 2) array of (n, y) pairs")
+        raise InputError("points must be an (m, 2) array of (n, y) pairs", field="points")
     if not np.isfinite(pts).all():
-        raise InputError("points must be finite")
+        raise InputError("points must be finite", field="points")
+    if (pts[:, 0] <= 0).any() or np.unique(pts[:, 0]).shape[0] < 3:
+        raise InputError("points need n > 0 and at least 3 distinct n", field="points")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     return pts[:, 0], pts[:, 1]
 
 
-def default_init(form: str, points) -> tuple[float, float, float]:
-    """Heuristic start: amplitude from the endpoint spread, offset from
-    the relevant endpoint, rate 1/median(n)."""
+def fit_curve(form: str, points) -> FitResult:
+    """Least-squares fit of ``form`` to (n, y) points by variable projection."""
+    if form not in FORMS:
+        raise InputError(f"unknown curve form {form!r}", field="form")
     n, y = _as_points(points)
-    if np.unique(n).shape[0] < 2:
-        raise InputError("default_init needs at least 2 distinct n values")
-    lo, hi = int(np.argmin(n)), int(np.argmax(n))
-    b = 1.0 / float(np.median(n))
-    if form == "decay":
-        return float(y[lo] - y[hi]), b, float(y[hi])
-    if form == "rise":
-        return float(y[hi] - y[lo]), b, float(y[lo])
-    raise InputError(f"unknown curve form {form!r}", field="form")
+    span, yc = float(n[-1] - n[0]), y - y.mean()
 
+    def profile(log_t: float) -> tuple[float, float, float]:
+        """RSS, slope and intercept of y on exp(-b * (n - min n)) at b = e^log_t / span;
+        the column lies in [exp(-b * span), 1], so it underflows only past the grid."""
+        e = np.exp(-math.exp(log_t) / span * (n - n[0]))
+        ec = e - e.mean()
+        slope = float(ec @ yc) / float(ec @ ec)
+        r = yc - slope * ec
+        return float(r @ r), slope, float(y.mean() - slope * e.mean())
 
-def levenberg_marquardt(
-    form: str,
-    points,
-    init: tuple[float, float, float],
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
-    """Damped least squares on Sum (y - f(n))^2 from the given start."""
-    n, y = _as_points(points)
-    if n.shape[0] < 4:
-        raise InputError(f"need at least 4 points for a 3-parameter fit, got {n.shape[0]}")
-    params = np.asarray(init, dtype=np.float64)
-    if params.shape != (3,) or not np.isfinite(params).all():
-        raise InputError("init must be 3 finite values (a, b, c)")
-
-    def rss_at(p: np.ndarray) -> tuple[np.ndarray, float]:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            f = model_value(form, p, n)
-            if not np.isfinite(f).all():
-                raise ComputationError("model value non-finite over the data range")
-            r = y - f
-            total = float(r @ r)
-        if not np.isfinite(total):
-            raise ComputationError("residual sum of squares overflowed")
-        return r, total
-
-    resid, rss = rss_at(params)
-    damp = _DAMP_INIT
-    stop_reason = "max_iterations"
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            jac = model_jacobian(form, params, n)
-        if not np.isfinite(jac).all():
-            if iterations == 1:
-                raise ComputationError("Jacobian non-finite over the data range")
-            # a previously accepted step reached the edge of the numeric
-            # range; keep the current iterate instead of discarding the fit
-            stop_reason = "stalled"
-            break
-        grad = jac.T @ resid
-        if float(np.max(np.abs(grad))) < GRAD_ATOL:
-            stop_reason = "gradient"
-            break
-        jtj = jac.T @ jac
-        scale = np.diag(jtj).copy()
-        scale[scale <= 0] = 1.0
-        accepted = False
-        while damp <= _DAMP_MAX:
-            try:
-                step = np.linalg.solve(jtj + damp * np.diag(scale), grad)
-            except np.linalg.LinAlgError:
-                damp *= _DAMP_FACTOR
-                continue
-            trial = params + step
-            try:
-                trial_resid, trial_rss = rss_at(trial)
-            except ComputationError:
-                damp *= _DAMP_FACTOR
-                continue
-            if trial_rss < rss:
-                change = rss - trial_rss
-                params, resid = trial, trial_resid
-                rel = change / max(rss, np.finfo(np.float64).tiny)
-                rss = trial_rss
-                damp = max(damp / _DAMP_FACTOR, 1e-15)
-                accepted = True
-                if rel < RSS_RTOL:
-                    stop_reason = "rss_change"
-                break
-            damp *= _DAMP_FACTOR
-        if not accepted:
-            # No damping level improves the fit: treat as converged to a
-            # local minimum unless the very first step already failed.
-            stop_reason = "rss_change" if iterations > 1 else "stalled"
-            break
-        if stop_reason == "rss_change":
-            break
-    converged = stop_reason in ("gradient", "rss_change")
-    return FitResult(
-        form=form,
-        params=(float(params[0]), float(params[1]), float(params[2])),
-        rss=rss,
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
-    )
-
-
-def fit_curve(
-    form: str,
-    points,
-    init: tuple[float, float, float] | None = None,
-) -> FitResult:
-    """Fit from the start plus four rescaled rates b.
-
-    The rescaled starts multiply the starting rate by 0.01, 0.1, 10 and
-    100; the fit with the lowest RSS wins, the earliest of equal ones.
-    Trying them unconditionally guards against the first start settling
-    on the constant plateau (b driven so large the model degenerates to
-    y = c).
-    """
-    start = default_init(form, points) if init is None else init
-    a0, b0, c0 = start
-    candidates: list[FitResult] = []
-    for factor in (1.0, 0.01, 0.1, 10.0, 100.0):
-        try:
-            candidates.append(levenberg_marquardt(form, points, (a0, b0 * factor, c0)))
-        except ComputationError:
-            pass
-    if not candidates:
-        raise ComputationError(f"curve fit failed for form {form!r} at every start")
-    # lowest RSS wins outright; a stationary fit with a clearly worse RSS
-    # (the constant plateau, typically) must not beat a better minimum
-    # that merely ran out of iterations. The winner carries its own
-    # convergence flag for callers that insist on stationarity.
-    return min(candidates, key=lambda r: r.rss)
+    rss = [profile(t)[0] for t in _GRID]
+    k = _GRID.size - 1 - int(np.argmin(rss[::-1]))  # last of equal minima: a flat tail is an edge
+    interior = 0 < k < _GRID.size - 1
+    lo, hi = (_GRID[k - 1], _GRID[k + 1]) if interior else (_GRID[k], _GRID[k])
+    iterations = _GRID.size + 1  # the grid, then the fit at the chosen rate
+    while hi - lo > _LOG_TOL:  # golden-section search on log b
+        x1, x2 = hi - _SHRINK * (hi - lo), lo + _SHRINK * (hi - lo)
+        if profile(x1)[0] <= profile(x2)[0]:
+            hi = x2
+        else:
+            lo = x1
+        iterations += 2
+    _, slope, intercept = profile((lo + hi) / 2.0)
+    b = math.exp((lo + hi) / 2.0) / span
+    with np.errstate(over="ignore"):
+        amplitude = float(slope * np.exp(b * n[0]))
+    if not math.isfinite(amplitude):
+        raise ComputationError(f"curve fit amplitude overflows at rate b = {b:.6g}")
+    a, c = (amplitude, intercept) if form == "decay" else (-amplitude, intercept + amplitude)
+    resid = y - model_value(form, np.array([a, b, c]), n)
+    return FitResult(form, (a, b, c), float(resid @ resid), iterations, interior,
+                     "interior" if interior else "edge")

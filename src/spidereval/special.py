@@ -3,11 +3,12 @@
 Self-contained double-precision implementations (no dependency beyond the
 stdlib ``math`` module):
 
-* regularized upper incomplete gamma ``Q``: ``1 - P`` from the power series
-  for ``x < a + 1``, modified Lentz continued fraction otherwise;
+* chi-square upper tail at integer degrees of freedom, the only ones the
+  Kruskal-Wallis tests pass: a finite Poisson sum for even df, ``math.erfc``
+  plus a half-integer sum for odd df;
 * regularized incomplete beta: continued fraction with the usual symmetry
-  switch at ``x = (a + 1)/(a + b + 2)``;
-* Student-t and chi-square upper tails expressed through the two above;
+  switch at ``x = (a + 1)/(a + b + 2)``, and the Student-t upper tail
+  through it;
 * the standard normal upper tail via ``math.erfc``.
 
 The normal quantile comes from the standard library
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "gamma_q",
     "betainc_reg",
     "chi2_sf",
     "student_t_sf",
@@ -29,54 +29,6 @@ __all__ = [
 _ITMAX = 500
 _EPS = 3e-16
 _FPMIN = 1e-300
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gamma_q requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_q requires x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -137,12 +89,34 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Chi-square upper tail P(X >= x) with df degrees of freedom."""
-    if df <= 0.0:
-        raise ValueError("chi2_sf requires df > 0")
+    """Chi-square upper tail P(X >= x) at a positive integer df.
+
+    With y = x / 2, m = df // 2 and h = 1/2 for odd df (0 for even df),
+    the tail is the finite sum of e^-y y^(k+h) / Gamma(k+h+1) for k < m,
+    plus erfc(sqrt(y)) for odd df. Each term is the previous one times
+    y / (k+h), so no Gamma function is evaluated. The factor e^-y comes
+    as 2^j equal factors exp(-y / 2^j) >= e^-512 (a power of two divides
+    y exactly), one applied each time the running term passes 1, so a
+    large x neither underflows nor overflows a term.
+    """
+    if df < 1 or not float(df).is_integer():
+        raise ValueError(f"chi2_sf requires a positive integer df, got {df!r}")
     if x <= 0.0:
         return 1.0
-    return gamma_q(df / 2.0, x / 2.0)
+    y = x / 2.0
+    m, odd = divmod(int(df), 2)
+    chunks = 1
+    while y / chunks > 512.0:
+        chunks *= 2
+    step = math.exp(-y / chunks)
+    term = (2.0 * math.sqrt(y / math.pi) if odd else 1.0) * step
+    left, total = chunks - 1, 0.0
+    for k in range(m):
+        total += term
+        term *= y / (k + 1 + 0.5 * odd)
+        while term > 1.0 and left:
+            term, total, left = term * step, total * step, left - 1
+    return total * step**left + (math.erfc(math.sqrt(y)) if odd else 0.0)
 
 
 def student_t_sf(t: float, df: float) -> float:

@@ -21,9 +21,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+# The three markup characters escaped; the characters XML 1.0 forbids (C0
+# controls other than tab, LF and CR, plus U+FFFE and U+FFFF) replaced by U+FFFD.
+_ESCAPES = {
+    **{c: "\ufffd" for c in (*range(0x20), 0xFFFE, 0xFFFF) if c not in (0x9, 0xA, 0xD)},
+    ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
+}
+
+
 def _esc(text: str) -> str:
     """Caller text as XML character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_ESCAPES)
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:

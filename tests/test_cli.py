@@ -227,6 +227,63 @@ class TestCurveCommand:
         root = ET.parse(svg).getroot()
         assert "a<b" in {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
 
+    def test_control_character_in_model_gives_a_parsable_plot(self, inputs, tmp_path):
+        out = tmp_path / "curve"
+        assert main(["curve", "--out", str(out), "--points", str(inputs["points"]),
+                     "--form", "decay", "--model", "a\x01b"]) == 0
+        (svg,) = out.glob("*.svg")
+        root = ET.parse(svg).getroot()
+        assert "a\ufffdb" in {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+
+    def test_undecodable_argv_bytes_in_a_label_name_the_option(self, inputs, tmp_path):
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "spidereval", "curve", "--out", str(out),
+             "--points", str(inputs["points"]), "--form", "decay", "--model", b"a\xffb"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        lines = done.stderr.decode("utf-8", "replace").strip().splitlines()
+        assert done.returncode == 1 and len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["field"]) == ("validation", "model")
+        assert not (out / "learning_curve.csv").exists()
+
+    def test_lone_surrogate_in_a_config_label_names_the_option(self, inputs, tmp_path,
+                                                                capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"metric": "a\\udcffb"}\n')  # a JSON escape, not a character
+        out = tmp_path / "o"
+        assert main(["curve", "--out", str(out), "--points", str(inputs["points"]),
+                     "--form", "decay", "--config", str(config)]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "metric")
+        assert not (out / "learning_curve.csv").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "50,1\n50,2\n100,3\n100,4\n",  # two distinct n
+        "0,4\n50,3\n100,2\n150,1\n",
+        "-50,4\n50,3\n100,2\n150,1\n",
+        "50,4\n100,3\n150,2\n",
+    ])
+    def test_points_that_cannot_identify_three_parameters(self, tmp_path, capsys, rows):
+        points = tmp_path / "p.csv"
+        points.write_text("n,y\n" + rows)
+        assert main(["curve", "--out", str(tmp_path / "o"), "--points", str(points),
+                     "--form", "decay"]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "points")
+
+    def test_edge_optimum_is_a_computation_error(self, tmp_path, capsys):
+        points = tmp_path / "p.csv"
+        points.write_text("n,y\n50,5\n100,10\n150,15\n200,20\n")  # a line: b -> 0
+        out = tmp_path / "o"
+        assert main(["curve", "--out", str(out), "--points", str(points),
+                     "--form", "decay"]) == 2
+        error = _one_error_line(capsys)
+        assert error["type"] == "computation" and "edge" in error["message"]
+        assert not (out / "learning_curve.csv").exists()
+
     def test_rejects_unknown_form(self, tmp_path, capsys):
         points = tmp_path / "p.csv"
         points.write_text("n,y\n1,2\n2,3\n3,4\n4,5\n")
@@ -951,6 +1008,11 @@ class TestModulesLoaded:
         (["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
          [".metrics", *SEARCH]),
         (["prop-ci", "--successes", "419", "--n", "500"], [".reliability"]),
+        (COMMAND_LINES["curve"], [".curvefit", ".svgplot"]),
+        (COMMAND_LINES["split"], [".partition"]),
+        (EA_ARGV + ["--bootstrap", "100"],
+         [".error_analysis", ".ranking", ".special", ".svgplot", *SEARCH]),
+        (["synth", "--seed", "5", "--images", "30", "--raters", "4", "--dim", "3"], [".synth"]),
     ])
     def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, runs):
         argv = _fill(argv, {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])})

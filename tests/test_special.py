@@ -99,6 +99,23 @@ def test_chi2_sf_against_mpmath_sweep():
             assert abs(got - want) < 1e-10, (x, df)
 
 
+def test_chi2_sf_relative_error_against_mpmath():
+    """Every integer df 1-300, x up to 2000, wherever the tail is >= 1e-300."""
+    worst = 0.0
+    for df in range(1, 301):
+        for x in (1e-3, 0.7, df / 2, df, 2 * df, 3 * df + 50, 1300.0, 2000.0):
+            want = mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+            if x <= 2000 and want >= mp.mpf("1e-300"):
+                worst = max(worst, float(abs(chi2_sf(x, df) - want) / want))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("df", [0, -2, 2.5, 0.5])
+def test_chi2_sf_needs_a_positive_integer_df(df):
+    with pytest.raises(ValueError):
+        chi2_sf(3.0, df)
+
+
 def test_student_t_sf_against_mpmath_sweep():
     for df in (1, 2, 4, 30, 148, 281):
         for t in (-4.0, -1.5, 0.0, 0.3, 1.0, 2.5, 6.0):

@@ -149,13 +149,26 @@ def _texts(svg: str) -> set[str]:
     return {t.text for t in _parse(svg).iter(f"{SVG_NS}text")}
 
 
+def _labelled_plots(text: str) -> list[tuple[str, range]]:
+    """Each plot function with ``text`` numbered into every caller field,
+    paired with the labels it should show."""
+    line = line_plot([(text + " 1", [(1, 2.0), (2, 3.0)])], text + " 2",
+                     text + " 3", text + " 4")
+    bars = grouped_bar_plot([text + " 5", "plain"], [(0.2, 0.8), (0.5, 0.5)],
+                            (text + " 6", text + " 7"), text + " 8", text + " 9")
+    sd = mean_sd_plot([(5, 0.5, 0.1), (10, 0.7, 0.1)], text + " 10", text + " 11",
+                      text + " 12")
+    return [(line, range(1, 5)), (bars, range(5, 10)), (sd, range(10, 13))]
+
+
 def test_caller_text_is_escaped_in_every_field():
-    line = line_plot([(MARKUP + " 1", [(1, 2.0), (2, 3.0)])], MARKUP + " 2",
-                     MARKUP + " 3", MARKUP + " 4")
-    bars = grouped_bar_plot([MARKUP + " 5", "plain"], [(0.2, 0.8), (0.5, 0.5)],
-                            (MARKUP + " 6", MARKUP + " 7"), MARKUP + " 8", MARKUP + " 9")
-    sd = mean_sd_plot([(5, 0.5, 0.1), (10, 0.7, 0.1)], MARKUP + " 10", MARKUP + " 11",
-                      MARKUP + " 12")
-    assert {MARKUP + f" {k}" for k in range(1, 5)} <= _texts(line)
-    assert {MARKUP + f" {k}" for k in range(5, 10)} <= _texts(bars)
-    assert {MARKUP + f" {k}" for k in range(10, 13)} <= _texts(sd)
+    for svg, numbers in _labelled_plots(MARKUP):
+        assert {MARKUP + f" {k}" for k in numbers} <= _texts(svg)
+
+
+def test_characters_xml_forbids_become_replacement_characters():
+    # C0 controls other than tab, LF and CR, U+FFFE and U+FFFF are not XML 1.0
+    text = "a\x00b\x01\x08\x0b\x0c\x0e\x1f\ufffe\uffffc\td"
+    shown = "a\ufffdb" + "\ufffd" * 8 + "c\td"
+    for svg, numbers in _labelled_plots(text):
+        assert {shown + f" {k}" for k in numbers} <= _texts(svg)

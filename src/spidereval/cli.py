@@ -519,13 +519,11 @@ def _cmd_curve(opts, run: _Run) -> None:
     a, b, c = result.params
     write_fit_results(
         run.path("learning_curve.csv"),
-        [
-            {
-                "model": model_label, "metric": metric_label, "form": form,
-                "a": a, "b": b, "c": c, "rss": result.rss,
-                "iterations": result.iterations, "converged": result.converged,
-            }
-        ],
+        {
+            "model": model_label, "metric": metric_label, "form": form,
+            "a": a, "b": b, "c": c, "rss": result.rss,
+            "iterations": result.iterations, "converged": result.converged,
+        },
     )
     ns = np.array([n for n, _ in points], dtype=np.float64)
     grid = np.linspace(float(ns.min()), float(ns.max()), 100)

@@ -2,19 +2,20 @@
 
 Per-image absolute error is the mean over the five repetitions of
 |clipped prediction - group-B mean|, under the coverage rule of
-:meth:`PredictionSet.aligned`. For every annotation criterion the
-images are grouped by category and summarized (n, frequency, error
-moments, error share, delta = share - frequency, stratified bootstrap
-CIs). Criteria whose smallest category falls below the minimum cell size
-are summarized descriptively only; the rest get a tie-corrected
-Kruskal-Wallis omnibus with epsilon-squared effect sizes, Benjamini-
-Hochberg adjustment across criteria, and Dunn pairwise post-hoc tests
-adjusted within each criterion.
+:meth:`PredictionSet.aligned`. :func:`analyze_errors` groups the images
+by category once per annotation criterion, and every statistic reads
+those groups: each category is summarized (n, frequency, error moments,
+error share, delta = share - frequency, stratified bootstrap CIs).
+Criteria with a single category, a category below the minimum cell size
+or one image per category are summarized descriptively only; the rest
+get a tie-corrected Kruskal-Wallis omnibus with epsilon-squared effect
+sizes, Benjamini-Hochberg adjustment across criteria, and Dunn pairwise
+post-hoc tests adjusted within each criterion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,13 +67,14 @@ class CategorySummary:
     share: float
     delta: float
     small: bool
-    mean_ci: tuple[float, float] | None = None
-    share_ci: tuple[float, float] | None = None
+    mean_ci: tuple[float, float]
+    share_ci: tuple[float, float]
 
 
-def _groups_for(
-    errors: Mapping[str, float], cats: CategoryTable, criterion: str
-) -> dict[str, np.ndarray]:
+Groups = dict[str, np.ndarray]
+
+
+def _groups_for(errors: Mapping[str, float], cats: CategoryTable, criterion: str) -> Groups:
     """Category label -> error vector, over the images with errors."""
     groups: dict[str, list[float]] = {}
     for image_id in sorted(errors):
@@ -82,45 +84,38 @@ def _groups_for(
 
 
 def category_summaries(
-    errors: Mapping[str, float],
-    cats: CategoryTable,
+    grouped: Mapping[str, Groups],
+    *,
+    bootstrap: int = DEFAULT_BOOTSTRAP,
+    level: float = 0.95,
+    seed: int = 0,
     min_cell: int = MIN_CELL,
 ) -> list[CategorySummary]:
-    """Descriptive rows for every (criterion, category).
+    """Descriptive rows with bootstrap CIs for every (criterion, category).
 
-    ``sd_ae`` uses the sample convention (ddof=1) and is 0 for singleton
-    categories. Shares and frequencies each sum to 1 within a criterion.
+    ``grouped`` maps each criterion to its category groups. ``sd_ae`` uses
+    the sample convention (ddof=1) and is 0 for singleton categories.
+    Shares and frequencies each sum to 1 within a criterion.
     """
-    if not errors:
-        raise ComputationError("no image errors to summarize")
     rows: list[CategorySummary] = []
-    for criterion in cats.criteria():
-        groups = _groups_for(errors, cats, criterion)
+    for criterion, groups in grouped.items():
         n_total = sum(len(v) for v in groups.values())
         total_ae = float(sum(float(v.sum()) for v in groups.values()))
         if total_ae == 0.0:
-            raise ComputationError(
-                f"criterion {criterion!r}: total absolute error is zero"
-            )
+            raise ComputationError(f"criterion {criterion!r}: total absolute error is zero")
+        cis = stratified_bootstrap_ci(groups, criterion, B=bootstrap, level=level, seed=seed)
         for label in sorted(groups):
             v = groups[label]
             share = float(v.sum()) / total_ae
             freq = len(v) / n_total
-            rows.append(
-                CategorySummary(
-                    criterion=criterion,
-                    category=label,
-                    n=len(v),
-                    freq=freq,
-                    mean_ae=float(v.mean()),
-                    sd_ae=float(v.std(ddof=1)) if len(v) > 1 else 0.0,
-                    median_ae=float(np.median(v)),
-                    iqr_ae=float(np.quantile(v, 0.75) - np.quantile(v, 0.25)),
-                    share=share,
-                    delta=share - freq,
-                    small=len(v) < min_cell,
-                )
-            )
+            rows.append(CategorySummary(
+                criterion=criterion, category=label, n=len(v), freq=freq,
+                mean_ae=float(v.mean()), sd_ae=float(v.std(ddof=1)) if len(v) > 1 else 0.0,
+                median_ae=float(np.median(v)),
+                iqr_ae=float(np.quantile(v, 0.75) - np.quantile(v, 0.25)),
+                share=share, delta=share - freq, small=len(v) < min_cell,
+                mean_ci=cis[label]["mean"], share_ci=cis[label]["share"],
+            ))
     return rows
 
 
@@ -242,8 +237,7 @@ def _replicate_sums(rng: np.random.Generator, values: np.ndarray, B: int) -> np.
 
 
 def stratified_bootstrap_ci(
-    errors: Mapping[str, float],
-    cats: CategoryTable,
+    groups: Groups,
     criterion: str,
     B: int = DEFAULT_BOOTSTRAP,
     level: float = 0.95,
@@ -251,16 +245,16 @@ def stratified_bootstrap_ci(
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Percentile CIs for per-category mean error and error share.
 
-    Images are resampled with replacement within their category, keeping
-    every stratum size fixed. Each stratum draws its B resamples from
-    its own substream (seed, "error.bootstrap", criterion, category), so
-    strata are independent and replicate b pairs the b-th resample of
-    every stratum for the shares.
+    ``groups`` maps each category of ``criterion`` to its errors. Images
+    are resampled with replacement within their category, keeping every
+    stratum size fixed. Each stratum draws its B resamples from its own
+    substream (seed, "error.bootstrap", criterion, category), so strata
+    are independent and replicate b pairs the b-th resample of every
+    stratum for the shares.
     """
     if B < 100:
         raise InputError(f"bootstrap needs B >= 100, got {B}", field="bootstrap")
     _check_unit_interval(level, "level")
-    groups = _groups_for(errors, cats, criterion)
     labels = sorted(groups)
     if any(groups[lab].shape[0] == 0 for lab in labels):
         raise InputError(f"criterion {criterion!r} has an empty category")
@@ -307,57 +301,47 @@ class PosthocRow:
     p_fdr: float
 
 
+def _skip_reason(groups: Groups, min_cell: int) -> str | None:
+    if len(groups) < 2:
+        return "single category (k=1)"
+    if min(v.shape[0] for v in groups.values()) < min_cell:
+        return f"small cells (min_n={min_cell})"
+    if all(v.shape[0] == 1 for v in groups.values()):
+        return "one image per category (N=k)"
+    return None
+
+
 def run_omnibus(
-    errors: Mapping[str, float],
-    cats: CategoryTable,
+    grouped: Mapping[str, Groups],
     min_cell: int = MIN_CELL,
     alpha: float = ALPHA,
 ) -> list[OmnibusResult]:
     """Kruskal-Wallis per criterion with BH adjustment across criteria.
 
-    Criteria with any category below ``min_cell`` images, or with a
-    single category, are skipped with a reason and excluded from the
+    ``grouped`` maps each criterion to its category groups. Criteria with
+    a single category, any category below ``min_cell`` images, or one
+    image per category are skipped with a reason and excluded from the
     adjustment. ``alpha`` must lie in (0, 1).
     """
     _check_unit_interval(alpha, "alpha")
-    partial: list[OmnibusResult] = []
-    tested_idx: list[int] = []
-    tested_p: list[float] = []
-    for criterion in cats.criteria():
-        groups = _groups_for(errors, cats, criterion)
-        n_total = sum(v.shape[0] for v in groups.values())
-        k = len(groups)
-        skip = None
-        if k < 2:
-            skip = "single category (k=1)"
-        elif min(v.shape[0] for v in groups.values()) < min_cell:
-            skip = f"small cells (min_n={min_cell})"
-        if skip is not None:
-            partial.append(
-                OmnibusResult(
-                    criterion=criterion, n_total=n_total, k=k, h=None, p=None,
-                    p_fdr=None, epsilon_sq=None, significant=None, skip_reason=skip,
-                )
-            )
-            continue
-        h, p = kruskal_wallis([groups[lab] for lab in sorted(groups)])
-        partial.append(
-            OmnibusResult(
-                criterion=criterion, n_total=n_total, k=k, h=h, p=p,
-                p_fdr=None, epsilon_sq=epsilon_squared(h, n_total, k),
-                significant=None, skip_reason=None,
-            )
-        )
-        tested_idx.append(len(partial) - 1)
-        tested_p.append(p)
-    if tested_p:
-        adjusted = bh_fdr(tested_p)
-        for pos, p_adj in zip(tested_idx, adjusted):
-            res = partial[pos]
-            partial[pos] = replace(
-                res, p_fdr=float(p_adj), significant=bool(p_adj < alpha)
-            )
-    return partial
+    skips = {c: _skip_reason(groups, min_cell) for c, groups in grouped.items()}
+    tests = {
+        c: kruskal_wallis([groups[lab] for lab in sorted(groups)])
+        for c, groups in grouped.items() if skips[c] is None
+    }
+    adjusted = dict(zip(tests, bh_fdr([p for _, p in tests.values()]).tolist()))
+    results = []
+    for criterion, groups in grouped.items():
+        n_total, k = sum(v.shape[0] for v in groups.values()), len(groups)
+        h, p = tests.get(criterion, (None, None))
+        p_fdr = adjusted.get(criterion)
+        results.append(OmnibusResult(
+            criterion=criterion, n_total=n_total, k=k, h=h, p=p, p_fdr=p_fdr,
+            epsilon_sq=None if h is None else epsilon_squared(h, n_total, k),
+            significant=None if p_fdr is None else p_fdr < alpha,
+            skip_reason=skips[criterion],
+        ))
+    return results
 
 
 def rank_top_criteria(results: Sequence[OmnibusResult], top: int = 3) -> list[str]:
@@ -387,35 +371,24 @@ def analyze_errors(
 ) -> ErrorAnalysisReport:
     """Full pipeline: descriptives with CIs, omnibus, post-hoc, ranking.
 
-    Dunn tests run for every criterion whose omnibus ran, whether or not
-    it reached significance.
+    The images are grouped by category once per criterion. Dunn tests run
+    for every criterion whose omnibus ran, whether or not it reached
+    significance.
     """
-    summaries = category_summaries(errors, cats, min_cell=min_cell)
-    omnibus = run_omnibus(errors, cats, min_cell=min_cell, alpha=alpha)
-    with_ci: list[CategorySummary] = []
-    for criterion in cats.criteria():
-        cis = stratified_bootstrap_ci(
-            errors, cats, criterion, B=bootstrap, level=level, seed=seed
-        )
-        for row in summaries:
-            if row.criterion != criterion:
-                continue
-            ci = cis[row.category]
-            with_ci.append(replace(row, mean_ci=ci["mean"], share_ci=ci["share"]))
-    posthoc: list[PosthocRow] = []
-    for res in omnibus:
-        if res.skip_reason is not None:
-            continue
-        groups = _groups_for(errors, cats, res.criterion)
-        for lab_a, lab_b, z, p, p_adj in dunn_posthoc(groups):
-            posthoc.append(
-                PosthocRow(
-                    criterion=res.criterion, category_a=lab_a, category_b=lab_b,
-                    z=z, p=p, p_fdr=p_adj,
-                )
-            )
+    if not errors:
+        raise ComputationError("no image errors to summarize")
+    grouped = {c: _groups_for(errors, cats, c) for c in cats.criteria()}
+    summaries = category_summaries(
+        grouped, bootstrap=bootstrap, level=level, seed=seed, min_cell=min_cell
+    )
+    omnibus = run_omnibus(grouped, min_cell=min_cell, alpha=alpha)
+    posthoc = (
+        PosthocRow(res.criterion, *row)
+        for res in omnibus if res.skip_reason is None
+        for row in dunn_posthoc(grouped[res.criterion])
+    )
     return ErrorAnalysisReport(
-        summaries=tuple(with_ci),
+        summaries=tuple(summaries),
         omnibus=tuple(omnibus),
         posthoc=tuple(posthoc),
         top_criteria=tuple(rank_top_criteria(omnibus)),

@@ -5,8 +5,9 @@ Per repetition the held-out predictions of the five folds are
 concatenated and scored once; the five triples are then averaged. The
 ensemble prediction is the per-image mean of the five clipped held-out
 predictions. Two Jensen inequalities (ensemble MAE and MSE never exceed
-the repetition averages) are asserted on every report. Every score
-reads :meth:`PredictionSet.aligned`, which holds the one coverage rule.
+the repetition averages) are asserted on every report. A report reads
+:meth:`PredictionSet.aligned`, which holds the one coverage rule, once:
+every score comes from that one aligned matrix.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ __all__ = [
     "mae",
     "rmse",
     "r2",
-    "repetition_metrics",
-    "ensemble_metrics",
-    "ensemble_predictions",
     "metric_report",
 ]
 
@@ -76,38 +74,16 @@ def _scores(pred: np.ndarray, obs: np.ndarray) -> tuple[float, float, float]:
     return mae(pred, obs), rmse(pred, obs), r2(pred, obs)
 
 
-def repetition_metrics(
-    ps: PredictionSet, targets_b: Mapping[str, float]
-) -> tuple[tuple[tuple[int, float, float, float], ...], tuple[float, float, float]]:
-    """Per-repetition (MAE, RMSE, R2) triples and their mean."""
+def metric_report(ps: PredictionSet, targets_b: Mapping[str, float]) -> MetricReport:
+    """Per-repetition and ensemble scores with the Jensen inequalities verified."""
     _, obs, clipped = ps.aligned(targets_b)
     rows = tuple(
         (rep, *_scores(clipped[:, j], obs)) for j, rep in enumerate(ps.repetitions)
     )
-    arr = np.array([row[1:] for row in rows], dtype=np.float64)
-    mean = tuple(float(v) for v in arr.mean(axis=0))
-    return rows, mean
-
-
-def ensemble_predictions(
-    ps: PredictionSet, targets_b: Mapping[str, float]
-) -> dict[str, float]:
-    """Per-image mean of the clipped held-out predictions across repetitions."""
-    ids, _, clipped = ps.aligned(targets_b)
-    return dict(zip(ids, clipped.mean(axis=1).tolist()))
-
-
-def ensemble_metrics(
-    ps: PredictionSet, targets_b: Mapping[str, float]
-) -> tuple[float, float, float]:
-    _, obs, clipped = ps.aligned(targets_b)
-    return _scores(clipped.mean(axis=1), obs)
-
-
-def metric_report(ps: PredictionSet, targets_b: Mapping[str, float]) -> MetricReport:
-    """Full report with the Jensen inequalities verified."""
-    rows, (mean_mae, mean_rmse, mean_r2) = repetition_metrics(ps, targets_b)
-    ens_mae, ens_rmse, ens_r2 = ensemble_metrics(ps, targets_b)
+    mean_mae, mean_rmse, mean_r2 = (
+        float(v) for v in np.array([row[1:] for row in rows]).mean(axis=0)
+    )
+    ens_mae, ens_rmse, ens_r2 = _scores(clipped.mean(axis=1), obs)
     tol = 1e-9
     if ens_mae > mean_mae + tol:
         raise ComputationError(

@@ -85,12 +85,16 @@ def write_participant_split(path, split) -> None:
                       "group_b": sorted(split.group_b)})
 
 
+TARGETS_HEADER = ["image_id", "mean_a", "mean_b", "n_a", "n_b"]
+PREDICTIONS_HEADER = ["rep", "fold", "image_id", "raw", "clipped"]
+
+
 def write_image_targets(path, targets) -> None:
     rows = [
         [i, targets.mean_a[i], targets.mean_b[i], targets.n_a[i], targets.n_b[i]]
         for i in targets.image_ids
     ]
-    write_csv(path, ["image_id", "mean_a", "mean_b", "n_a", "n_b"], rows)
+    write_csv(path, TARGETS_HEADER, rows)
 
 
 def load_image_targets(path) -> ImageTargets:
@@ -100,8 +104,7 @@ def load_image_targets(path) -> ImageTargets:
     mean_b: dict[str, float] = {}
     n_a: dict[str, int] = {}
     n_b: dict[str, int] = {}
-    header = ["image_id", "mean_a", "mean_b", "n_a", "n_b"]
-    for line, (image_id, a, b, count_a, count_b) in src.rows(header):
+    for line, (image_id, a, b, count_a, count_b) in src.rows(TARGETS_HEADER):
         if image_id in mean_a:
             raise src.error(f"duplicate image {image_id}", line)
         mean_a[image_id] = src.number(a, line, "mean_a")
@@ -116,15 +119,14 @@ def load_image_targets(path) -> ImageTargets:
 def write_predictions(path, ps: PredictionSet) -> None:
     entries = sorted(ps.entries, key=lambda p: (p.repetition, p.fold, p.image_id))
     rows = [[p.repetition, p.fold, p.image_id, p.raw, p.clipped] for p in entries]
-    write_csv(path, ["rep", "fold", "image_id", "raw", "clipped"], rows)
+    write_csv(path, PREDICTIONS_HEADER, rows)
 
 
 def load_predictions(path) -> PredictionSet:
     from .harness import Prediction, PredictionSet
     src = InputFile(path, "predictions")
-    header = ["rep", "fold", "image_id", "raw", "clipped"]
     entries: dict[tuple[int, str], Prediction] = {}
-    for line, (rep, fold, image_id, raw, clipped) in src.rows(header):
+    for line, (rep, fold, image_id, raw, clipped) in src.rows(PREDICTIONS_HEADER):
         p = Prediction(
             repetition=src.integer(rep, line, "rep", 0),
             fold=src.integer(fold, line, "fold", 0),
@@ -144,12 +146,11 @@ def write_search_log(path, log: Sequence[Mapping]) -> None:
     write_json(path, log, lines=True)
 
 
-def write_metrics(path, report: MetricReport, by_rep_path=None) -> None:
+def write_metrics(path, report: MetricReport, by_rep_path) -> None:
     write_csv(path, ["r2", "mae", "rmse", "r2_ens", "mae_ens", "rmse_ens"],
               [[report.mean_r2, report.mean_mae, report.mean_rmse,
                 report.ensemble_r2, report.ensemble_mae, report.ensemble_rmse]])
-    if by_rep_path is not None:
-        write_csv(by_rep_path, ["rep", "mae", "rmse", "r2"], report.per_repetition)
+    write_csv(by_rep_path, ["rep", "mae", "rmse", "r2"], report.per_repetition)
 
 
 def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> None:
@@ -166,9 +167,9 @@ def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> 
     )
 
 
-def write_fit_results(path, rows: Sequence[Mapping]) -> None:
+def write_fit_results(path, row: Mapping) -> None:
     header = ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged"]
-    write_csv(path, header, [[r[key] for key in header] for r in rows])
+    write_csv(path, header, [[row[key] for key in header]])
 
 
 def write_overlap(path, records) -> None:
@@ -195,8 +196,7 @@ def write_error_analysis(descriptives, omnibus, posthoc, top,
         ],
         [
             [s.criterion, s.category, s.n, s.freq, s.mean_ae, s.sd_ae, s.median_ae,
-             s.iqr_ae, s.share, s.delta, *(s.mean_ci or (None, None)),
-             *(s.share_ci or (None, None)), s.small]
+             s.iqr_ae, s.share, s.delta, *s.mean_ci, *s.share_ci, s.small]
             for s in report.summaries
         ],
     )

@@ -316,6 +316,27 @@ class TestErrorAnalysisCommand:
         assert len(desc) == 5  # header + texture x2 + eyes x2
         assert json.loads(_read(out / "top_criteria.json")).keys() == {"top_criteria"}
 
+    def test_one_image_per_category_is_skipped(self, workspace, tmp_path):
+        cats = tmp_path / "categories.csv"
+        _write_categories(cats, _image_ids(workspace))
+        with open(cats, "a", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for image in _image_ids(workspace):
+                writer.writerow([image, "environment", f"own {image}"])
+        out = tmp_path / "errors"
+        assert main([
+            "error-analysis", "--out", str(out), "--seed", "5",
+            "--predictions", str(workspace["predictions"]),
+            "--targets", str(workspace["targets"]),
+            "--categories", str(cats), "--bootstrap", "100", "--min-cell", "1",
+        ]) == 0
+        with open(out / "omnibus.csv", newline="") as fh:
+            rows = {row[0]: row for row in list(csv.reader(fh))[1:]}
+        assert rows["environment"][8] == "one image per category (N=k)"
+        assert rows["eyes"][8] == rows["texture"][8] == ""
+        with open(out / "posthoc.csv", newline="") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == {"texture", "eyes"}
+
     def test_missing_category_label_names_the_option(self, workspace, tmp_path, capsys):
         cats = tmp_path / "categories.csv"
         _write_categories(cats, _image_ids(workspace)[1:])

@@ -8,6 +8,7 @@ from scipy import stats
 
 from spidereval.error_analysis import (
     OmnibusResult,
+    _groups_for,
     _replicate_sums,
     analyze_errors,
     bh_fdr,
@@ -61,6 +62,11 @@ def _table(assignments):
         for image, label in mapping.items():
             entries[(image, criterion)] = label
     return CategoryTable(entries)
+
+
+def _grouped(errors, cats):
+    """Criterion -> category groups, as analyze_errors builds them."""
+    return {c: _groups_for(errors, cats, c) for c in cats.criteria()}
 
 
 def _kruskal_brute(groups):
@@ -259,7 +265,7 @@ class TestCategorySummaries:
     def test_hand_example(self):
         errors = {"a": 2.0, "b": 4.0, "c": 6.0, "d": 8.0}
         cats = _table({"texture": {"a": "smooth", "b": "smooth", "c": "hairy", "d": "hairy"}})
-        rows = category_summaries(errors, cats)
+        rows = category_summaries(_grouped(errors, cats))
         by_cat = {r.category: r for r in rows}
         smooth, hairy = by_cat["smooth"], by_cat["hairy"]
         assert smooth.n == 2 and smooth.freq == pytest.approx(0.5)
@@ -280,7 +286,7 @@ class TestCategorySummaries:
             "environment": {img: labels[int(rng.integers(0, 3))] for img in errors},
             "texture": {img: labels[int(rng.integers(0, 2))] for img in errors},
         })
-        rows = category_summaries(errors, cats)
+        rows = category_summaries(_grouped(errors, cats))
         for criterion in ("environment", "texture"):
             sub = [r for r in rows if r.criterion == criterion]
             assert sum(r.freq for r in sub) == pytest.approx(1.0, abs=1e-12)
@@ -292,21 +298,21 @@ class TestCategorySummaries:
         errors = {f"i{k}": float(k + 1) for k in range(12)}
         mapping = {f"i{k}": ("rare" if k < 3 else "common") for k in range(12)}
         cats = _table({"eyes": mapping})
-        rows = category_summaries(errors, cats, min_cell=5)
+        rows = category_summaries(_grouped(errors, cats), min_cell=5)
         flags = {r.category: r.small for r in rows}
         assert flags == {"rare": True, "common": False}
 
     def test_singleton_category_sd_zero(self):
         errors = {"a": 3.0, "b": 5.0, "c": 7.0}
         cats = _table({"perspective": {"a": "solo", "b": "pair", "c": "pair"}})
-        rows = category_summaries(errors, cats)
+        rows = category_summaries(_grouped(errors, cats))
         solo = next(r for r in rows if r.category == "solo")
         assert solo.sd_ae == 0.0
         assert solo.iqr_ae == 0.0
 
     def test_empty_errors_rejected(self):
         with pytest.raises(ComputationError, match="no image errors"):
-            category_summaries({}, _table({"texture": {}}))
+            analyze_errors({}, _table({"texture": {}}))
 
 
 class TestRunOmnibus:
@@ -325,7 +331,7 @@ class TestRunOmnibus:
 
     def test_skip_reasons(self):
         errors, cats = self._errors_and_cats()
-        results = {r.criterion: r for r in run_omnibus(errors, cats)}
+        results = {r.criterion: r for r in run_omnibus(_grouped(errors, cats))}
         assert results["eyes"].skip_reason == "small cells (min_n=10)"
         assert results["subjective distance"].skip_reason == "single category (k=1)"
         assert results["texture"].skip_reason is None
@@ -333,7 +339,7 @@ class TestRunOmnibus:
 
     def test_skipped_rows_have_no_statistics(self):
         errors, cats = self._errors_and_cats()
-        results = {r.criterion: r for r in run_omnibus(errors, cats)}
+        results = {r.criterion: r for r in run_omnibus(_grouped(errors, cats))}
         skipped = results["eyes"]
         assert skipped.h is None and skipped.p is None and skipped.p_fdr is None
         assert skipped.epsilon_sq is None and skipped.significant is None
@@ -341,7 +347,7 @@ class TestRunOmnibus:
 
     def test_adjustment_spans_tested_only(self):
         errors, cats = self._errors_and_cats()
-        results = run_omnibus(errors, cats)
+        results = run_omnibus(_grouped(errors, cats))
         tested = [r for r in results if r.skip_reason is None]
         adjusted = bh_fdr([r.p for r in tested])
         for r, exp in zip(tested, adjusted):
@@ -349,14 +355,28 @@ class TestRunOmnibus:
 
     def test_criteria_in_canonical_order(self):
         errors, cats = self._errors_and_cats()
-        names = [r.criterion for r in run_omnibus(errors, cats)]
+        names = [r.criterion for r in run_omnibus(_grouped(errors, cats))]
         assert names == ["subjective distance", "texture", "eyes"]
+
+    @pytest.mark.parametrize("n_images", [2, 3])
+    def test_one_image_per_category_is_skipped(self, n_images):
+        # N = k leaves epsilon squared undefined (and N = 2 the omnibus).
+        errors = {f"i{k}": float(k + 1) for k in range(n_images)}
+        cats = _table({
+            "texture": {img: img for img in errors},
+            "eyes": {img: "hidden" if k else "visible" for k, img in enumerate(errors)},
+        })
+        results = {r.criterion: r for r in run_omnibus(_grouped(errors, cats), min_cell=1)}
+        skipped = results["texture"]
+        assert skipped.skip_reason == "one image per category (N=k)"
+        assert (skipped.n_total, skipped.k, skipped.h) == (n_images, n_images, None)
+        assert results["eyes"].skip_reason == (None if n_images == 3 else skipped.skip_reason)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         errors, cats = self._errors_and_cats()
         with pytest.raises(InputError, match="alpha must be in") as exc:
-            run_omnibus(errors, cats, alpha=alpha)
+            run_omnibus(_grouped(errors, cats), alpha=alpha)
         assert exc.value.field == "alpha"
         with pytest.raises(InputError, match="alpha must be in"):
             analyze_errors(errors, cats, bootstrap=100, alpha=alpha)
@@ -368,26 +388,27 @@ class TestStratifiedBootstrap:
         errors = {f"i{k:02d}": float(rng.gamma(4.0, 2.5)) for k in range(30)}
         mapping = {img: ("a" if k % 2 == 0 else "b") for k, img in enumerate(sorted(errors))}
         mapping["i00"] = "solo"
-        return errors, _table({"texture": mapping})
+        cats = _table({"texture": mapping})
+        return errors, cats, _groups_for(errors, cats, "texture")
 
     def test_deterministic(self):
-        errors, cats = self._fixture()
-        one = stratified_bootstrap_ci(errors, cats, "texture", B=150, seed=9)
-        two = stratified_bootstrap_ci(errors, cats, "texture", B=150, seed=9)
+        _, _, groups = self._fixture()
+        one = stratified_bootstrap_ci(groups, "texture", B=150, seed=9)
+        two = stratified_bootstrap_ci(groups, "texture", B=150, seed=9)
         assert one == two
-        other = stratified_bootstrap_ci(errors, cats, "texture", B=150, seed=10)
+        other = stratified_bootstrap_ci(groups, "texture", B=150, seed=10)
         assert other != one
 
     def test_singleton_stratum_zero_width_mean(self):
-        errors, cats = self._fixture()
-        out = stratified_bootstrap_ci(errors, cats, "texture", B=150, seed=1)
+        errors, _, groups = self._fixture()
+        out = stratified_bootstrap_ci(groups, "texture", B=150, seed=1)
         lo, hi = out["solo"]["mean"]
         assert lo == hi == pytest.approx(errors["i00"])
 
     def test_brackets_point_estimates(self):
-        errors, cats = self._fixture()
-        out = stratified_bootstrap_ci(errors, cats, "texture", B=400, seed=2)
-        rows = {r.category: r for r in category_summaries(errors, cats)}
+        errors, cats, groups = self._fixture()
+        out = stratified_bootstrap_ci(groups, "texture", B=400, seed=2)
+        rows = {r.category: r for r in category_summaries(_grouped(errors, cats))}
         for lab in ("a", "b"):
             lo, hi = out[lab]["mean"]
             assert lo <= rows[lab].mean_ae <= hi
@@ -396,22 +417,27 @@ class TestStratifiedBootstrap:
             assert 0.0 <= lo_s <= hi_s <= 1.0
 
     def test_level_widens_interval(self):
-        errors, cats = self._fixture()
-        narrow = stratified_bootstrap_ci(errors, cats, "texture", B=300, seed=4, level=0.5)
-        wide = stratified_bootstrap_ci(errors, cats, "texture", B=300, seed=4, level=0.99)
+        _, _, groups = self._fixture()
+        narrow = stratified_bootstrap_ci(groups, "texture", B=300, seed=4, level=0.5)
+        wide = stratified_bootstrap_ci(groups, "texture", B=300, seed=4, level=0.99)
         for lab in ("a", "b"):
             assert wide[lab]["mean"][0] <= narrow[lab]["mean"][0]
             assert wide[lab]["mean"][1] >= narrow[lab]["mean"][1]
 
     def test_rejects_small_b_and_bad_level(self):
-        errors, cats = self._fixture()
+        _, _, groups = self._fixture()
         with pytest.raises(InputError, match="B >= 100") as exc:
-            stratified_bootstrap_ci(errors, cats, "texture", B=50)
+            stratified_bootstrap_ci(groups, "texture", B=50)
         assert exc.value.field == "bootstrap"
         for level in (1.0, 0.0, float("nan")):
             with pytest.raises(InputError, match="level") as exc:
-                stratified_bootstrap_ci(errors, cats, "texture", B=150, level=level)
+                stratified_bootstrap_ci(groups, "texture", B=150, level=level)
             assert exc.value.field == "level"
+
+    def test_rejects_an_empty_category(self):
+        _, _, groups = self._fixture()
+        with pytest.raises(InputError, match="'texture' has an empty category"):
+            stratified_bootstrap_ci({**groups, "none": np.array([])}, "texture", B=150)
 
     @pytest.mark.parametrize("n", [1, 7, 78, 157, 313])
     def test_blocked_draws_match_one_draw(self, n):
@@ -452,7 +478,8 @@ class TestStratifiedBootstrap:
         total = sum(sums[lab] for lab in sorted(sums))
         means = {lab: sums[lab] / groups[lab].size for lab in sums}
         shares = {lab: sums[lab] / total for lab in sums}
-        out = stratified_bootstrap_ci(errors, cats, "texture", B=2000, seed=7)
+        out = stratified_bootstrap_ci(_groups_for(errors, cats, "texture"), "texture",
+                                      B=2000, seed=7)
         assert out == self._percentiles(means, shares)
 
     def test_close_to_the_per_replicate_scheme(self):
@@ -474,7 +501,8 @@ class TestStratifiedBootstrap:
             for lab in labels:
                 shares[lab][b] = sums[lab] / sum(sums.values())
         old = self._percentiles(means, shares)
-        new = stratified_bootstrap_ci(errors, cats, "texture", B=B, seed=7)
+        new = stratified_bootstrap_ci(_groups_for(errors, cats, "texture"), "texture",
+                                      B=B, seed=7)
         for lab in labels:
             for kind in ("mean", "share"):
                 (lo0, hi0), (lo1, hi1) = old[lab][kind], new[lab][kind]
@@ -580,6 +608,20 @@ class TestAnalyzeErrors:
         (res,) = report.omnibus
         assert res.significant is False
         assert len(report.posthoc) == 1  # pairwise rows reported regardless
+
+    def test_labels_read_once_per_image_and_criterion(self, monkeypatch):
+        errors, cats = self._fixture()
+        calls = []
+        label = CategoryTable.label
+
+        def counted(table, image_id, criterion):
+            calls.append((image_id, criterion))
+            return label(table, image_id, criterion)
+
+        monkeypatch.setattr(CategoryTable, "label", counted)
+        analyze_errors(errors, cats, bootstrap=100, min_cell=4, seed=7)
+        assert len(calls) == len(errors) * len(cats.criteria())
+        assert len(set(calls)) == len(calls)
 
     def test_deterministic(self):
         errors, cats = self._fixture()

@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 from spidereval.error_analysis import image_abs_errors
 from spidereval.errors import ComputationError, InputError
 from spidereval.harness import PredictionSet, make_prediction
-from spidereval.metrics import (
-    ensemble_metrics,
-    ensemble_predictions,
-    mae,
-    metric_report,
-    r2,
-    repetition_metrics,
-    rmse,
-)
+from spidereval.metrics import mae, metric_report, r2, rmse
 
 
 def test_hand_computed_values():
@@ -68,12 +60,13 @@ def test_repetition_metrics_small_example():
         (0, "a"): 12.0, (0, "b"): 16.0,
         (1, "a"): 10.0, (1, "b"): 20.0,
     })
-    rows, mean = repetition_metrics(ps, targets)
+    report = metric_report(ps, targets)
+    rows = report.per_repetition
     assert rows[0][0] == 0
     assert rows[0][1] == pytest.approx(3.0)       # mae of (2, 4)
     assert rows[0][2] == pytest.approx(math.sqrt(10.0))
     assert rows[1][1] == 0.0
-    assert mean[0] == pytest.approx(1.5)
+    assert report.mean_mae == pytest.approx(1.5)
 
 
 def test_ensemble_is_per_image_mean_of_clipped():
@@ -82,24 +75,24 @@ def test_ensemble_is_per_image_mean_of_clipped():
         (0, "a"): -10.0, (0, "b"): 120.0,   # clips to 0 and 100
         (1, "a"): 20.0, (1, "b"): 80.0,
     })
-    ens = ensemble_predictions(ps, targets)
-    assert ens == {"a": 10.0, "b": 90.0}
-    e_mae, e_rmse, e_r2 = ensemble_metrics(ps, targets)
-    assert e_mae == 0.0 and e_r2 == 1.0
+    ids, _, clipped = ps.aligned(targets)
+    assert dict(zip(ids, clipped.mean(axis=1).tolist())) == {"a": 10.0, "b": 90.0}
+    report = metric_report(ps, targets)
+    assert report.ensemble_mae == 0.0 and report.ensemble_r2 == 1.0
 
 
 def test_missing_prediction_detected():
     targets = {"a": 10.0, "b": 20.0}
     ps = _prediction_set({(0, "a"): 10.0})
     with pytest.raises(InputError, match="lacks predictions"):
-        repetition_metrics(ps, targets)
+        metric_report(ps, targets)
 
 
 def test_extra_prediction_detected():
     targets = {"a": 10.0}
     ps = _prediction_set({(0, "a"): 10.0, (0, "zz"): 5.0})
     with pytest.raises(InputError, match="untargeted"):
-        repetition_metrics(ps, targets)
+        metric_report(ps, targets)
 
 
 def test_report_matches_brute_force():
@@ -172,15 +165,38 @@ def test_ensemble_and_errors_at_nine_repetitions_match_list_mean():
     values = {(rep, i): float(rng.uniform(-10, 110)) for rep in range(9) for i in images}
     ps = _prediction_set(values)
     clip = lambda v: min(100.0, max(0.0, v))
-    ensemble = ensemble_predictions(ps, targets)
+    ids, _, matrix = ps.aligned(targets)
+    ensemble = dict(zip(ids, matrix.mean(axis=1).tolist()))
     errors = image_abs_errors(ps, targets)
+    list_means = []
     for i in images:
         clipped = [clip(values[(rep, i)]) for rep in range(9)]
-        assert ensemble[i] == float(np.mean(clipped))
+        list_means.append(float(np.mean(clipped)))
+        assert ensemble[i] == list_means[-1]
         assert errors[i] == float(np.mean([abs(c - targets[i]) for c in clipped]))
+    obs = np.array([targets[i] for i in images])
+    report = metric_report(ps, targets)
+    assert report.ensemble_mae == mae(np.array(list_means), obs)
+    assert report.ensemble_rmse == rmse(np.array(list_means), obs)
 
 
 def test_ensemble_rejects_untargeted_images():
     ps = _prediction_set({(0, "a"): 10.0, (0, "b"): 20.0, (0, "zz"): 5.0})
     with pytest.raises(InputError, match="untargeted"):
-        ensemble_predictions(ps, {"a": 10.0, "b": 20.0})
+        metric_report(ps, {"a": 10.0, "b": 20.0})
+
+
+def test_report_aligns_the_predictions_once(monkeypatch):
+    calls = []
+    aligned = PredictionSet.aligned
+
+    def counted(ps, targets):
+        calls.append(ps)
+        return aligned(ps, targets)
+
+    monkeypatch.setattr(PredictionSet, "aligned", counted)
+    targets = {"a": 10.0, "b": 20.0, "c": 35.0}
+    ps = _prediction_set({(rep, i): 5.0 * rep + t for rep in range(3)
+                          for i, t in targets.items()})
+    metric_report(ps, targets)
+    assert len(calls) == 1

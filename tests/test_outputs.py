@@ -278,7 +278,7 @@ class TestMetricsFile:
         )
         main = tmp_path / "metrics.csv"
         by_rep = tmp_path / "metrics_by_rep.csv"
-        write_metrics(main, report, by_rep_path=by_rep)
+        write_metrics(main, report, by_rep)
         with open(main, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["r2", "mae", "rmse", "r2_ens", "mae_ens", "rmse_ens"]

@@ -431,8 +431,8 @@ def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
 def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
     """Overlap of the averaged heatmaps with each mask; ``fear`` (image ->
     target) adds the fear filter and the delta-fear correlations."""
-    from .attribution import (composite_heatmap, delta_fear_correlations, overlap_stats,
-                              paired_one_sided_t, representative_examples)
+    from .attribution import (FEAR_FILTER_MIN, composite_heatmap, delta_fear_correlations,
+                              overlap_stats, paired_one_sided_t, representative_examples)
     records = []
     for fname in sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm")):
         image_id = fname[: -len(".pgm")]
@@ -454,7 +454,7 @@ def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
             "max_delta": max_id,
             "nearest_zero": zero_id,
             "min_delta": min_id,
-            "fear_filter_min": None if fear is None else 40.0,
+            "fear_filter_min": None if fear is None else FEAR_FILTER_MIN,
         },
     )
     if fear is not None:
@@ -677,7 +677,10 @@ def main(argv=None) -> int:
             write_manifest(opts.out, command=args.command, seed=getattr(opts, "seed", None),
                            config=config, inputs=run.inputs, outputs=run.outputs)
         return 0
-    except (InputError, ComputationError) as exc:
+    except (InputError, ComputationError, OSError) as exc:
+        if isinstance(exc, OSError):  # every input read raises InputError: a write failed
+            exc = InputError(f"cannot write {exc.filename or 'output'}: {exc.strerror}",
+                             field="out")
         validation = isinstance(exc, InputError)
         doc = {"type": "validation" if validation else "computation", "message": str(exc)}
         if exc.field is not None:

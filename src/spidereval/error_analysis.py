@@ -16,6 +16,7 @@ post-hoc tests adjusted within each criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -119,31 +120,36 @@ def category_summaries(
     return rows
 
 
+def _rank_pass(test: str, groups: Sequence[np.ndarray]) -> tuple[list[float], list[int], float]:
+    """Each group's rank sum over the pooled average ranks, the group sizes,
+    and sum(t^3 - t) over the pooled tie groups."""
+    groups = [np.asarray(g, dtype=np.float64) for g in groups]
+    if len(groups) < 2:
+        raise InputError(f"{test} needs >= 2 groups, got {len(groups)}")
+    if any(g.shape[0] == 0 for g in groups):
+        raise InputError(f"{test} groups must be non-empty")
+    pooled = np.concatenate(groups)
+    sizes = [g.shape[0] for g in groups]
+    ranks = np.split(average_ranks(pooled), np.cumsum(sizes[:-1]))
+    ties = tie_group_sizes(pooled).astype(np.float64)
+    return [float(r.sum()) for r in ranks], sizes, float((ties ** 3 - ties).sum())
+
+
 def kruskal_wallis(groups: Sequence[np.ndarray]) -> tuple[float, float]:
     """Tie-corrected Kruskal-Wallis H and its chi-square p-value."""
-    groups = [np.asarray(g, dtype=np.float64) for g in groups]
-    k = len(groups)
-    if k < 2:
-        raise InputError(f"kruskal_wallis needs >= 2 groups, got {k}")
-    if any(g.shape[0] < 1 for g in groups):
-        raise InputError("kruskal_wallis groups must be non-empty")
-    pooled = np.concatenate(groups)
-    n_total = pooled.shape[0]
+    sums, sizes, tie_sum = _rank_pass("kruskal_wallis", groups)
+    n_total = sum(sizes)
     if n_total < 3:
         raise InputError(f"kruskal_wallis needs N >= 3, got {n_total}")
-    h_raw = 0.0
-    for r in np.split(average_ranks(pooled), np.cumsum([g.shape[0] for g in groups[:-1]])):
-        r_sum = float(r.sum())
-        h_raw += r_sum * r_sum / r.shape[0]
+    h_raw = 0.0  # a loop: from Python 3.12 on, sum() compensates its float rounding
+    for r_sum, n in zip(sums, sizes):
+        h_raw += r_sum * r_sum / n
     h_raw = 12.0 / (n_total * (n_total + 1)) * h_raw - 3.0 * (n_total + 1)
-    ties = tie_group_sizes(pooled)
-    correction = 1.0 - float((ties.astype(np.float64) ** 3 - ties).sum()) / (
-        n_total ** 3 - n_total
-    )
+    correction = 1.0 - tie_sum / (n_total ** 3 - n_total)
     if correction == 0.0:
         raise ComputationError("kruskal_wallis undefined: all values identical")
     h = h_raw / correction
-    return float(h), chi2_sf(h, k - 1)
+    return float(h), chi2_sf(h, len(sizes) - 1)
 
 
 def epsilon_squared(h: float, n_total: int, k: int) -> float:
@@ -158,15 +164,13 @@ def bh_fdr(pvals: Sequence[float]) -> np.ndarray:
     p = np.asarray(pvals, dtype=np.float64)
     if p.ndim != 1:
         raise InputError("bh_fdr expects a 1-d array")
-    if p.size and (np.min(p) < 0.0 or np.max(p) > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise InputError("p-values must lie in [0, 1]")
     m = p.shape[0]
     order = np.argsort(p, kind="stable")
+    scaled = p[order] * m / np.arange(1, m + 1)
     adjusted = np.empty(m, dtype=np.float64)
-    running = 1.0
-    for idx in range(m - 1, -1, -1):
-        running = min(running, p[order[idx]] * m / (idx + 1))
-        adjusted[order[idx]] = running
+    adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     return adjusted
 
 
@@ -179,35 +183,18 @@ def dunn_posthoc(groups: Mapping[str, np.ndarray]) -> list[tuple[str, str, float
     p-values.
     """
     labels = sorted(groups)
-    if len(labels) < 2:
-        raise InputError("dunn_posthoc needs >= 2 groups")
-    arrays = [np.asarray(groups[lab], dtype=np.float64) for lab in labels]
-    if any(a.shape[0] == 0 for a in arrays):
-        raise InputError("dunn_posthoc groups must be non-empty")
-    pooled = np.concatenate(arrays)
-    n_total = pooled.shape[0]
-    sizes = {lab: a.shape[0] for lab, a in zip(labels, arrays)}
-    by_label = np.split(average_ranks(pooled), np.cumsum([a.shape[0] for a in arrays[:-1]]))
-    mean_ranks = {lab: float(r.mean()) for lab, r in zip(labels, by_label)}
-    ties = tie_group_sizes(pooled)
-    tie_term = float((ties.astype(np.float64) ** 3 - ties).sum()) / (12.0 * (n_total - 1))
-    base_var = n_total * (n_total + 1) / 12.0 - tie_term
+    sums, sizes, tie_sum = _rank_pass("dunn_posthoc", [groups[lab] for lab in labels])
+    n_total = sum(sizes)
+    base_var = n_total * (n_total + 1) / 12.0 - tie_sum / (12.0 * (n_total - 1))
     if base_var <= 0.0:
         raise ComputationError("dunn_posthoc undefined: all values identical")
     rows = []
-    pvals = []
-    for i, lab_a in enumerate(labels):
-        for lab_b in labels[i + 1 :]:
-            sigma = np.sqrt(base_var * (1.0 / sizes[lab_a] + 1.0 / sizes[lab_b]))
-            z = (mean_ranks[lab_a] - mean_ranks[lab_b]) / sigma
-            p = min(1.0, 2.0 * normal_sf(abs(float(z))))
-            rows.append((lab_a, lab_b, float(z), p))
-            pvals.append(p)
-    adjusted = bh_fdr(pvals)
-    return [
-        (lab_a, lab_b, z, p, float(p_adj))
-        for (lab_a, lab_b, z, p), p_adj in zip(rows, adjusted)
-    ]
+    for i, j in combinations(range(len(labels)), 2):
+        sigma = np.sqrt(base_var * (1.0 / sizes[i] + 1.0 / sizes[j]))
+        z = float((sums[i] / sizes[i] - sums[j] / sizes[j]) / sigma)
+        rows.append((labels[i], labels[j], z, min(1.0, 2.0 * normal_sf(abs(z)))))
+    adjusted = bh_fdr([row[3] for row in rows])
+    return [(*row, float(p_adj)) for row, p_adj in zip(rows, adjusted)]
 
 
 # Largest index block drawn at once: bounds the bootstrap's transient

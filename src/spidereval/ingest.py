@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -455,10 +456,6 @@ class BinaryMask:
                 f"{self.height}x{self.width}"
             )
 
-    @property
-    def true_fraction(self) -> float:
-        return float(np.count_nonzero(self.bits)) / self.bits.size
-
 
 def load_ratings(path: str | Path) -> RatingsTable:
     """Parse a ratings CSV, validating every row.
@@ -647,36 +644,11 @@ def write_float_grid(grid: FloatGrid, path: str | Path) -> None:
 # -- PGM (binary masks) ------------------------------------------------------
 
 
-def _read_pgm_tokens(raw: bytes, src: InputFile) -> tuple[list[int], int]:
-    """Read magic-less header tokens (width, height, maxval), skipping
-    comments, and return them with the offset where pixel data starts."""
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < 3:
-        if i >= len(raw):
-            raise src.error("truncated PGM header")
-        ch = raw[i : i + 1]
-        if ch == b"#":
-            nl = raw.find(b"\n", i)
-            if nl == -1:
-                raise src.error("unterminated PGM comment")
-            i = nl + 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j : j + 1].isspace():
-                j += 1
-            tok = raw[i:j]
-            try:
-                tokens.append(int(tok))
-            except ValueError:
-                raise src.error(f"bad PGM header token {tok!r}") from None
-            i = j
-    # Exactly one whitespace byte separates maxval from the pixel data.
-    if i >= len(raw) or not raw[i : i + 1].isspace():
-        raise src.error("missing separator before PGM pixel data")
-    return tokens, i + 1
+# The magic, then width, height and maxval, each after whitespace and ``#``
+# comments (a comment runs to the end of its line), then exactly one
+# whitespace byte. A number has at most 18 digits after its leading zeros:
+# a larger one matches no payload, and int() refuses over 4300 digits.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+0*([0-9]{1,18})" * 3 + rb"\s")
 
 
 def load_mask(path: str | Path) -> BinaryMask:
@@ -685,13 +657,15 @@ def load_mask(path: str | Path) -> BinaryMask:
     raw = src.read_binary()
     if raw[:2] != b"P5":
         raise src.error(f"bad magic {raw[:2]!r}, expected 'P5'")
-    (width, height, maxval), offset = _read_pgm_tokens(raw[2:], src)
-    offset += 2
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise src.error("malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width <= 0 or height <= 0:
         raise src.error(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise src.error(f"maxval must be 255, got {maxval}")
-    data = raw[offset:]
+    data = raw[header.end():]
     count = width * height
     if len(data) != count:
         raise src.error(f"payload holds {len(data)} pixels, header declares {count}")

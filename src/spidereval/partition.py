@@ -61,7 +61,7 @@ def split_participants(ids, seed: int) -> ParticipantSplit:
     """
     ordered = sorted(set(ids))
     if len(ordered) < 2:
-        raise InputError("participant split needs at least 2 participants")
+        raise InputError("participant split needs at least 2 participants", field="ratings")
     rng = substream(seed, "participant_split")
     perm = rng.permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]
@@ -156,7 +156,7 @@ def make_cv_plan(image_ids, seed: int) -> CvPlan:
     """
     ordered = sorted(set(image_ids))
     if len(ordered) < 25:
-        raise InputError("cv plan needs at least 25 images")
+        raise InputError("cv plan needs at least 25 images", field="ratings")
     folds: list[FoldPlan] = []
     for rep in range(N_REPETITIONS):
         rep_rng = substream(seed, "cv.outer", rep)

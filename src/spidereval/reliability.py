@@ -53,7 +53,8 @@ class RatingMatrix:
         if v.ndim != 2 or v.shape != (len(self.image_ids), len(self.rater_ids)):
             raise InputError("rating matrix shape does not match id lists")
         if v.shape[0] < 2 or v.shape[1] < 2:
-            raise InputError("rating matrix needs at least 2 images and 2 raters")
+            raise InputError("rating matrix needs at least 2 images and 2 raters",
+                             field="ratings")
         observed_per_row = (~np.isnan(v)).sum(axis=1)
         if (observed_per_row == 0).any():
             empty = [self.image_ids[i] for i in np.nonzero(observed_per_row == 0)[0]]

@@ -509,6 +509,33 @@ class TestErrorContracts:
         error = _one_error_line(capsys)
         assert (error["type"], error["field"]) == ("validation", "seed")
 
+    def test_unwritable_output_names_out(self, workspace, tmp_path, capsys):
+        # a directory sitting on an artifact's name fails the write, even as root
+        blocker = tmp_path / "o" / "qc_report.csv"
+        blocker.mkdir(parents=True)
+        assert main(["qc", "--out", str(tmp_path / "o"),
+                     "--ratings", str(workspace["ratings"])]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "out")
+        assert str(blocker) in error["message"]
+
+    @pytest.mark.parametrize("command, images, raters, message", [
+        ("split", 20, 12, "cv plan needs at least 25 images"),
+        ("split", 30, 1, "participant split needs at least 2 participants"),
+        ("icc", 30, 1, "rating matrix needs at least 2 images and 2 raters"),
+    ])
+    def test_too_few_ratings_name_the_option(self, tmp_path, capsys, command, images,
+                                             raters, message):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out", str(synth), "--seed", "3", "--images", str(images),
+                     "--raters", str(raters), "--dim", "2"]) == 0
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path / "o"), "--seed", "3",
+                     "--ratings", str(synth / "ratings.csv")]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "ratings", "message": message,
+        }
+
     def _cv(self, workspace, tmp_path, plan=None, targets=None):
         return main([
             "cv", "--out", str(tmp_path / "o"), "--trials", "2",

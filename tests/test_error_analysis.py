@@ -216,6 +216,8 @@ class TestBhFdr:
             bh_fdr([0.5, 1.2])
         with pytest.raises(InputError):
             bh_fdr([-0.1])
+        with pytest.raises(InputError):
+            bh_fdr([0.5, math.nan])
 
 
 class TestDunnPosthoc:
@@ -259,6 +261,106 @@ class TestDunnPosthoc:
     def test_identical_values_rejected(self):
         with pytest.raises(ComputationError, match="identical"):
             dunn_posthoc({"a": np.full(6, 2.0), "b": np.full(6, 2.0)})
+
+
+# Bit patterns of the rank tests and BH on tie-heavy inputs, compared with
+# ``==``: the pooled ranks, rank sums, tie term and step-up minimum must
+# keep every floating-point step.
+TIE_SETS = {
+    "integers": {"a": [1, 1, 2, 2, 3], "b": [2, 2, 3, 3, 3, 4], "c": [1, 4, 4, 4]},
+    "tenths": {
+        "low": [0.1, 0.1, 0.3, 0.3, 0.3, 0.7],
+        "mid": [0.3, 0.7, 0.7, 0.7, 1.1, 0.1, 0.3],
+        "high": [0.7, 1.1, 1.1, 1.3, 1.3, 1.3],
+        "top": [1.3, 1.3, 0.7, 2.9, 2.9],
+    },
+    "halves": {
+        "x": [0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0, 2.0],
+        "y": [1.0, 1.0, 1.5, 1.5, 1.5, 1.5],
+        "z": [0.5, 2.0, 2.0, 2.5, 2.5, 2.5, 2.5, 3.0, 3.0],
+    },
+}
+
+
+KRUSKAL_BITS = {
+    "integers": ("0x1.0fcb9129fc3cbp+2", "0x1.e9fb187efb44bp-4"),
+    "tenths": ("0x1.f6f83ee145e08p+3", "0x1.539b09f29481bp-10"),
+    "halves": ("0x1.3707a83125015p+3", "0x1.fc040b3f0ef49p-8"),
+}
+
+DUNN_BITS = {
+    "integers": [
+        ("a", "b", "-0x1.7faa017533378p+0", "0x1.1256cec746301p-3", "0x1.9b82362ae9482p-3"),
+        ("a", "c", "-0x1.f8134136d8e03p+0", "0x1.90fb863757b49p-5", "0x1.2cbca4a981c77p-3"),
+        ("b", "c", "-0x1.47e20e3abbf97p-1", "0x1.0b386bae9dafep-1", "0x1.0b386bae9dafep-1"),
+    ],
+    "tenths": [
+        ("high", "low", "0x1.74a8a98d268d7p+1", "0x1.d79e532a203f9p-9", "0x1.61b6be5f982fbp-7"),
+        ("high", "mid", "0x1.0a5e1dab81f1ep+1", "0x1.32a92167e5fd7p-5", "0x1.cbfdb21bd8fc2p-5"),
+        ("high", "top", "-0x1.2a7735605bec6p-1", "0x1.1eaf904e6df90p-1", "0x1.1eaf904e6df90p-1"),
+        ("low", "mid", "-0x1.e16f5211f4582p-1", "0x1.636456dd75398p-2", "0x1.aa78683cf311dp-2"),
+        ("low", "top", "-0x1.adeec3be9ccb8p+1", "0x1.9a59490771850p-11", "0x1.33c2f6c59523cp-8"),
+        ("mid", "top", "-0x1.4a40819579da6p+1", "0x1.43a941b7816dcp-7", "0x1.43a941b7816dcp-6"),
+    ],
+    "halves": [
+        ("x", "y", "-0x1.ce5a733d511e2p-3", "0x1.a48d230b8f27ap-1", "0x1.a48d230b8f27bp-1"),
+        ("x", "z", "-0x1.6bb8c0c32034fp+1", "0x1.2632ebc2f7a7ep-8", "0x1.b94c61a4737bdp-7"),
+        ("y", "z", "-0x1.31b960b88f35bp+1", "0x1.15322b5d5982dp-6", "0x1.9fcb410c06444p-6"),
+    ],
+}
+
+
+BH_BITS = [
+    (
+        [0.01, 0.04, 0.04, 0.03, 0.5, 0.9, 0.9, 1.0, 0.2, 0.04],
+        [
+            "0x1.47ae147ae147bp-4", "0x1.47ae147ae147bp-4", "0x1.47ae147ae147bp-4",
+            "0x1.47ae147ae147bp-4", "0x1.6db6db6db6db7p-1", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5555555555555p-2",
+            "0x1.47ae147ae147bp-4",
+        ],
+    ),
+    (
+        [1.0, 1.0, 0.3, 0.3, 0.3, 0.7],
+        [
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.3333333333333p-1",
+            "0x1.3333333333333p-1", "0x1.3333333333333p-1", "0x1.0000000000000p+0",
+        ],
+    ),
+    (
+        [0.6, 0.7, 0.7, 0.05, 0.9999999999999999, 0.9999999999999999, 0.0],
+        [
+            "0x1.f5c28f5c28f5bp-1", "0x1.f5c28f5c28f5bp-1", "0x1.f5c28f5c28f5bp-1",
+            "0x1.6666666666667p-3", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
+            "0x0.0p+0",
+        ],
+    ),
+    (
+        [0.2, 0.2, 0.2, 0.2, 0.2],
+        [
+            "0x1.999999999999ap-3", "0x1.999999999999ap-3", "0x1.999999999999ap-3",
+            "0x1.999999999999ap-3", "0x1.999999999999ap-3",
+        ],
+    ),
+]
+
+
+class TestFrozenBits:
+    @pytest.mark.parametrize("name", sorted(TIE_SETS))
+    def test_kruskal_wallis(self, name):
+        groups = TIE_SETS[name]
+        h, p = kruskal_wallis([np.array(groups[lab], dtype=float) for lab in sorted(groups)])
+        assert (h.hex(), p.hex()) == KRUSKAL_BITS[name]
+
+    @pytest.mark.parametrize("name", sorted(TIE_SETS))
+    def test_dunn_posthoc(self, name):
+        groups = {lab: np.array(v, dtype=float) for lab, v in TIE_SETS[name].items()}
+        rows = [(a, b, z.hex(), p.hex(), q.hex()) for a, b, z, p, q in dunn_posthoc(groups)]
+        assert rows == DUNN_BITS[name]
+
+    @pytest.mark.parametrize("pvals,bits", BH_BITS)
+    def test_bh_fdr(self, pvals, bits):
+        assert [v.hex() for v in bh_fdr(pvals).tolist()] == bits
 
 
 class TestCategorySummaries:

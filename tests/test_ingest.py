@@ -459,7 +459,6 @@ class TestMask:
         write_mask(mask, out)
         loaded = load_mask(out)
         assert np.array_equal(loaded.bits, bits)
-        assert loaded.true_fraction == 0.5
 
     @settings(max_examples=30)
     @given(arrays(np.bool_, st.tuples(st.integers(1, 9), st.integers(1, 9))))
@@ -478,6 +477,35 @@ class TestMask:
         p = tmp_path / "m.pgm"
         p.write_bytes(b"P5\n# made by hand\n1 1\n255\n\xff")
         assert load_mask(p).bits.tolist() == [[True]]
+
+    @pytest.mark.parametrize("header", [
+        b"P5# after the magic\n2 1\n255\n",
+        b"P5\n2 # between fields\n\t1\r\n# and again\n255\n",
+        b"P5\n2# straight after a number\n1 255 ",
+        b"P5 0002 01 0255\n",
+    ])
+    def test_header_grammar_accepted(self, tmp_path, header):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(header + bytes([255, 0]))
+        assert load_mask(p).bits.tolist() == [[True, False]]
+
+    @pytest.mark.parametrize("header", [
+        b"P52 1 255\n",  # width glued to the magic
+        b"P5 +2 1 255\n",
+        b"P5 2 1 2_55\n",
+        b"P5 2 1 -255\n",
+        b"P5 2 1 255",  # no separator before the pixels
+        b"P5 2 1 255# comment\n",
+        b"P5 2 1",
+        b"P5 2 # unterminated comment",
+        b"P5 " + b"9" * 5000 + b" 1 255\n",
+    ])
+    def test_header_grammar_rejected(self, tmp_path, header):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(header + bytes([255, 0]))
+        with pytest.raises(InputError, match="malformed PGM header") as exc:
+            load_mask(p)
+        assert exc.value.field == "masks"
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "m.pgm"

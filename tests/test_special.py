@@ -135,3 +135,76 @@ def test_tail_function_edges():
     # symmetric tails
     assert normal_sf(2.2) + normal_sf(-2.2) == pytest.approx(1.0, abs=1e-15)
 
+
+
+# Bit patterns of betainc_reg and student_t_sf, compared with ``==``: any
+# reordering of the continued fraction's floating-point steps shows here.
+# The (a, b) pairs each take x near 0, one point on each side of the
+# symmetry switch at (a + 1)/(a + b + 2), and x near 1.
+BETAINC_BITS = [
+    (0.5, 0.5, 1e-10, '0x1.ab3a71b025d54p-18'),
+    (0.5, 0.5, 0.25, '0x1.5555555555550p-2'),
+    (0.5, 0.5, 0.75, '0x1.5555555555558p-1'),
+    (0.5, 0.5, 0.9999999999, '0x1.ffff2a62c693bp-1'),
+    (1.0, 3.0, 1e-10, '0x1.49da7e358f39fp-32'),
+    (1.0, 3.0, 0.16666666666666666, '0x1.af684bda12f70p-2'),
+    (1.0, 3.0, 0.6666666666666667, '0x1.ed097b425ed0ap-1'),
+    (1.0, 3.0, 0.9999999999, '0x1.0000000000000p+0'),
+    (2.5, 0.5, 1e-10, '0x1.5041384b8af8ap-85'),
+    (2.5, 0.5, 0.35, '0x1.d32b6deaf1fdap-6'),
+    (2.5, 0.5, 0.85, '0x1.900f78889a32cp-2'),
+    (2.5, 0.5, 0.9999999999, '0x1.fffdc65cbc351p-1'),
+    (10.0, 20.0, 1e-10, '0x1.0b66258693efcp-308'),
+    (10.0, 20.0, 0.171875, '0x1.35a282b26190bp-6'),
+    (10.0, 20.0, 0.671875, '0x1.fff665a388b44p-1'),
+    (10.0, 20.0, 0.9999999999, '0x1.0000000000000p+0'),
+    (15.0, 0.5, 1e-10, '0x1.e43ce691ca85bp-502'),
+    (15.0, 0.5, 0.45714285714285713, '0x1.988b14f99456cp-20'),
+    (15.0, 0.5, 0.9571428571428571, '0x1.05bb8d955381ap-2'),
+    (15.0, 0.5, 0.9999999999, '0x1.fffa51c5efd05p-1'),
+    (100.0, 0.5, 1e-10, '0x0.0p+0'),
+    (100.0, 0.5, 0.4926829268292683, '0x1.275bc8fc019ccp-106'),
+    (100.0, 0.5, 0.9926829268292683, '0x1.cf15be33ae8a0p-3'),
+    (100.0, 0.5, 0.9999999999, '0x1.fff13a84770d8p-1'),
+    (0.1, 50.0, 1e-10, '0x1.3e0c9b8b6e2e6p-3'),
+    (0.1, 50.0, 0.01055662188099808, '0x1.e384db7829864p-1'),
+    (0.1, 50.0, 0.510556621880998, '0x1.0000000000000p+0'),
+    (0.1, 50.0, 0.9999999999, '0x1.0000000000000p+0'),
+    (700.0, 900.0, 1e-10, '0x0.0p+0'),
+    (700.0, 900.0, 0.21878901373283396, '0x1.22c672aa69cbcp-279'),
+    (700.0, 900.0, 0.7187890137328339, '0x1.0000000000000p+0'),
+    (700.0, 900.0, 0.9999999999, '0x1.0000000000000p+0'),
+]
+
+T_SF_BITS = [
+    (0.25, 1, '0x1.b0263d2508e32p-2'),
+    (-3.0, 1, '0x1.cb90147677cc3p-1'),
+    (50.0, 1, '0x1.a128d6375f832p-8'),
+    (1.5, 2, '0x1.16ee392c3f955p-3'),
+    (-0.7, 3, '0x1.77365888e943ep-1'),
+    (2.2, 5, '0x1.43f7f68cead39p-5'),
+    (4.0, 7, '0x1.54204c1ab3a53p-9'),
+    (-12.5, 10, '0x1.fffffcaa0d174p-1'),
+    (1.96, 30, '0x1.e621d9a50a85ap-6'),
+    (0.1, 30, '0x1.d78e9263e1b9bp-2'),
+    (3.3, 100, '0x1.5f6f7403463afp-11'),
+    (-2.0, 148, '0x1.f3e22e7123ef7p-1'),
+    (2.75, 281, '0x1.9fe6c940862b3p-9'),
+    (6.0, 281, '0x1.a0b1e95d21c6cp-29'),
+    (1.0, 500, '0x1.456bd83c2c412p-3'),
+    (-1.3, 1000, '0x1.ce5c88f3c75d9p-1'),
+    (0.01, 1000, '0x1.fbea79c18dcfep-2'),
+    (8.0, 2000, '0x1.2cafebf3f1754p-50'),
+    (-50.0, 2000, '0x1.0000000000000p+0'),
+    (2.5, 2000, '0x1.998ff992beef9p-8'),
+]
+
+
+@pytest.mark.parametrize("a,b,x,bits", BETAINC_BITS)
+def test_betainc_bits_frozen(a, b, x, bits):
+    assert betainc_reg(a, b, x) == float.fromhex(bits)
+
+
+@pytest.mark.parametrize("t,df,bits", T_SF_BITS)
+def test_student_t_sf_bits_frozen(t, df, bits):
+    assert student_t_sf(t, df) == float.fromhex(bits)

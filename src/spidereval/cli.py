@@ -38,6 +38,7 @@ from .ingest import (
     load_float_grid,
     load_mask,
     load_ratings,
+    rounded,
     write_features,
     write_ratings,
 )
@@ -62,7 +63,7 @@ from .outputs import (
 from .rng import check_seed
 
 if TYPE_CHECKING:
-    from .harness import PredictionSet, PredictorSpec
+    from .harness import PredictorSpec
 
 # The split, the search and the analysis modules are imported by the
 # stage that runs them, so a command loads only what it runs.
@@ -297,10 +298,12 @@ class _Run:
             fh.write(svg)
 
 
-# -- stages: each writes its artifacts and returns what the next one needs ---
+# -- stages that take the ratings table, which `all` keeps in memory ---------
 
 
 def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
+    """Screen the raters; returns the cleaned table as ratings_filtered.csv
+    holds it, each rating rounded by the float rule."""
     from .qc import run_qc
     report, cleaned = run_qc(table)
     counts = {
@@ -315,10 +318,12 @@ def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
     write_qc_summary(run.path("qc_summary.json"), report, counts)
     write_ratings(cleaned, run.path("ratings_filtered.csv"))
     log.info("qc: excluded %d participants", len(report.excluded))
-    return cleaned
+    rating = np.fromiter(map(rounded, cleaned.rating), np.float64, len(cleaned))
+    return RatingsTable.from_codes(cleaned.participant_ids, cleaned.participant,
+                                   cleaned.image_ids, cleaned.image, cleaned.trial, rating)
 
 
-def _split(run: _Run, table: RatingsTable, seed: int):
+def _split(run: _Run, table: RatingsTable, seed: int) -> None:
     from .partition import (assert_no_leakage, image_group_means, make_cv_plan,
                             split_participants, write_cv_plan)
     split = split_participants(table.participant_ids, seed)
@@ -332,49 +337,6 @@ def _split(run: _Run, table: RatingsTable, seed: int):
     write_cv_plan(run.path("cv_plan.json"), plan)
     log.info("split: groups %d/%d, %d evaluable images, %d dropped", len(split.group_a),
              len(split.group_b), len(targets.mean_a), len(targets.dropped))
-    return targets, plan
-
-
-def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
-    """``--kind`` or the config's ``predictor`` object; its ``ranges``
-    replace the default search space. The resolved kind and ranges go back
-    onto ``opts``, so the manifest records the spec however it was
-    spelled."""
-    from .harness import KIND, PredictorSpec, default_spec
-    pconf = opts.predictor
-    unknown = sorted(set(pconf) - {"kind", "ranges"})
-    if unknown:
-        raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
-    kind = opts.kind if opts.kind is not None else pconf.get("kind", KIND)
-    base = default_spec(kind)
-    try:
-        ranges = {
-            str(name): (_float(lo), _float(hi), str(scale))
-            for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
-        }
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
-    spec = PredictorSpec(kind=kind, ranges=ranges)
-    opts.kind, opts.predictor = kind, {"ranges": ranges}
-    return spec
-
-
-def _cv(run: _Run, opts, spec, plan, targets, features) -> PredictionSet:
-    from .harness import run_nested_cv, search_summary
-    ps, search_log = run_nested_cv(
-        plan, targets, features, spec,
-        n_trials=opts.trials, seed=opts.seed, threads=opts.threads,
-    )
-    write_predictions(run.path("predictions.csv"), ps)
-    write_search_log(run.path("search_log.jsonl"), search_log)
-    write_json(run.path("search_summary.json"), search_summary(spec, search_log, ps.refits))
-    return ps
-
-
-def _metrics(run: _Run, ps: PredictionSet, targets) -> None:
-    from .metrics import metric_report
-    report = metric_report(ps, targets.mean_b)
-    write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
 
 
 def _icc(run: _Run, opts, table: RatingsTable) -> None:
@@ -406,69 +368,6 @@ def _icc(run: _Run, opts, table: RatingsTable) -> None:
     )
 
 
-def _error_analysis(run: _Run, opts, ps: PredictionSet, targets, cats) -> None:
-    from .error_analysis import analyze_errors, image_abs_errors
-    from .svgplot import grouped_bar_plot
-    report = analyze_errors(
-        image_abs_errors(ps, targets.mean_b), cats,
-        bootstrap=opts.bootstrap, level=opts.level,
-        min_cell=opts.min_cell, alpha=opts.alpha, seed=opts.seed,
-    )
-    write_error_analysis(run.path("descriptives.csv"), run.path("omnibus.csv"),
-                         run.path("posthoc.csv"), run.path("top_criteria.json"), report)
-    for criterion in report.top_criteria:
-        rows = [s for s in report.summaries if s.criterion == criterion]
-        run.write_svg(
-            f"shares_{_sanitize(criterion)}.svg",
-            grouped_bar_plot(
-                [s.category for s in rows],
-                [(s.share, s.freq) for s in rows],
-                ("share", "freq"), criterion, "proportion",
-            ),
-        )
-
-
-def _overlap(run: _Run, heatmap_dirs: list[str], masks_dir: str, fear) -> None:
-    """Overlap of the averaged heatmaps with each mask; ``fear`` (image ->
-    target) adds the fear filter and the delta-fear correlations."""
-    from .attribution import (FEAR_FILTER_MIN, composite_heatmap, delta_fear_correlations,
-                              overlap_stats, paired_one_sided_t, representative_examples)
-    records = []
-    for fname in sorted(f for f in os.listdir(masks_dir) if f.endswith(".pgm")):
-        image_id = fname[: -len(".pgm")]
-        mask_path = os.path.join(masks_dir, fname)
-        mask = load_mask(mask_path)
-        run.inputs.append(mask_path)
-        grids = []
-        for d in heatmap_dirs:
-            hpath = os.path.join(d, image_id + ".pfm")
-            grids.append(load_float_grid(hpath))
-            run.inputs.append(hpath)
-        records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
-    ttest = dataclasses.asdict(paired_one_sided_t(records))
-    write_overlap(run.path("overlap.csv"), records)
-    max_id, zero_id, min_id = representative_examples(records, fear=fear)
-    write_json(
-        run.path("representative_examples.json"),
-        {
-            "max_delta": max_id,
-            "nearest_zero": zero_id,
-            "min_delta": min_id,
-            "fear_filter_min": None if fear is None else FEAR_FILTER_MIN,
-        },
-    )
-    if fear is not None:
-        corr = delta_fear_correlations(records, fear)
-        ttest["delta_fear_pearson"] = corr["pearson"]
-        ttest["delta_fear_spearman"] = corr["spearman"]
-        write_csv(
-            run.path("delta_vs_fear.csv"),
-            ["image_id", "delta", "fear"],
-            [[r.image_id, r.delta, fear[r.image_id]] for r in records if r.image_id in fear],
-        )
-    write_json(run.path("ttest.json"), ttest)
-
-
 # -- commands: load inputs and run stages; main writes the manifest ----------
 
 
@@ -480,17 +379,51 @@ def _cmd_split(opts, run: _Run) -> None:
     _split(run, first_trial_filter(load_ratings(opts.ratings)), opts.seed)
 
 
+def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
+    """``--kind`` or the config's ``predictor`` object; its ``ranges``
+    replace the default search space. The resolved kind and ranges go back
+    onto ``opts``, so the manifest records the spec however it was
+    spelled."""
+    from .harness import KIND, PredictorSpec, default_spec
+    pconf = opts.predictor
+    unknown = sorted(set(pconf) - {"kind", "ranges"})
+    if unknown:
+        raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
+    kind = opts.kind if opts.kind is not None else pconf.get("kind", KIND)
+    base = default_spec(kind)
+    try:
+        ranges = {
+            str(name): (_float(lo), _float(hi), str(scale))
+            for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
+    spec = PredictorSpec(kind=kind, ranges=ranges)
+    opts.kind, opts.predictor = kind, {"ranges": ranges}
+    return spec
+
+
 def _cmd_cv(opts, run: _Run) -> None:
+    from .harness import run_nested_cv, search_summary
     from .partition import load_cv_plan
     spec = _predictor_spec(opts)
     plan = load_cv_plan(opts.plan)
     if opts.seed is None:
         opts.seed = plan.seed  # a stored plan fully determines the run
-    _cv(run, opts, spec, plan, load_image_targets(opts.targets), load_features(opts.features))
+    ps, search_log = run_nested_cv(
+        plan, load_image_targets(opts.targets), load_features(opts.features), spec,
+        n_trials=opts.trials, seed=opts.seed, threads=opts.threads,
+    )
+    write_predictions(run.path("predictions.csv"), ps)
+    write_search_log(run.path("search_log.jsonl"), search_log)
+    write_json(run.path("search_summary.json"), search_summary(spec, search_log, ps.refits))
 
 
 def _cmd_metrics(opts, run: _Run) -> None:
-    _metrics(run, load_predictions(opts.predictions), load_image_targets(opts.targets))
+    from .metrics import metric_report
+    report = metric_report(load_predictions(opts.predictions),
+                           load_image_targets(opts.targets).mean_b)
+    write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
 
 
 def _cmd_icc(opts, run: _Run) -> None:
@@ -541,15 +474,69 @@ def _cmd_curve(opts, run: _Run) -> None:
 
 
 def _cmd_overlap(opts, run: _Run) -> None:
+    """Overlap of the averaged heatmaps with each mask; ``--targets`` adds
+    the fear filter and the delta-fear correlations."""
+    from .attribution import (FEAR_FILTER_MIN, composite_heatmap, delta_fear_correlations,
+                              overlap_stats, paired_one_sided_t, representative_examples)
     fear = None if opts.targets is None else load_image_targets(opts.targets).mean_b
-    _overlap(run, opts.heatmaps, opts.masks, fear)
+    records = []
+    for fname in sorted(f for f in os.listdir(opts.masks) if f.endswith(".pgm")):
+        image_id = fname[: -len(".pgm")]
+        mask_path = os.path.join(opts.masks, fname)
+        mask = load_mask(mask_path)
+        run.inputs.append(mask_path)
+        grids = []
+        for d in opts.heatmaps:
+            hpath = os.path.join(d, image_id + ".pfm")
+            grids.append(load_float_grid(hpath))
+            run.inputs.append(hpath)
+        records.append(overlap_stats(image_id, composite_heatmap(grids), mask))
+    ttest = dataclasses.asdict(paired_one_sided_t(records))
+    write_overlap(run.path("overlap.csv"), records)
+    max_id, zero_id, min_id = representative_examples(records, fear=fear)
+    write_json(
+        run.path("representative_examples.json"),
+        {
+            "max_delta": max_id,
+            "nearest_zero": zero_id,
+            "min_delta": min_id,
+            "fear_filter_min": None if fear is None else FEAR_FILTER_MIN,
+        },
+    )
+    if fear is not None:
+        corr = delta_fear_correlations(records, fear)
+        ttest["delta_fear_pearson"] = corr["pearson"]
+        ttest["delta_fear_spearman"] = corr["spearman"]
+        write_csv(
+            run.path("delta_vs_fear.csv"),
+            ["image_id", "delta", "fear"],
+            [[r.image_id, r.delta, fear[r.image_id]] for r in records if r.image_id in fear],
+        )
+    write_json(run.path("ttest.json"), ttest)
 
 
 def _cmd_error_analysis(opts, run: _Run) -> None:
-    _error_analysis(
-        run, opts, load_predictions(opts.predictions),
-        load_image_targets(opts.targets), load_categories(opts.categories),
+    from .error_analysis import analyze_errors, image_abs_errors
+    from .svgplot import grouped_bar_plot
+    ps, targets = load_predictions(opts.predictions), load_image_targets(opts.targets)
+    cats = load_categories(opts.categories)
+    report = analyze_errors(
+        image_abs_errors(ps, targets.mean_b), cats,
+        bootstrap=opts.bootstrap, level=opts.level,
+        min_cell=opts.min_cell, alpha=opts.alpha, seed=opts.seed,
     )
+    write_error_analysis(run.path("descriptives.csv"), run.path("omnibus.csv"),
+                         run.path("posthoc.csv"), run.path("top_criteria.json"), report)
+    for criterion in report.top_criteria:
+        rows = [s for s in report.summaries if s.criterion == criterion]
+        run.write_svg(
+            f"shares_{_sanitize(criterion)}.svg",
+            grouped_bar_plot(
+                [s.category for s in rows],
+                [(s.share, s.freq) for s in rows],
+                ("share", "freq"), criterion, "proportion",
+            ),
+        )
 
 
 def _cmd_prop_ci(opts, run: _Run) -> None:
@@ -607,16 +594,20 @@ def _cmd_all(opts, run: _Run) -> None:
             f"overlap needs both --masks and --heatmaps; {_flag(absent)} is missing",
             field=absent,
         )
-    spec = _predictor_spec(opts)
+    _predictor_spec(opts)  # a bad predictor config fails before any stage writes
     cleaned = _qc(run, load_ratings(opts.ratings))
-    targets, plan = _split(run, cleaned, opts.seed)
-    ps = _cv(run, opts, spec, plan, targets, load_features(opts.features))
-    _metrics(run, ps, targets)
+    _split(run, cleaned, opts.seed)
+    # the later stages read back what split and cv wrote, as the chain does
+    opts.plan, opts.targets, opts.predictions = (
+        os.path.join(opts.out, name)
+        for name in ("cv_plan.json", "image_targets.csv", "predictions.csv"))
+    _cmd_cv(opts, run)
+    _cmd_metrics(opts, run)
     _icc(run, opts, cleaned)
     if opts.categories is not None:
-        _error_analysis(run, opts, ps, targets, load_categories(opts.categories))
+        _cmd_error_analysis(opts, run)
     if opts.masks is not None:
-        _overlap(run, opts.heatmaps, opts.masks, targets.mean_b)
+        _cmd_overlap(opts, run)
 
 
 # name -> (implementation, help, options that must be set)

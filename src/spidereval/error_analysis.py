@@ -101,7 +101,9 @@ def category_summaries(
     rows: list[CategorySummary] = []
     for criterion, groups in grouped.items():
         n_total = sum(len(v) for v in groups.values())
-        total_ae = float(sum(float(v.sum()) for v in groups.values()))
+        total_ae = 0.0  # a loop: from Python 3.12 on, sum() compensates its float rounding
+        for v in groups.values():
+            total_ae += float(v.sum())
         if total_ae == 0.0:
             raise ComputationError(f"criterion {criterion!r}: total absolute error is zero")
         cis = stratified_bootstrap_ci(groups, criterion, B=bootstrap, level=level, seed=seed)

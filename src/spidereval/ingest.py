@@ -47,6 +47,7 @@ __all__ = [
     "FeatureTable",
     "FloatGrid",
     "BinaryMask",
+    "rounded",
     "fmt",
     "write_csv",
     "json_text",
@@ -84,6 +85,18 @@ RATINGS_HEADER = ["participant_id", "image_id", "trial_index", "rating"]
 #: The float rule of every text artifact: 9 significant digits.
 FLOAT_FORMAT = "%.9g"
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def rounded(obj):
+    """``obj`` with every float in it, at any depth, rounded by the float
+    rule: what reading back its text rendering gives."""
+    if isinstance(obj, float):  # numpy's float64 too
+        return float(FLOAT_FORMAT % obj)
+    if isinstance(obj, dict):
+        return {key: rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):  # mostly id lists: strings skip the call
+        return [value if type(value) is str else rounded(value) for value in obj]
+    return obj
 
 
 def _reject_constant(name: str):
@@ -219,21 +232,10 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), *,
         writer.writerows(rows)
 
 
-def _rounded(obj):
-    """``obj`` with every float in it, at any depth, rounded by the float rule."""
-    if isinstance(obj, float):  # numpy's float64 too
-        return float(FLOAT_FORMAT % obj)
-    if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):  # mostly id lists: strings skip the call
-        return [value if type(value) is str else _rounded(value) for value in obj]
-    return obj
-
-
 def json_text(obj, indent: int | None = None) -> str:
     """``obj`` as JSON with sorted keys and floats rounded by the float
     rule, ending in a newline."""
-    return json.dumps(_rounded(obj), indent=indent, sort_keys=True) + "\n"
+    return json.dumps(rounded(obj), indent=indent, sort_keys=True) + "\n"
 
 
 def write_json(path, obj, *, lines: bool = False) -> None:

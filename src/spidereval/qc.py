@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError
+from .errors import ComputationError, InputError
 from .ingest import RatingsTable, first_trial_filter, rows_by_code
 from .ranking import MIN_PAIRS, spearman_rho
 
@@ -89,9 +89,13 @@ def run_qc(table: RatingsTable) -> tuple[QcReport, RatingsTable]:
     """Apply the first-trial filter and both screening rules.
 
     Returns the report together with the filtered table with all flagged
-    participants removed.
+    participants removed. Fewer than ``MIN_PARTICIPANTS`` participants is an
+    input error, fewer defined correlations (constant raters) a computation one.
     """
     filtered = first_trial_filter(table)
+    if filtered.n_participants < MIN_PARTICIPANTS:
+        raise InputError(f"rater screening needs at least {MIN_PARTICIPANTS} participants, "
+                         f"got {filtered.n_participants}", field="ratings")
     consensus = np.array(list(consensus_median(filtered).values()))[filtered.image]
 
     rho: dict[str, float | None] = {}

@@ -536,6 +536,22 @@ class TestErrorContracts:
             "type": "validation", "field": "ratings", "message": message,
         }
 
+    @pytest.mark.parametrize("command", ["qc", "all"])
+    @pytest.mark.parametrize("raters", [1, 2, 3])
+    def test_qc_with_too_few_raters_names_the_option(self, tmp_path, capsys, command, raters):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out", str(synth), "--seed", "3", "--images", "30",
+                     "--raters", str(raters), "--dim", "2"]) == 0
+        capsys.readouterr()
+        argv = [command, "--out", str(tmp_path / "o"), "--ratings", str(synth / "ratings.csv")]
+        if command == "all":
+            argv += ["--seed", "3", "--features", str(synth / "features.csv")]
+        assert main(argv) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "ratings",
+            "message": f"rater screening needs at least 4 participants, got {raters}",
+        }
+
     def _cv(self, workspace, tmp_path, plan=None, targets=None):
         return main([
             "cv", "--out", str(tmp_path / "o"), "--trials", "2",
@@ -1011,6 +1027,40 @@ class TestAllCommand:
         digests = set(manifest["inputs"].values())
         for path in heatmaps:
             assert sha256_file(path) in digests, path
+
+    def test_fifteen_digit_ratings_give_the_chain_bytes(self, workspace, tmp_path):
+        """`all` writes what qc -> split -> cv -> metrics -> icc write, also
+        when the ratings carry more digits than the float rule keeps."""
+        rng = np.random.default_rng(8)
+        with open(workspace["ratings"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            jitter = float(rng.uniform(-0.01, 0.01))
+            row[3] = "%.15g" % min(100.0, max(0.0, float(row[3]) + jitter))
+        ratings = tmp_path / "ratings.csv"
+        with open(ratings, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert any(len(row[3].replace(".", "").lstrip("0")) == 15 for row in rows[1:])
+        features, seed = str(workspace["features"]), ["--seed", "5"]
+        icc_flags = ["--sizes", "3,5", "--reps", "10"]
+        chain = tmp_path / "chain"
+        for argv in (
+            ["qc", "--ratings", str(ratings)],
+            ["split", *seed, "--ratings", str(chain / "ratings_filtered.csv")],
+            ["cv", *seed, "--plan", str(chain / "cv_plan.json"),
+             "--targets", str(chain / "image_targets.csv"), "--features", features,
+             "--trials", "3"],
+            ["metrics", "--predictions", str(chain / "predictions.csv"),
+             "--targets", str(chain / "image_targets.csv")],
+            ["icc", *seed, "--ratings", str(chain / "ratings_filtered.csv"), *icc_flags],
+        ):
+            assert main([*argv, "--out", str(chain)]) == 0, argv
+        out = tmp_path / "all"
+        assert main(["all", "--out", str(out), *seed, "--ratings", str(ratings),
+                     "--features", features, "--trials", "3", *icc_flags]) == 0
+        names = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
+        assert names == sorted(p.name for p in chain.iterdir() if p.name != "run_manifest.json")
+        assert [n for n in names if (out / n).read_bytes() != (chain / n).read_bytes()] == []
 
 
 ALL_FLAGS = {"--seed": "5", "--trials": "2", "--sizes": "3", "--reps": "5",

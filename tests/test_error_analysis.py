@@ -362,6 +362,13 @@ class TestFrozenBits:
     def test_bh_fdr(self, pvals, bits):
         assert [v.hex() for v in bh_fdr(pvals).tolist()] == bits
 
+    def test_share_total_is_summed_left_to_right(self):
+        # 1.0 + 1e-16 + 1e-16 is 1.0 one addition at a time; a compensated
+        # sum (builtin sum() from Python 3.12 on) gives 0x1.0000000000001p+0
+        groups = {"a": np.array([1.0]), "b": np.array([1e-16]), "c": np.array([1e-16])}
+        rows = category_summaries({"texture": groups}, bootstrap=100)
+        assert rows[0].category == "a" and rows[0].share.hex() == "0x1.0000000000000p+0"
+
 
 class TestCategorySummaries:
     def test_hand_example(self):

@@ -38,7 +38,6 @@ from .ingest import (
     load_float_grid,
     load_mask,
     load_ratings,
-    rounded,
     write_features,
     write_ratings,
 )
@@ -303,7 +302,7 @@ class _Run:
 
 def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
     """Screen the raters; returns the cleaned table as ratings_filtered.csv
-    holds it, each rating rounded by the float rule."""
+    holds it, each rating parsed back from its text there."""
     from .qc import run_qc
     report, cleaned = run_qc(table)
     counts = {
@@ -316,9 +315,8 @@ def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
     }
     write_qc_report(run.path("qc_report.csv"), report)
     write_qc_summary(run.path("qc_summary.json"), report, counts)
-    write_ratings(cleaned, run.path("ratings_filtered.csv"))
+    rating = write_ratings(cleaned, run.path("ratings_filtered.csv"))
     log.info("qc: excluded %d participants", len(report.excluded))
-    rating = np.fromiter(map(rounded, cleaned.rating), np.float64, len(cleaned))
     return RatingsTable.from_codes(cleaned.participant_ids, cleaned.participant,
                                    cleaned.image_ids, cleaned.image, cleaned.trial, rating)
 
@@ -456,6 +454,7 @@ def _cmd_curve(opts, run: _Run) -> None:
             "model": model_label, "metric": metric_label, "form": form,
             "a": a, "b": b, "c": c, "rss": result.rss,
             "iterations": result.iterations, "converged": result.converged,
+            "asymptote": result.asymptote,
         },
     )
     ns = np.array([n for n, _ in points], dtype=np.float64)

@@ -11,10 +11,10 @@ c = alpha + gamma. So the residual sum of squares is a function of b alone
 (variable projection, Golub & Pereyra 1973). :func:`fit_curve` evaluates
 that profile at 61 rates b = t / (max n - min n), t log-spaced from 1e-3 to
 1e3, and refines the best grid rate by golden-section search on log b
-between its two neighbours, to a bracket narrower than 1e-9. A best rate at
-either end of the grid is an ``edge`` fit with no interior optimum: the
-points lie on a line in n (b -> 0) or on a constant apart from the
-smallest n (b -> infinity).
+between its two neighbours, one profile evaluation per step, to a bracket
+narrower than 1e-9. A best rate at either end of the grid is an ``edge``
+fit with no interior optimum: the points lie on a line in n (b -> 0) or
+on a constant apart from the smallest n (b -> infinity).
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ def model_jacobian(form: str, params: np.ndarray, n: np.ndarray) -> np.ndarray:
 class FitResult:
     """``stop_reason`` is ``interior`` when the best grid rate was refined
     between its neighbours (``converged``), ``edge`` when it ended the grid;
-    ``iterations`` counts profile evaluations."""
+    ``iterations`` counts profile evaluations. ``asymptote`` is f at
+    n -> infinity, the profile's intercept: c for ``decay``, a + c for
+    ``rise``, whose c = alpha + gamma can lose its last digits to
+    cancellation."""
 
     form: str
     params: tuple[float, float, float]
@@ -67,6 +70,7 @@ class FitResult:
     iterations: int
     converged: bool
     stop_reason: str
+    asymptote: float
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +110,20 @@ def fit_curve(form: str, points) -> FitResult:
     interior = 0 < k < _GRID.size - 1
     lo, hi = (_GRID[k - 1], _GRID[k + 1]) if interior else (_GRID[k], _GRID[k])
     iterations = _GRID.size + 1  # the grid, then the fit at the chosen rate
-    while hi - lo > _LOG_TOL:  # golden-section search on log b
+    if interior:  # golden-section search on log b; each step keeps one inner point
         x1, x2 = hi - _SHRINK * (hi - lo), lo + _SHRINK * (hi - lo)
-        if profile(x1)[0] <= profile(x2)[0]:
-            hi = x2
-        else:
-            lo = x1
+        f1, f2 = profile(x1)[0], profile(x2)[0]
         iterations += 2
+        while hi - lo > _LOG_TOL:
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _SHRINK * (hi - lo)
+                f1 = profile(x1)[0]
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _SHRINK * (hi - lo)
+                f2 = profile(x2)[0]
+            iterations += 1
     _, slope, intercept = profile((lo + hi) / 2.0)
     b = math.exp((lo + hi) / 2.0) / span
     with np.errstate(over="ignore"):
@@ -122,4 +133,4 @@ def fit_curve(form: str, points) -> FitResult:
     a, c = (amplitude, intercept) if form == "decay" else (-amplitude, intercept + amplitude)
     resid = y - model_value(form, np.array([a, b, c]), n)
     return FitResult(form, (a, b, c), float(resid @ resid), iterations, interior,
-                     "interior" if interior else "edge")
+                     "interior" if interior else "edge", intercept)

@@ -9,12 +9,22 @@ clipped prediction. All losses are computed on raw predictions.
 
 The one predictor kind, ``ridge_closed_form``, is ridge regression with
 an unpenalized intercept, searched over its penalty lambda; deep models
-are trained elsewhere and only their predictions are scored. Each fit
-set is factored once, by an eigendecomposition of its smaller Gram
-matrix. When d >= n a run forms one kernel of every planned image, and
-each fold's block of it gives every inner fold's held-out residuals, by
-grouped deletion (see ``_RidgeFit``), and the refit; when d < n each
-inner fit set is factored too.
+are trained elsewhere and only their predictions are scored. A search
+prices every trial's lambda from eigendecompositions of Gram matrices,
+at one of three levels:
+
+* per fit set (d < n): each inner fit set and the training set;
+* per outer fold (d >= n): a run forms one kernel of every planned
+  image, and each fold's block of it gives every inner fold's held-out
+  residuals, by grouped deletion (see ``_RidgeFit``), and the refit;
+* per run (d >= n, few trials): one factorization of that kernel prices
+  every fold, deleting its held-out images too (``_PlanFit``).
+
+``_factor_level`` picks the level by an operation count of the plan
+size, the fold sizes and the trial count: the per-run level saves an
+eigendecomposition per fold but costs more per trial. At the paper's
+313 images and d = 768 it is cheaper up to 7 trials and the measured
+crossover is 8, so the default 30 trials run per outer fold.
 
 Feature rows, or kernel blocks when d >= n, are gathered once per fold,
 never per trial. (rep, fold) tasks are independent; every random draw comes
@@ -208,6 +218,19 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factor_kernel(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (rounding below zero clipped) and vectors of
+    ``(P K P)_1:,1:`` for a kernel K of rows centred by a common vector."""
+    eig, vecs = np.linalg.eigh(_reflect(_reflect(gram).T)[1:, 1:])
+    return np.maximum(eig, 0.0), vecs
+
+
+def _basis(vecs: np.ndarray) -> np.ndarray:
+    """``W = P [0; V]``, an orthonormal basis of the complement of the
+    constants in which ``M = I - H(lam) = W diag(lam / (e + lam)) W^T``."""
+    return _reflect(np.vstack([np.zeros(len(vecs)), vecs]))
+
+
 class _RidgeFit:
     """Ridge regression with an unpenalized intercept on one fit set,
     factored once so that each penalty costs O(nd).
@@ -255,8 +278,7 @@ class _RidgeFit:
                 eig, self.vecs = np.linalg.eigh(xc.T @ xc)
                 self.coef = self.vecs.T @ (xc.T @ yc)
             else:
-                gram = X if kernel else self.xc @ self.xc.T
-                eig, self.vecs = np.linalg.eigh(_reflect(_reflect(gram).T)[1:, 1:])
+                eig, self.vecs = _factor_kernel(X if kernel else self.xc @ self.xc.T)
                 self.coef = self.vecs.T @ _reflect(yc)[1:]
         except np.linalg.LinAlgError as exc:
             raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
@@ -282,7 +304,7 @@ class _RidgeFit:
     def held_out_losses(self, held, lams: np.ndarray) -> np.ndarray:
         """Losses ``[t, k]``: MSE on rows ``held[k]`` of the fit without them at
         penalty t. d >= n only; parts are disjoint, non-empty and not all rows."""
-        basis = _reflect(np.vstack([np.zeros(len(self.vecs)), self.vecs]))
+        basis = _basis(self.vecs)
         shrink = lams[:, None] / (self.eig + lams[:, None])
         resid = basis @ (shrink * self.coef).T
         losses = np.empty((len(lams), len(held)))
@@ -291,6 +313,81 @@ class _RidgeFit:
             r = np.linalg.solve((part * shrink[:, None, :]) @ part.T, resid[rows].T[..., None])
             losses[:, k] = np.einsum("thi,thi->t", r, r) / len(rows)
         return losses
+
+
+class _PlanFit:
+    """The kernel of every planned image, factored once per run, pricing
+    every outer fold of the plan (d >= n).
+
+    A fold's fit on its training rows F is the fit on all planned rows
+    with the fold's held-out rows D deleted, so its search deletes D and
+    an inner fold k at once, by block elimination of D from the grouped
+    deletion of ``_RidgeFit``. The fold's targets are centred on F and
+    zeroed on D, so no held-out value enters. With M the residual maker
+    of the plan fit, L
+    the Cholesky factor of ``M_DD``, ``B = L^-1 M_DF`` and
+    ``b = L^-1 (M y)_D``:
+
+    - inner fold k's residuals solve ``S_k r = (M y)_k - B_k^T b``, with
+      ``S_k = M_kk - B_k^T B_k = M_kk - M_kD M_DD^-1 M_Dk``;
+    - the refit's predictions on D are ``-M_DD^-1 (M y)_D = -L^-T b``,
+      plus the mean the targets were centred by;
+    - the refit's residual maker is ``M_FF - B^T B``, of trace
+      ``n_F - 1 - dof``.
+    """
+
+    __slots__ = ("row", "eig", "basis")
+
+    def __init__(self, kernel, ids):
+        self.row = {image_id: k for k, image_id in enumerate(ids)}
+        try:
+            self.eig, vecs = _factor_kernel(kernel(ids, ids))
+        except np.linalg.LinAlgError as exc:
+            raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
+        self.basis = _basis(vecs)
+
+    def fold(self, train_ids, y: np.ndarray, held, lams: np.ndarray):
+        """Losses ``[t, k]`` of the fit on ``train_ids`` (targets ``y``), as
+        ``_RidgeFit.held_out_losses`` gives them, each trial's error (a
+        ``M_DD`` that rounding leaves without a Cholesky factor), and
+        ``refit(ids, t)``: the predictions of held-out ``ids`` and the
+        effective dof at penalty t."""
+        fit = np.array([self.row[i] for i in train_ids], dtype=np.intp)
+        out = np.flatnonzero(_fit_mask(len(self.row), fit))
+        y_mean = float(y.mean())
+        targets = np.zeros(len(self.row))
+        targets[fit] = y - y_mean
+        coef, basis_out = targets @ self.basis, self.basis[out]
+        # the columns of W are unit vectors: tr M_FF = sum(s) - sum_D s W_D^2
+        out_weight = np.einsum("dm,dm->m", basis_out, basis_out)
+        losses = np.zeros((len(lams), len(held)))
+        preds = np.zeros((len(lams), len(out)))
+        dof = np.zeros(len(lams))
+        errors: list[str | None] = [None] * len(lams)
+        for t, lam in enumerate(lams):
+            shrink = lam / (self.eig + lam)
+            resid = self.basis @ (shrink * coef)
+            m_out = (basis_out * shrink) @ self.basis.T
+            try:
+                inv = np.linalg.inv(np.linalg.cholesky(m_out[:, out]))
+            except np.linalg.LinAlgError as exc:
+                errors[t] = f"held-out block elimination failed: {exc}"
+                continue
+            b_fit, b_y = inv @ m_out[:, fit], inv @ resid[out]
+            for k, rows in enumerate(held):
+                part, b_k = self.basis[fit[rows]], b_fit[:, rows]
+                schur = (part * shrink) @ part.T - b_k.T @ b_k
+                r = np.linalg.solve(schur, resid[fit[rows]] - b_y @ b_k)
+                losses[t, k] = r @ r / len(rows)
+            preds[t] = y_mean - b_y @ inv
+            trace_fit = shrink.sum() - shrink @ out_weight
+            dof[t] = len(fit) - 1 - trace_fit + np.einsum("df,df->", b_fit, b_fit)
+
+        def refit(ids, t: int) -> tuple[np.ndarray, float]:
+            cols = np.searchsorted(out, [self.row[i] for i in ids])
+            return preds[t, cols], float(dof[t])
+
+        return losses, errors, refit
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
@@ -337,6 +434,36 @@ def _kernel_route(features: FeatureTable, n: int) -> bool:
     return features.dim >= n  # the kernel is the smaller Gram matrix
 
 
+# An n x n eigh costs about EIGH_COST n^3 multiply-adds of the stacked
+# products and solves that price trials: the weight that puts the count's
+# switch at the measured crossover, 8 trials at 313 images and d = 768.
+EIGH_COST = 4.5
+
+
+def _factor_level(features: FeatureTable, folds, n_images: int, n_trials: int) -> str:
+    """The factorizations a run prices its searches from, by operation
+    count: ``"fit_set"`` when no fold takes the kernel route (each inner
+    fit set and each training set factored), ``"run"`` when every fold
+    does and factoring the kernel of all ``n_images`` once (``_PlanFit``)
+    is cheaper, else ``"fold"`` (each kernel fold's block factored once).
+    Only sizes and ``n_trials`` count, so the choice, and the bytes, do
+    not depend on the host or the thread count."""
+    wide = [_kernel_route(features, len(fp.train)) for fp in folds]
+    if not any(wide):
+        return "fit_set"
+    if not all(wide):
+        return "fold"
+    per_fold, per_run = 0.0, EIGH_COST * (n_images - 1) ** 3
+    for fp in folds:
+        n, d = len(fp.train), len(fp.test)
+        inner = sum(len(part) ** 2 for part in fp.inner)
+        # per trial, the inner blocks M_kk; for the per-run level also rows D
+        # of M, the factor of M_DD with B, and B_k^T B_k
+        per_fold += EIGH_COST * (n - 1) ** 3 + n_trials * inner * n
+        per_run += n_trials * (d * n_images ** 2 + d * d * (d + n) + inner * (n_images + d))
+    return "run" if per_run < per_fold else "fold"
+
+
 def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
     """Losses ``[t, k]``, the MSE of trial t's penalty on inner fold k, from
     one factorization per inner fit set, plus each trial's error: a failed
@@ -357,6 +484,12 @@ def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
     return losses, errors
 
 
+def _refit(model: _RidgeFit, rows, lams: np.ndarray):
+    """``refit(ids, t)``: the predictions of ``model``, for the ids whose
+    rows ``rows`` reads, and its effective dof, at penalty t."""
+    return lambda ids, t: (model.predict(rows(ids), lams[t:t + 1])[:, 0], model.dof(lams[t]))
+
+
 def random_search(
     spec: PredictorSpec,
     inner_folds: tuple[tuple[str, ...], ...],
@@ -369,6 +502,7 @@ def random_search(
     fold: int = 0,
     fitted: list | None = None,
     kernel=None,
+    plan_fit: _PlanFit | None = None,
 ) -> tuple[TrialResult, list[TrialResult]]:
     """Sample ``n_trials`` configurations and return (winner, all trials).
 
@@ -376,8 +510,10 @@ def random_search(
     the earliest trial. A trial that fails to fit is recorded with its
     error and skipped; if every trial fails a ComputationError carrying
     the per-trial diagnostics is raised. ``fitted``, when given, receives
-    what a refit reuses: a reader of rows as the fit takes them and its
-    one factorization (of ``kernel`` or a new ``_kernel``).
+    the refit on the whole training set, ``refit(ids, t) -> (raw
+    predictions of ids, effective dof)`` at trial t's penalty, from the
+    search's one factorization: of ``kernel``'s block (or a new
+    ``_kernel``'s), or ``plan_fit``'s when given.
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
@@ -392,14 +528,18 @@ def random_search(
         for t in range(n_trials)
     ]
     lams = np.array([params["lambda"] for params in draws], dtype=np.float64)
-    X = None if _kernel_route(features, len(y)) else features.matrix(train_ids)
-    if X is None:
+    if plan_fit is not None:
+        losses, errors, refit = plan_fit.fold(train_ids, y, held, lams)
+    elif _kernel_route(features, len(y)):
         kernel = kernel or _kernel(features, train_ids)
         model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
         losses, errors = model.held_out_losses(held, lams), [None] * n_trials
+        refit = _refit(model, lambda ids: kernel(train_ids, ids), lams)
     else:
+        X = features.matrix(train_ids)
         model = _RidgeFit(X, y)
         losses, errors = _ridge_losses(X, y, held, lams)
+        refit = _refit(model, features.matrix, lams)
 
     trials: list[TrialResult] = []
     for t, params in enumerate(draws):
@@ -417,8 +557,7 @@ def random_search(
         raise ComputationError(f"all {n_trials} search trials failed: {details}")
     best = min(viable, key=lambda tr: (tr.loss, tr.trial))
     if fitted is not None:
-        rows = features.matrix if X is not None else lambda ids: kernel(train_ids, ids)
-        fitted.extend((rows, model))
+        fitted.append(refit)
     return best, trials
 
 
@@ -430,21 +569,20 @@ def _run_fold(
     n_trials: int,
     seed: int,
     kernel,
+    plan_fit: _PlanFit | None,
 ) -> tuple[list[Prediction], list[TrialResult], Refit]:
     try:
         fitted: list = []
         best, trials = random_search(
-            spec, fp.inner, features, targets.mean_a, kernel=kernel,
+            spec, fp.inner, features, targets.mean_a, kernel=kernel, plan_fit=plan_fit,
             n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold, fitted=fitted,
         )
-        rows, model = fitted
-        lam = best.params["lambda"]
-        raw = model.predict(rows(fp.test), np.array([lam], dtype=np.float64))[:, 0]
+        raw, dof = fitted[0](fp.test, best.trial)
         preds = [
             make_prediction(fp.repetition, fp.fold, image_id, raw_val)
             for image_id, raw_val in zip(fp.test, raw)
         ]
-        refit = Refit(fp.repetition, fp.fold, best.trial, best.params, model.dof(lam))
+        refit = Refit(fp.repetition, fp.fold, best.trial, best.params, dof)
         return preds, trials, refit
     except (ComputationError, InputError) as exc:
         raise ComputationError(
@@ -484,11 +622,14 @@ def run_nested_cv(
     if seed is None:
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
-    wide = any(_kernel_route(features, len(fp.train)) for fp in tasks)
-    kernel = _kernel(features, plan.image_ids) if wide else None
+    level = _factor_level(features, tasks, len(plan.image_ids), n_trials)
+    kernel = None if level == "fit_set" else _kernel(features, plan.image_ids)
+    plan_fit = None
+    if level == "run":  # its factorization is all the folds read
+        plan_fit, kernel = _PlanFit(kernel, plan.image_ids), None
 
     def work(fp: FoldPlan):
-        return _run_fold(fp, features, targets, spec, n_trials, seed, kernel)
+        return _run_fold(fp, features, targets, spec, n_trials, seed, kernel, plan_fit)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -30,8 +30,10 @@ import json
 import math
 import re
 from array import array
+from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -214,22 +216,51 @@ def fmt(value) -> str:
     return str(value)
 
 
+_BLOCK = 4096  # rows that ``write_csv`` renders from its columns at a time
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), *,
-              columns: Sequence[Iterable] | None = None) -> None:
+              columns: Sequence | None = None) -> None:
     """A CSV with LF newlines from ``rows``, each cell rendered by :func:`fmt`,
-    or from ``columns``, one per header field: a float array is rendered
-    by the float rule in one pass and any other column holds str or int
-    cells, written as they are."""
-    if columns is not None:
-        rows = zip(*(map(FLOAT_FORMAT.__mod__, c.tolist())
-                     if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
-                     for c in columns))
-    else:
-        rows = ([fmt(v) for v in row] for row in rows)
+    or from two or more ``columns``, one per header field, joined as text
+    ``_BLOCK`` rows at a time: a float array is rendered by the float rule,
+    a pair (labels, code array) by its labels, and any other column is an
+    iterable of str or int cells. Either way each cell is quoted as
+    ``csv.writer`` quotes it; the columns quote each distinct label or
+    cell once."""
+    text: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=text.append), lineterminator="\n")
+
+    def quoted(cell: str) -> str:
+        writer.writerow([cell, ""])  # a cell of a row of several, as the columns hold it
+        return text.pop()[:-2]
+
+    def blocks(column) -> Iterator[list[str]]:
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            for start in range(0, len(column), _BLOCK):
+                yield list(map(FLOAT_FORMAT.__mod__, column[start:start + _BLOCK].tolist()))
+        elif isinstance(column, tuple) and isinstance(column[-1], np.ndarray):
+            labels, codes = column
+            cells = list(map(quoted, labels))
+            for start in range(0, len(codes), _BLOCK):
+                yield list(map(cells.__getitem__, codes[start:start + _BLOCK].tolist()))
+        else:
+            memo: dict[str, str] = {}
+            cells = iter(column)
+            while block := list(map(str, islice(cells, _BLOCK))):
+                joined = "".join(block)
+                if any(char in joined for char in ',"\r\n'):  # a superset of what gets quoted
+                    block = [memo[c] if c in memo else memo.setdefault(c, quoted(c)) for c in block]
+                yield block
+
+    writer.writerow(header)
+    if columns is None:
+        writer.writerows([fmt(v) for v in row] for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(text))
+        text.clear()
+        for block in zip(*map(blocks, columns or ())):
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def json_text(obj, indent: int | None = None) -> str:
@@ -513,13 +544,22 @@ def load_ratings(path: str | Path) -> RatingsTable:
     return table
 
 
-def write_ratings(table: RatingsTable, path: str | Path) -> None:
+def write_ratings(table: RatingsTable, path: str | Path) -> np.ndarray:
+    """Write ``table`` as a ratings CSV; returns its ratings as the file
+    holds them, each parsed back from the text written."""
+    written = np.empty(len(table))
+
+    def ratings() -> Iterator[str]:
+        for start in range(0, len(table), _BLOCK):
+            cells = list(map(FLOAT_FORMAT.__mod__, table.rating[start:start + _BLOCK].tolist()))
+            written[start:start + len(cells)] = cells
+            yield from cells
+
     write_csv(path, RATINGS_HEADER, columns=[
-        map(table.participant_ids.__getitem__, table.participant.tolist()),
-        map(table.image_ids.__getitem__, table.image.tolist()),
-        table.trial.tolist(),
-        table.rating,
+        (table.participant_ids, table.participant), (table.image_ids, table.image),
+        table.trial.tolist(), ratings(),
     ])
+    return written
 
 
 def first_trial_filter(table: RatingsTable) -> RatingsTable:

@@ -168,7 +168,8 @@ def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> 
 
 
 def write_fit_results(path, row: Mapping) -> None:
-    header = ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged"]
+    header = ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged",
+              "asymptote"]
     write_csv(path, header, [[row[key] for key in header]])
 
 

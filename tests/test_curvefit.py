@@ -88,6 +88,19 @@ class TestLevenbergMarquardt:
         assert res.params[2] == pytest.approx(c, abs=1e-6)
         assert res.rss < 1e-12
 
+    @pytest.mark.parametrize("form,a,b,c", [
+        ("decay", 12.0, 0.02, 10.5),
+        ("rise", 0.6, 0.015, -0.1),
+    ])
+    def test_asymptote_is_the_value_at_infinity(self, form, a, b, c):
+        res = fit_curve(form, _points(form, a, b, c, noise=0.01, seed=3))
+        fit_a, _, fit_c = res.params
+        if form == "decay":
+            assert res.asymptote == fit_c
+        else:
+            assert res.asymptote == pytest.approx(fit_a + fit_c, rel=1e-12)
+        assert res.asymptote == pytest.approx(a + c if form == "rise" else c, abs=0.1)
+
     def test_matches_scipy_curve_fit(self):
         """Every interior optimum on 200 noisy random curves per form is at
         least as good as scipy started from the true parameters or from it."""
@@ -123,8 +136,10 @@ class TestLevenbergMarquardt:
         pts = _points("decay", 12.0, 0.02, 10.5)
         res = fit_curve("decay", pts)
         assert res.stop_reason == "interior"
-        # 61 grid rates and the final fit, plus two per golden-section step
-        assert res.iterations > 62 and (res.iterations - 62) % 2 == 0
+        # 61 grid rates, the final fit and the first two inner points, then
+        # one per golden-section step: 42 shrink the bracket of two grid
+        # steps, 2 ln(1e6) / 60, below 1e-9
+        assert res.iterations == 64 + 42
 
     @pytest.mark.parametrize("form,y", [
         ("decay", SIZES / 100.0),  # a line in n: the optimum is b -> 0

@@ -724,48 +724,174 @@ class TestGroupedDeletion:
         for lam in lams:
             assert fit.dof(lam) == pytest.approx(refit.dof(lam), rel=1e-12)
 
+    @pytest.mark.parametrize("trials", [3, 30])
     @pytest.mark.parametrize("d, per_outer_fold", [(70, 1), (48, 1), (5, 6)])
-    def test_factorizations_per_outer_fold(self, monkeypatch, d, per_outer_fold):
-        # 60 images leave 48 training rows per outer fold: d >= 48 forms one
-        # kernel of all 60 images per run and factors each fold's block of it
-        # once, d < 48 factors the 5 inner fit sets and the training set
+    def test_factorizations_per_outer_fold(self, monkeypatch, d, per_outer_fold, trials):
+        # 60 images leave 48 training rows per outer fold. d >= 48 forms one
+        # kernel of all 60 images per run; below the rule's crossover (about
+        # 7 trials at this shape) it factors that kernel once, above it each
+        # fold's block of it once. d < 48 factors the 5 inner fit sets and
+        # the training set.
         designs = _remember_designs(monkeypatch)
         kernels = _remember_kernels(monkeypatch)
         eighs = _count_eigh(monkeypatch)
         ids, features, mean_a = _linear_problem(60, d, noise=2.0, seed=12)
         run_nested_cv(make_cv_plan(ids, seed=21), _targets_from(mean_a), features,
-                      default_spec(), n_trials=3)
-        assert len(designs) == len(eighs) == 25 * per_outer_fold
-        if per_outer_fold == 1:
-            assert kernels == [tuple(ids)]
-            assert {(X.shape, kernel) for _, X, _, kernel in designs} == {((48, 48), True)}
-            assert set(eighs) == {(47, 47)}
-        else:
+                      default_spec(), n_trials=trials)
+        if per_outer_fold == 6:
+            assert len(designs) == len(eighs) == 25 * 6
             assert kernels == []
             assert {(X.shape[0], kernel) for _, X, _, kernel in designs} == {
                 (38, False), (39, False), (48, False)}
+            return
+        assert kernels == [tuple(ids)]
+        if trials == 3:
+            assert designs == [] and eighs == [(59, 59)]
+        else:
+            assert len(designs) == len(eighs) == 25
+            assert {(X.shape, kernel) for _, X, _, kernel in designs} == {((48, 48), True)}
+            assert set(eighs) == {(47, 47)}
 
     def test_cli_bytes_match_the_per_fold_route(self, tmp_path, monkeypatch):
-        synth, split = tmp_path / "synth", tmp_path / "split"
-        assert main(["synth", "--out", str(synth), "--seed", "4", "--images", "40",
-                     "--raters", "8", "--dim", "48"]) == 0
-        assert main(["split", "--out", str(split), "--seed", "4",
-                     "--ratings", str(synth / "ratings.csv")]) == 0
-
-        def cv(out):
-            assert main(["cv", "--out", str(out), "--trials", "8",
-                         "--plan", str(split / "cv_plan.json"),
-                         "--targets", str(split / "image_targets.csv"),
-                         "--features", str(synth / "features.csv")]) == 0
-            return {name: (out / name).read_bytes()
-                    for name in ("predictions.csv", "search_log.jsonl", "search_summary.json")}
-
-        grouped = cv(tmp_path / "grouped")
+        cv = _cli_cv(tmp_path)
+        chosen = cv(tmp_path / "chosen", 8)
+        # 32 training rows per outer fold at d = 48: 8 trials are above the
+        # rule's crossover, so the run factors each fold's kernel block
+        assert _level_of(40, 48, 8) == "fold"
+        rule = harness._factor_level
+        monkeypatch.setattr(harness, "_factor_level", lambda *args: "run")
+        assert cv(tmp_path / "per_run", 8) == chosen
+        monkeypatch.setattr(harness, "_factor_level", rule)
         designs = _remember_designs(monkeypatch)
         kernels = _remember_kernels(monkeypatch)
         monkeypatch.setattr(harness, "_kernel_route", lambda features, n: False)
-        assert cv(tmp_path / "per_fold") == grouped
-        # 32 training rows per outer fold at d = 48: the forced route factors the
-        # 5 inner fit sets and the training set from X, and forms no kernel
+        assert cv(tmp_path / "per_fit_set", 8) == chosen
+        # the forced route factors the 5 inner fit sets and the training set
+        # from X, and forms no kernel
         assert len(designs) == 25 * 6
         assert kernels == [] and not any(kernel for *_, kernel in designs)
+
+    def test_cli_bytes_do_not_depend_on_threads_per_run(self, tmp_path):
+        cv = _cli_cv(tmp_path)
+        assert _level_of(40, 48, 3) == "run"
+        assert cv(tmp_path / "one", 3, "1") == cv(tmp_path / "two", 3, "2")
+
+
+def _cli_cv(tmp_path):
+    """Synthesize 40 images at d = 48 and split them; returns
+    ``cv(out, trials, threads)``, the bytes of one ``cv`` run's artifacts."""
+    synth, split = tmp_path / "synth", tmp_path / "split"
+    assert main(["synth", "--out", str(synth), "--seed", "4", "--images", "40",
+                 "--raters", "8", "--dim", "48"]) == 0
+    assert main(["split", "--out", str(split), "--seed", "4",
+                 "--ratings", str(synth / "ratings.csv")]) == 0
+
+    def cv(out, trials, threads="1"):
+        assert main(["cv", "--out", str(out), "--trials", str(trials), "--threads", threads,
+                     "--plan", str(split / "cv_plan.json"),
+                     "--targets", str(split / "image_targets.csv"),
+                     "--features", str(synth / "features.csv")]) == 0
+        return {name: (out / name).read_bytes()
+                for name in ("predictions.csv", "search_log.jsonl", "search_summary.json")}
+
+    return cv
+
+
+def _level_of(n_images, d, trials):
+    """The factorization level the rule picks for a plan of ``n_images`` at
+    feature dimension d."""
+    ids = [f"i{k:03d}" for k in range(n_images)]
+    features = FeatureTable.from_array(ids, np.zeros((n_images, d)))
+    plan = make_cv_plan(ids, seed=0)
+    return harness._factor_level(features, plan.folds, n_images, trials)
+
+
+@st.composite
+def _plan_case(draw):
+    """A plan of N rows at d >= n, n the training rows, at any scale and
+    offset, some rows repeated; 1..N-3 held-out rows, the training rows
+    split into 2..6 inner folds of unequal sizes, and six penalties over
+    the default range [1e-4, 1e2], both ends included."""
+    N = draw(st.integers(4, 28))
+    out = draw(st.integers(1, N - 3))
+    n = N - out
+    d = draw(st.integers(n, 2 * N + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-2, 2)
+    X = scale * (rng.standard_normal((N, d)) + rng.uniform(-10, 10, d))
+    copies = draw(st.integers(0, N // 2))
+    X[rng.integers(0, N, copies)] = X[rng.integers(0, N, copies)]
+    rows = rng.permutation(N)
+    y = rng.uniform(0, 100, n)
+    cuts = np.sort(rng.choice(np.arange(1, n), draw(st.integers(1, min(n, 6) - 1)),
+                              replace=False))
+    held = [np.sort(part) for part in np.split(rng.permutation(n), cuts)]
+    lams = np.concatenate([[1e-4, 1e2], 10.0 ** rng.uniform(-4, 2, 4)])
+    return X, np.sort(rows[out:]), np.sort(rows[:out]), y, held, lams
+
+
+class TestPlanLevel:
+    """Below the rule's crossover one factorization of the kernel of every
+    planned image prices every outer fold; the per-fold level is the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_plan_case())
+    def test_matches_the_per_fold_route(self, case):
+        X, fit, out, y, held, lams = case
+        ids = [f"i{k:03d}" for k in range(len(X))]
+        kernel = harness._kernel(FeatureTable.from_array(ids, X), ids)
+        train, test = [ids[i] for i in fit], [ids[i] for i in out]
+        fold = harness._RidgeFit(kernel(train, train), y, kernel=True)
+        plan = harness._PlanFit(kernel, ids)
+        losses, errors, refit = plan.fold(train, y, held, lams)
+        assert errors == [None] * len(lams)
+        # The bound of TestGroupedDeletion, at the larger condition number of
+        # the two factorizations: the per-run level loses eps * cond of the
+        # plan kernel, which exceeds the fold's when a held-out row (nearly)
+        # repeats another row.
+        cond = np.maximum(*((f.eig.max() + lams) / (f.eig.min() + lams) for f in (fold, plan)))
+        rel = 1e-12 + 16 * np.finfo(float).eps * cond
+        want = fold.held_out_losses(held, lams)
+        assert (np.abs(losses - want) <= rel[:, None] * np.maximum(want, y.var())).all()
+        got = [refit(test, t) for t in range(len(lams))]
+        want_pred = fold.predict(kernel(train, test), lams)
+        scale = np.maximum(np.abs(want_pred - y.mean()), y.std())
+        assert (np.abs(np.array([p for p, _ in got]).T - want_pred) <= rel * scale).all()
+        dof = np.array([[d, fold.dof(lam)] for (_, d), lam in zip(got, lams)])
+        assert (np.abs(dof[:, 0] - dof[:, 1]) <= rel * np.maximum(dof[:, 1], 1)).all()
+
+    def test_a_factorless_held_out_block_fails_its_trial_only(self, monkeypatch):
+        ids, features, mean_a = _linear_problem(40, 50, noise=2.0, seed=5)
+        plan, targets = make_cv_plan(ids, seed=9), _targets_from(mean_a)
+        assert _level_of(40, 50, 3) == "run"
+        _, want = run_nested_cv(plan, targets, features, default_spec(), n_trials=3)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def second_trial_fails(a):
+            calls.append(None)
+            if len(calls) % 3 == 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", second_trial_fails)
+        _, log = run_nested_cv(plan, targets, features, default_spec(), n_trials=3)
+        assert len(calls) == 25 * 3
+        for got, ref in zip(log, want):
+            if got["trial"] == 1:
+                assert got["loss"] is None and not got["selected"]
+                assert got["error"] == ("held-out block elimination failed: "
+                                        "Matrix is not positive definite")
+            else:
+                assert got["loss"] == ref["loss"]
+
+    @pytest.mark.parametrize("d, trials, level", [
+        (768, 3, "run"), (768, 30, "fold"), (64, 3, "fit_set"), (64, 30, "fit_set")])
+    def test_rule_at_the_paper_shape(self, d, trials, level):
+        assert _level_of(313, d, trials) == level
+
+    def test_crossover_at_the_paper_shape(self):
+        # measured, CPU seconds per run against per outer fold, one thread:
+        # 0.28 against 0.30 at 7 trials, 0.32 both at 8, 0.35 against 0.32 at 9
+        assert [_level_of(313, 768, t) for t in range(1, 11)] == ["run"] * 7 + ["fold"] * 3

@@ -95,6 +95,16 @@ class TestCsvJson:
         assert (tmp_path / "cols.csv").read_text() == 'id,n,v\nx,1,0.333333333\n"y,z",2,-0\n'
 
 
+    def test_columns_quote_each_distinct_cell_as_rows_do(self, tmp_path):
+        labels = iter(["c", "b,c", 'd"e', "f\ng", "b,c"])
+        names, counts = ("v", "w,x", "y", "z", "v"), [1, 2, 3, 4, 5]
+        header = ["label", "name", "n"]
+        write_csv(tmp_path / "rows.csv", header,
+                  zip(["c", "b,c", 'd"e', "f\ng", "b,c"], names, counts))
+        write_csv(tmp_path / "cols.csv", header, columns=[labels, names, counts])
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestJsonFloatRule:
     """JSON floats carry the digits of their CSV cell: 9 significant."""
 

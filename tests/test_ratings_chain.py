@@ -7,6 +7,9 @@ to agree bit for bit, from the first-trial filter through QC, the
 participant split's group means and the ICC rating matrix.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from spidereval.errors import ComputationError, InputError
 from spidereval.ingest import (
+    RATINGS_HEADER,
     RatingRecord,
     RatingsTable,
     first_trial_filter,
@@ -154,6 +158,29 @@ def ratings_tables(draw):
     return [RatingRecord(*rows[k]) for k in order]
 
 
+def _grid(participants, images, rating):
+    """One first-trial record per (participant, image), rated ``rating(p, i)``
+    for the participant's and the image's positions."""
+    return [RatingRecord(p, im, 1, rating(j, k))
+            for j, p in enumerate(participants) for k, im in enumerate(images)]
+
+
+# QC excludes the reversed rater "o,ut" and with it "ön,ly", the image only
+# it rated; the others' later trials are dropped by the first-trial filter.
+REVERSED_RATER = (_grid(["p1", "p2", "p3", "p4", "p5"], ["i,1", "i2", "i3", "i4"],
+                        lambda j, k: 10.0 * k + 0.5 * ((j * 3 + k) % 4))
+                  + [RatingRecord("p1", "i2", 2, 99.0)]
+                  + _grid(["o,ut"], ["i,1", "i2", "i3", "i4"], lambda j, k: 100.0 - 10.0 * k)
+                  + [RatingRecord("o,ut", "ön,ly", 1, 50.0)])
+# exactly MIN_PARTICIPANTS raters, each with MIN_PAIRS images
+FEWEST_RATERS = _grid([f"p{j}" for j in range(MIN_PARTICIPANTS)],
+                      [f"i{k}" for k in range(MIN_PAIRS)],
+                      lambda j, k: 20.0 * k + (j * k) % 3)
+# every rating tied: no rater has a defined correlation
+ALL_TIED = _grid([f"p{j}" for j in range(MIN_PARTICIPANTS + 1)], ["i0", "i1", "i2"],
+                 lambda j, k: 50.0)
+
+
 def _outcome(fn, *args):
     """The result of ``fn``, or the type and message of the error it raised."""
     try:
@@ -186,6 +213,9 @@ class TestAgainstRecordReference:
     @CHAIN_SETTINGS
     @given(ratings_tables())
     @example([])
+    @example(REVERSED_RATER)
+    @example(FEWEST_RATERS)
+    @example(ALL_TIED)
     def test_run_qc(self, records):
         got = _outcome(run_qc, RatingsTable(records))
         want = _outcome(ref_run_qc, records)
@@ -238,6 +268,21 @@ class TestAgainstRecordReference:
             RatingRecord(r.participant_id, r.image_id, r.trial_index, float(f"{r.rating:.9g}"))
             for r in records
         )
+
+
+@pytest.mark.parametrize("odd", ODD_IDS)
+def test_write_ratings_renders_ids_as_csv_writer_does(tmp_path, odd):
+    table = RatingsTable([RatingRecord(odd, "i" + odd, 1, 12.5), RatingRecord("p", odd, 2, 1 / 3),
+                          RatingRecord(odd, odd, 3, 1e-300)])
+    path = tmp_path / "ratings.csv"
+    ratings = write_ratings(table, path)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(RATINGS_HEADER)
+    writer.writerows([r.participant_id, r.image_id, r.trial_index, f"{r.rating:.9g}"]
+                     for r in table.records)
+    assert path.read_bytes() == want.getvalue().encode()
+    assert ratings.tolist() == [12.5, 0.333333333, 1e-300]
 
 
 def test_matrix_duplicate_cell_names_the_later_row():

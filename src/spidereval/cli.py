@@ -293,7 +293,7 @@ class _Run:
         return path
 
     def write_svg(self, name: str, svg: str) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as fh:
+        with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(svg)
 
 

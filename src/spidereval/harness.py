@@ -10,15 +10,16 @@ clipped prediction. All losses are computed on raw predictions.
 The one predictor kind, ``ridge_closed_form``, is ridge regression with
 an unpenalized intercept, searched over its penalty lambda; deep models
 are trained elsewhere and only their predictions are scored. A search
-prices every trial's lambda from eigendecompositions of Gram matrices,
-at one of three levels:
+prices every trial's lambda, and returns its refit, from
+eigendecompositions of Gram matrices at one of three levels; the run
+hands each search what it has factored as ``factors``:
 
-* per fit set (d < n): each inner fit set and the training set;
-* per outer fold (d >= n): a run forms one kernel of every planned
+* per fit set (d < n): each inner fit set and the training set (None);
+* per outer fold (d >= n): the run forms one kernel of every planned
   image, and each fold's block of it gives every inner fold's held-out
   residuals, by grouped deletion (see ``_RidgeFit``), and the refit;
-* per run (d >= n, few trials): one factorization of that kernel prices
-  every fold, deleting its held-out images too (``_PlanFit``).
+* per run (d >= n, few trials): one factorization of that kernel, a
+  ``_PlanFit``, prices every fold, deleting its held-out images too.
 
 ``_factor_level`` picks the level by an operation count of the plan
 size, the fold sizes and the trial count: the per-run level saves an
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -408,12 +409,6 @@ def _sample_trial(spec: PredictorSpec, rng: np.random.Generator) -> dict[str, fl
     return {"lambda": float(low + u * (high - low))}
 
 
-def _rows(position: Mapping[str, int], ids) -> np.ndarray:
-    """Ascending row indices of ``ids`` in a training set whose rows are
-    its sorted ids."""
-    return np.array(sorted(position[i] for i in ids), dtype=np.intp)
-
-
 def _fit_mask(n: int, held: np.ndarray) -> np.ndarray:
     """Mask of the rows of an n-row training set outside ``held``."""
     mask = np.ones(n, dtype=bool)
@@ -468,8 +463,6 @@ def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
     """Losses ``[t, k]``, the MSE of trial t's penalty on inner fold k, from
     one factorization per inner fit set, plus each trial's error: a failed
     factorization is the error of every trial."""
-    for lam in lams:
-        _check_penalty(lam)
     losses = np.zeros((len(lams), len(held)))
     errors: list[str | None] = [None] * len(lams)
     for k, rows in enumerate(held):
@@ -500,27 +493,26 @@ def random_search(
     seed: int = 0,
     repetition: int = 0,
     fold: int = 0,
-    fitted: list | None = None,
-    kernel=None,
-    plan_fit: _PlanFit | None = None,
-) -> tuple[TrialResult, list[TrialResult]]:
-    """Sample ``n_trials`` configurations and return (winner, all trials).
+    factors=None,
+) -> tuple[TrialResult, list[TrialResult], Callable]:
+    """Sample ``n_trials`` configurations and return (winner, all trials,
+    refit).
 
     The winner minimizes the mean MSE across the inner folds; ties go to
     the earliest trial. A trial that fails to fit is recorded with its
     error and skipped; if every trial fails a ComputationError carrying
-    the per-trial diagnostics is raised. ``fitted``, when given, receives
-    the refit on the whole training set, ``refit(ids, t) -> (raw
-    predictions of ids, effective dof)`` at trial t's penalty, from the
-    search's one factorization: of ``kernel``'s block (or a new
-    ``_kernel``'s), or ``plan_fit``'s when given.
+    the per-trial diagnostics is raised. ``refit(ids, t) -> (raw
+    predictions of ids, effective dof)`` is the fit on the whole training
+    set at trial t's penalty. ``factors``, read only when d >= n, is None
+    (the search forms its own ``_kernel``), a ``_kernel`` of every planned
+    image (it factors the training set's block) or a ``_PlanFit``.
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
     train_ids = sorted({i for part in inner_folds for i in part})
     position = {image_id: k for k, image_id in enumerate(train_ids)}
     y = np.array([targets[i] for i in train_ids], dtype=np.float64)
-    held = [_rows(position, part) for part in inner_folds]
+    held = [np.array(sorted(position[i] for i in part), dtype=np.intp) for part in inner_folds]
     if not all(0 < len(rows) < len(y) for rows in held):
         raise InputError("each inner fold must hold some but not all training images")
     draws = [
@@ -528,18 +520,18 @@ def random_search(
         for t in range(n_trials)
     ]
     lams = np.array([params["lambda"] for params in draws], dtype=np.float64)
-    if plan_fit is not None:
-        losses, errors, refit = plan_fit.fold(train_ids, y, held, lams)
-    elif _kernel_route(features, len(y)):
-        kernel = kernel or _kernel(features, train_ids)
-        model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
-        losses, errors = model.held_out_losses(held, lams), [None] * n_trials
-        refit = _refit(model, lambda ids: kernel(train_ids, ids), lams)
-    else:
+    if not _kernel_route(features, len(y)):
         X = features.matrix(train_ids)
         model = _RidgeFit(X, y)
         losses, errors = _ridge_losses(X, y, held, lams)
         refit = _refit(model, features.matrix, lams)
+    elif isinstance(factors, _PlanFit):
+        losses, errors, refit = factors.fold(train_ids, y, held, lams)
+    else:
+        kernel = factors or _kernel(features, train_ids)
+        model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
+        losses, errors = model.held_out_losses(held, lams), [None] * n_trials
+        refit = _refit(model, lambda ids: kernel(train_ids, ids), lams)
 
     trials: list[TrialResult] = []
     for t, params in enumerate(draws):
@@ -555,10 +547,7 @@ def random_search(
     if not viable:
         details = "; ".join(f"trial {tr.trial}: {tr.error}" for tr in trials)
         raise ComputationError(f"all {n_trials} search trials failed: {details}")
-    best = min(viable, key=lambda tr: (tr.loss, tr.trial))
-    if fitted is not None:
-        fitted.append(refit)
-    return best, trials
+    return min(viable, key=lambda tr: (tr.loss, tr.trial)), trials, refit
 
 
 def _run_fold(
@@ -568,16 +557,14 @@ def _run_fold(
     spec: PredictorSpec,
     n_trials: int,
     seed: int,
-    kernel,
-    plan_fit: _PlanFit | None,
+    factors,
 ) -> tuple[list[Prediction], list[TrialResult], Refit]:
     try:
-        fitted: list = []
-        best, trials = random_search(
-            spec, fp.inner, features, targets.mean_a, kernel=kernel, plan_fit=plan_fit,
-            n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold, fitted=fitted,
+        best, trials, fitted = random_search(
+            spec, fp.inner, features, targets.mean_a, factors=factors,
+            n_trials=n_trials, seed=seed, repetition=fp.repetition, fold=fp.fold,
         )
-        raw, dof = fitted[0](fp.test, best.trial)
+        raw, dof = fitted(fp.test, best.trial)
         preds = [
             make_prediction(fp.repetition, fp.fold, image_id, raw_val)
             for image_id, raw_val in zip(fp.test, raw)
@@ -623,13 +610,12 @@ def run_nested_cv(
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
     level = _factor_level(features, tasks, len(plan.image_ids), n_trials)
-    kernel = None if level == "fit_set" else _kernel(features, plan.image_ids)
-    plan_fit = None
+    factors = None if level == "fit_set" else _kernel(features, plan.image_ids)
     if level == "run":  # its factorization is all the folds read
-        plan_fit, kernel = _PlanFit(kernel, plan.image_ids), None
+        factors = _PlanFit(factors, plan.image_ids)
 
     def work(fp: FoldPlan):
-        return _run_fold(fp, features, targets, spec, n_trials, seed, kernel, plan_fit)
+        return _run_fold(fp, features, targets, spec, n_trials, seed, factors)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

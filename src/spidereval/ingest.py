@@ -273,7 +273,7 @@ def write_json(path, obj, *, lines: bool = False) -> None:
     """``obj`` as indented JSON; with ``lines``, each record of the
     sequence ``obj`` on a line of its own (JSONL)."""
     text = "".join(map(json_text, obj)) if lines else json_text(obj, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 

@@ -55,7 +55,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 class _Frame:
-    """Linear data-to-pixel mapping with axes and tick labels."""
+    """Linear data-to-pixel mapping with axes and tick labels; one writer per element kind."""
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float], title: str,
                  xlabel: str, ylabel: str):
@@ -72,9 +72,8 @@ class _Frame:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-            f'<text x="{_W / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="15">{_esc(title)}</text>',
         ]
+        self.text(_W / 2, 24, "middle", 15, title)
         self._axes(xlabel, ylabel)
 
     def px(self, x: float) -> float:
@@ -85,6 +84,34 @@ class _Frame:
         frac = (y - self.y_lo) / (self.y_hi - self.y_lo)
         return _H - _MB - frac * (_H - _MT - _MB)
 
+    def text(self, x, y, anchor: str, size: int, text: str,
+             before: str = "", after: str = "") -> None:
+        """A ``<text>`` element; ``before`` and ``after`` are attributes
+        written before and after the font's."""
+        self.parts.append(
+            f'<text x="{x}" y="{y}" text-anchor="{anchor}" {before}font-family="sans-serif" '
+            f'font-size="{size}"{after}>{_esc(text)}</text>'
+        )
+
+    def legend(self, i: int, label: str) -> None:
+        """Entry i of the top-right legend, in color i."""
+        self.text(_W - _MR - 5, _MT + 15 + 14 * i, "end", 11, label,
+                  after=f' fill="{_COLORS[i % len(_COLORS)]}"')
+
+    def polyline(self, pts: Sequence[tuple[float, float]], color: str) -> None:
+        coords = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in pts)
+        self.parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+
+    def circle(self, cx: str, cy: str, fill: str) -> None:
+        self.parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}"/>')
+
+    def line(self, x1, y1, x2, y2, stroke: str, after: str = "") -> None:
+        self.parts.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{after}/>'
+        )
+
     def _axes(self, xlabel: str, ylabel: str) -> None:
         x0, x1 = _ML, _W - _MR
         y0, y1 = _H - _MB, _MT
@@ -94,31 +121,15 @@ class _Frame:
         )
         for t in _nice_ticks(self.x_lo, self.x_hi):
             px = _fmt(self.px(t))
-            self.parts.append(
-                f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y0 + 5}" stroke="black"/>'
-            )
-            self.parts.append(
-                f'<text x="{px}" y="{y0 + 20}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{t:g}</text>'
-            )
+            self.line(px, y0, px, y0 + 5, "black")
+            self.text(px, y0 + 20, "middle", 11, f"{t:g}")
         for t in _nice_ticks(self.y_lo, self.y_hi):
             py = _fmt(self.py(t))
-            self.parts.append(
-                f'<line x1="{x0 - 5}" y1="{py}" x2="{x0}" y2="{py}" stroke="black"/>'
-            )
-            self.parts.append(
-                f'<text x="{x0 - 8}" y="{py}" text-anchor="end" dominant-baseline="middle" '
-                f'font-family="sans-serif" font-size="11">{t:g}</text>'
-            )
-        self.parts.append(
-            f'<text x="{(x0 + x1) / 2}" y="{_H - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_esc(xlabel)}</text>'
-        )
-        self.parts.append(
-            f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {(y0 + y1) / 2})">{_esc(ylabel)}</text>'
-        )
+            self.line(x0 - 5, py, x0, py, "black")
+            self.text(x0 - 8, py, "end", 11, f"{t:g}", before='dominant-baseline="middle" ')
+        mid = (y0 + y1) / 2
+        self.text((x0 + x1) / 2, _H - 15, "middle", 13, xlabel)
+        self.text(18, mid, "middle", 13, ylabel, after=f' transform="rotate(-90 18 {mid})"')
 
     def finish(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -132,20 +143,10 @@ def line_plot(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     ys = [y for _, pts in series for _, y in pts] + [y for _, y in markers]
     frame = _Frame(xs, ys, title, xlabel, ylabel)
     for i, (label, pts) in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in pts)
-        frame.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        frame.parts.append(
-            f'<text x="{_W - _MR - 5}" y="{_MT + 15 + 14 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{_esc(label)}</text>'
-        )
+        frame.polyline(pts, _COLORS[i % len(_COLORS)])
+        frame.legend(i, label)
     for x, y in markers:
-        frame.parts.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="3" '
-            f'fill="black"/>'
-        )
+        frame.circle(_fmt(frame.px(x)), _fmt(frame.py(y)), "black")
     return frame.finish()
 
 
@@ -155,19 +156,12 @@ def mean_sd_plot(points: Sequence[tuple[float, float, float]],
     xs = [x for x, _, _ in points]
     ys = [m - s for _, m, s in points] + [m + s for _, m, s in points]
     frame = _Frame(xs, ys, title, xlabel, ylabel)
-    coords = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(m))}" for x, m, _ in points)
-    frame.parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="{_COLORS[0]}" stroke-width="1.5"/>'
-    )
+    frame.polyline([(x, m) for x, m, _ in points], _COLORS[0])
     for x, m, s in points:
         px = _fmt(frame.px(x))
-        frame.parts.append(
-            f'<line x1="{px}" y1="{_fmt(frame.py(m - s))}" x2="{px}" '
-            f'y2="{_fmt(frame.py(m + s))}" stroke="{_COLORS[0]}" stroke-width="1"/>'
-        )
-        frame.parts.append(
-            f'<circle cx="{px}" cy="{_fmt(frame.py(m))}" r="3" fill="{_COLORS[0]}"/>'
-        )
+        frame.line(px, _fmt(frame.py(m - s)), px, _fmt(frame.py(m + s)), _COLORS[0],
+                   ' stroke-width="1"')
+        frame.circle(px, _fmt(frame.py(m)), _COLORS[0])
     return frame.finish()
 
 
@@ -192,13 +186,7 @@ def grouped_bar_plot(categories: Sequence[str],
                 f'<rect x="{_fmt(x)}" y="{_fmt(top)}" width="{_fmt(bar)}" '
                 f'height="{_fmt(y0 - top)}" fill="{color}"/>'
             )
-        frame.parts.append(
-            f'<text x="{_fmt(_ML + (i + 0.5) * slot)}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{_esc(cat)}</text>'
-        )
+        frame.text(_fmt(_ML + (i + 0.5) * slot), y0 + 20, "middle", 10, cat)
     for j, label in enumerate(pair_labels):
-        frame.parts.append(
-            f'<text x="{_W - _MR - 5}" y="{_MT + 15 + 14 * j}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{_COLORS[j]}">{_esc(label)}</text>'
-        )
+        frame.legend(j, label)
     return frame.finish()

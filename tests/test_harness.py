@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def _inner_partition(ids, k=5):
 class TestRandomSearch:
     def test_winner_minimizes_mean_inner_mse(self):
         ids, features, targets = _linear_problem(20, 3, noise=3.0, seed=5)
-        best, trials = random_search(
+        best, trials, _ = random_search(
             default_spec(), _inner_partition(ids), features, targets,
             n_trials=12, seed=7, repetition=0, fold=0,
         )
@@ -291,8 +292,8 @@ class TestRandomSearch:
     def test_losses_match_a_normal_equation_search(self, n, d):
         ids, features, targets = _linear_problem(n, d, noise=4.0, seed=n + d)
         inner = _inner_partition(ids)
-        _, trials = random_search(default_spec(), inner, features, targets,
-                                  n_trials=8, seed=3, repetition=1, fold=2)
+        _, trials, _ = random_search(default_spec(), inner, features, targets,
+                                     n_trials=8, seed=3, repetition=1, fold=2)
         for t in trials:
             fold_losses = []
             for held in inner:
@@ -323,22 +324,22 @@ class TestRandomSearch:
     def test_deterministic_per_key(self):
         ids, features, targets = _linear_problem(20, 3, noise=3.0, seed=5)
         kw = dict(n_trials=6, seed=7, repetition=2, fold=3)
-        b1, t1 = random_search(default_spec(), _inner_partition(ids),
-                               features, targets, **kw)
-        b2, t2 = random_search(default_spec(), _inner_partition(ids),
-                               features, targets, **kw)
+        b1, t1, _ = random_search(default_spec(), _inner_partition(ids),
+                                  features, targets, **kw)
+        b2, t2, _ = random_search(default_spec(), _inner_partition(ids),
+                                  features, targets, **kw)
         assert t1 == t2 and b1 == b2
-        b3, _ = random_search(default_spec(), _inner_partition(ids),
-                              features, targets, n_trials=6, seed=8,
-                              repetition=2, fold=3)
+        b3, _, _ = random_search(default_spec(), _inner_partition(ids),
+                                 features, targets, n_trials=6, seed=8,
+                                 repetition=2, fold=3)
         assert b3.params != b1.params
 
     def test_log_scale_sampling_uniform_in_exponent(self):
         ids, features, targets = _linear_problem(10, 2, noise=1.0, seed=6)
         spec = PredictorSpec(kind="ridge_closed_form",
                              ranges={"lambda": (1e-4, 1e2, "log")})
-        _, trials = random_search(spec, _inner_partition(ids), features,
-                                  targets, n_trials=1500, seed=0)
+        _, trials, _ = random_search(spec, _inner_partition(ids), features,
+                                     targets, n_trials=1500, seed=0)
         lams = np.array([t.params["lambda"] for t in trials])
         assert lams.min() >= 1e-4 and lams.max() <= 1e2
         # geometric midpoint 1e-1 splits the draws evenly
@@ -350,8 +351,8 @@ class TestRandomSearch:
         ids, features, targets = _linear_problem(10, 2, noise=1.0, seed=6)
         spec = PredictorSpec(kind="ridge_closed_form",
                              ranges={"lambda": (0.2, 0.8, "linear")})
-        _, trials = random_search(spec, _inner_partition(ids), features,
-                                  targets, n_trials=1500, seed=1)
+        _, trials, _ = random_search(spec, _inner_partition(ids), features,
+                                     targets, n_trials=1500, seed=1)
         lams = np.array([t.params["lambda"] for t in trials])
         assert lams.min() >= 0.2 and lams.max() <= 0.8
         assert abs(lams.mean() - 0.5) < 0.03
@@ -359,8 +360,8 @@ class TestRandomSearch:
     def test_constant_target_is_fit_exactly(self):
         ids, features, _ = _linear_problem(15, 3, noise=0.0, seed=8)
         targets = {i: 64.0 for i in ids}
-        best, trials = random_search(default_spec(), _inner_partition(ids),
-                                     features, targets, n_trials=5, seed=2)
+        best, trials, _ = random_search(default_spec(), _inner_partition(ids),
+                                        features, targets, n_trials=5, seed=2)
         assert all(t.loss < 1e-12 for t in trials)
         assert best.loss < 1e-12
 
@@ -386,8 +387,8 @@ class TestRandomSearch:
 
     def test_failed_trials_are_recorded_not_fatal(self):
         ids, features, targets = _overflowing_problem(20, 3, seed=10)
-        best, trials = random_search(WIDE_PENALTIES, _inner_partition(ids), features,
-                                     targets, n_trials=30, seed=4)
+        best, trials, _ = random_search(WIDE_PENALTIES, _inner_partition(ids), features,
+                                        targets, n_trials=30, seed=4)
         failed = [t.params["lambda"] for t in trials if t.error is not None]
         viable = [t.params["lambda"] for t in trials if t.error is None]
         assert failed and viable
@@ -523,17 +524,33 @@ class TestSearchSummary:
         assert lam["winner_share_highest_tenth"] == 0.25
         assert lam["winner_quantiles"]["0.5"] == 4.0
 
-    def test_effective_dof_is_the_hat_matrix_trace(self):
-        ids, features, mean_a = _linear_problem(60, 4, noise=2.0, seed=12)
+    @pytest.mark.parametrize("d, trials, level", [
+        (4, 3, "fit_set"), (50, 3, "run"), (50, 30, "fold")])
+    def test_effective_dof_is_the_hat_matrix_trace(self, d, trials, level):
+        # Whatever level factored it, each fold's refit gives the dof and the
+        # held-out raw predictions of a direct ridge solve at the winner's
+        # penalty, within TestGroupedDeletion's bound at the training set's
+        # condition number.
+        assert _level_of(60, d, trials) == level
+        ids, features, mean_a = _linear_problem(60, d, noise=2.0, seed=12)
         targets = _targets_from(mean_a, jitter_seed=12, sd=2.0)
         plan = make_cv_plan(ids, seed=21)
-        preds, _ = run_nested_cv(plan, targets, features, default_spec(), n_trials=3)
-        for refit in preds.refits[:3]:
-            X = features.matrix(plan.fold_plan(refit.repetition, refit.fold).train)
-            Xc = X - X.mean(axis=0)
-            lam = refit.params["lambda"]
-            hat = Xc @ np.linalg.solve(Xc.T @ Xc + lam * np.eye(4), Xc.T)
-            assert refit.effective_dof == pytest.approx(np.trace(hat), rel=1e-9)
+        preds, _ = run_nested_cv(plan, targets, features, default_spec(), n_trials=trials)
+        raw = {(p.repetition, p.image_id): p.raw for p in preds.entries}
+        for refit in preds.refits:
+            fp = plan.fold_plan(refit.repetition, refit.fold)
+            X, y = features.matrix(fp.train), np.array([mean_a[i] for i in fp.train])
+            Xc, lam = X - X.mean(axis=0), refit.params["lambda"]
+            gram = Xc.T @ Xc
+            solve = np.linalg.solve(gram + lam * np.eye(d), Xc.T)
+            eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+            rel = 1e-12 + 16 * np.finfo(float).eps * (eig.max() + lam) / (eig.min() + lam)
+            hat = np.trace(Xc @ solve)
+            assert abs(refit.effective_dof - hat) <= rel * max(hat, 1)
+            want = (features.matrix(fp.test) - X.mean(axis=0)) @ solve @ (y - y.mean()) + y.mean()
+            got = np.array([raw[fp.repetition, i] for i in fp.test])
+            scale = np.maximum(np.abs(want - y.mean()), y.std())
+            assert (np.abs(got - want) <= rel * scale).all()
 
     def test_failed_trials_are_counted(self):
         ids, features, mean_a = _overflowing_problem(30, 2, seed=11)
@@ -752,6 +769,21 @@ class TestGroupedDeletion:
             assert {(X.shape, kernel) for _, X, _, kernel in designs} == {((48, 48), True)}
             assert set(eighs) == {(47, 47)}
 
+    def test_a_plan_straddling_d_n_routes_each_fold_by_its_width(self, monkeypatch):
+        # 62 images at d = 49: the 10 outer folds with 49 training images take
+        # the kernel route and factor their block of the one plan kernel; the
+        # 15 with 50 factor their 5 inner fit sets of 40 and the training set
+        assert _level_of(62, 49, 3) == "fold"
+        designs = _remember_designs(monkeypatch)
+        kernels = _remember_kernels(monkeypatch)
+        ids, features, mean_a = _linear_problem(62, 49, noise=2.0, seed=12)
+        plan = make_cv_plan(ids, seed=21)
+        assert sorted(len(fp.train) for fp in plan.folds) == [49] * 10 + [50] * 15
+        run_nested_cv(plan, _targets_from(mean_a), features, default_spec(), n_trials=3)
+        assert kernels == [tuple(ids)]
+        assert Counter((X.shape, kernel) for _, X, _, kernel in designs) == {
+            ((49, 49), True): 10, ((40, 49), False): 75, ((50, 49), False): 15}
+
     def test_cli_bytes_match_the_per_fold_route(self, tmp_path, monkeypatch):
         cv = _cli_cv(tmp_path)
         chosen = cv(tmp_path / "chosen", 8)
@@ -776,13 +808,17 @@ class TestGroupedDeletion:
         assert _level_of(40, 48, 3) == "run"
         assert cv(tmp_path / "one", 3, "1") == cv(tmp_path / "two", 3, "2")
 
+    def test_cli_bytes_do_not_depend_on_threads_straddling_d_n(self, tmp_path):
+        cv = _cli_cv(tmp_path, images=62, dim=49)
+        assert cv(tmp_path / "one", 3, "1") == cv(tmp_path / "two", 3, "2")
 
-def _cli_cv(tmp_path):
-    """Synthesize 40 images at d = 48 and split them; returns
+
+def _cli_cv(tmp_path, images=40, dim=48):
+    """Synthesize ``images`` images at d = ``dim`` and split them; returns
     ``cv(out, trials, threads)``, the bytes of one ``cv`` run's artifacts."""
     synth, split = tmp_path / "synth", tmp_path / "split"
-    assert main(["synth", "--out", str(synth), "--seed", "4", "--images", "40",
-                 "--raters", "8", "--dim", "48"]) == 0
+    assert main(["synth", "--out", str(synth), "--seed", "4", "--images", str(images),
+                 "--raters", "8", "--dim", str(dim)]) == 0
     assert main(["split", "--out", str(split), "--seed", "4",
                  "--ratings", str(synth / "ratings.csv")]) == 0
 

@@ -184,6 +184,32 @@ def test_text_artifacts_have_one_writer():
     ]
 
 
+def _text_writes(tree):
+    """``(line, newline given)`` of every ``open``/``.open`` call whose mode
+    writes text: a mode with w, a or x and no b."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "open"
+                or getattr(node.func, "attr", None) == "open")):
+            continue
+        at = 1 if isinstance(node.func, ast.Name) else 0  # open(file, mode), Path.open(mode)
+        modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        mode = modes[0].value if modes else "r"
+        if set(mode) & set("wax") and "b" not in mode:
+            yield node.lineno, any(k.arg == "newline" for k in node.keywords)
+
+
+def test_text_writes_pin_their_line_ends():
+    """Every text file src/ writes passes ``newline``, so a ``\\n`` is
+    written as LF on every platform (Python's default writes os.linesep)."""
+    found = []
+    for path in sorted(Path(spidereval.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.stem, line, given) for line, given in _text_writes(tree)]
+    assert {stem for stem, _, _ in found} == {"cli", "ingest"}
+    assert [(stem, line) for stem, line, given in found if not given] == []
+
+
 class TestSha256:
     def test_matches_hashlib(self, tmp_path):
         path = tmp_path / "blob.bin"

@@ -11,16 +11,21 @@ Tabular inputs are CSV:
 * ``features.csv`` with header ``image_id,f0,...,f{D-1}`` and one embedding
   row per image.
 
-Dense grids use two bit-exact binary formats: heatmaps are grayscale PFM
-(``Pf``, little-endian, scale header ``-1.0``, rows stored bottom-to-top and
-converted to top-down order in memory) and masks are binary PGM (``P5``,
-maxval 255, gray >= 128 counts as inside the mask).
+Dense grids use two binary formats, each header matched by one pattern.
+Heatmaps are grayscale PFM: the lines ``Pf``, width and height, and a
+finite non-zero decimal scale, with blanks (whitespace but LF) around
+each field; the scale's sign picks the byte order (negative: little-endian),
+its magnitude is not applied, and rows run bottom-to-top on disk. Masks
+are binary PGM: ``P5``, width, height and maxval 255, each after
+whitespace and ``#`` comments, then one whitespace byte; gray >= 128 is
+inside. The writers write little-endian ``Pf`` with scale ``-1.0``.
 
 Every input file of the package is read through :class:`InputFile`, so
-text is UTF-8 whatever the locale and every failure to read it is an
-:class:`InputError`. Every text artifact is written through :func:`write_csv`
-or :func:`write_json`, which share one float rule, 9 significant digits
-(``%.9g``): a JSON float carries the digits of its CSV cell.
+text is UTF-8 whatever the locale (a leading byte-order mark is skipped)
+and every failure to read it is an :class:`InputError`. Every text
+artifact is written through :func:`write_csv` or :func:`write_json`,
+which share one float rule, 9 significant digits (``%.9g``): a JSON
+float carries the digits of its CSV cell.
 """
 
 from __future__ import annotations
@@ -115,10 +120,10 @@ def _finite_float(text: str) -> float:
 class InputFile:
     """An input file and the CLI option (``field``) that supplied it.
 
-    The readers decode text as UTF-8 and turn every way reading can fail
-    into an :class:`InputError` naming the file and ``field``; loaders
-    add their own checks through :meth:`error`, :meth:`number` and
-    :meth:`integer`, which name the line too.
+    The readers decode text as UTF-8 past any byte-order mark and turn
+    every way reading can fail into an :class:`InputError` naming the
+    file and ``field``; loaders add their own checks through
+    :meth:`error`, :meth:`number` and :meth:`integer`, which name the line too.
     """
 
     def __init__(self, path: str | Path, field: str):
@@ -138,7 +143,7 @@ class InputFile:
         """
         reader = None
         try:
-            with self.path.open(encoding="utf-8", newline="") as fh:
+            with self.path.open(encoding="utf-8-sig", newline="") as fh:
                 reader = csv.reader(fh)
                 first = next(reader, None)
                 if first is None:
@@ -163,7 +168,7 @@ class InputFile:
         """The parsed JSON document; ``NaN``, ``Infinity`` and numbers that
         overflow a float are errors, as non-finite CSV cells are."""
         try:
-            with self.path.open(encoding="utf-8") as fh:
+            with self.path.open(encoding="utf-8-sig") as fh:
                 return json.load(
                     fh, parse_constant=_reject_constant, parse_float=_finite_float
                 )
@@ -633,92 +638,73 @@ def write_features(features: FeatureTable, path: str | Path) -> None:
               columns=[ids, *vectors.T])
 
 
-# -- PFM (grayscale float grids) --------------------------------------------
+# -- Binary grids: PFM heatmaps and PGM masks -------------------------------
+
+
+# A dimension has at most 18 digits after its leading zeros: a larger one
+# matches no payload, and int() refuses over 4300 digits.
+_DIM = rb"0*([0-9]{1,18})"
+_PFM_HEADER = re.compile(
+    rb"Pf[^\S\n]*\n[^\S\n]*" + _DIM + rb"[^\S\n]+" + _DIM + rb"[^\S\n]*\n[^\S\n]*"
+    rb"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)[^\S\n]*\n"
+)
+_PGM_HEADER = re.compile(rb"P5" + (rb"(?:\s|#[^\n]*\n)+" + _DIM) * 3 + rb"\s")
+
+
+def _read_grid(src: InputFile, header: re.Pattern, sample: int, unit: str):
+    """Width, height, third header field and payload of a binary grid file
+    whose header ``header`` matches, with ``sample`` payload bytes a cell."""
+    raw = src.read_binary()
+    magic = header.pattern[:2]
+    if raw[:2] != magic:
+        if raw[:2] == b"PF":
+            raise src.error("color PFM not supported, expected grayscale 'Pf'")
+        raise src.error(f"bad magic {raw[:2]!r}, expected {magic.decode()!r}")
+    match = header.match(raw)
+    if match is None:
+        raise src.error(f"malformed {'PFM' if magic == b'Pf' else 'PGM'} header")
+    width, height, third = int(match[1]), int(match[2]), match[3]
+    if width <= 0 or height <= 0:
+        raise src.error(f"non-positive dimensions {width}x{height}")
+    data = raw[match.end():]
+    if len(data) != sample * width * height:
+        raise src.error(f"payload holds {len(data) // sample} {unit}, "
+                        f"header declares {width * height}")
+    return width, height, third, data
 
 
 def load_float_grid(path: str | Path) -> FloatGrid:
     """Decode a grayscale PFM file into top-down row-major order."""
     src = InputFile(path, "heatmaps")
-    raw = src.read_binary()
-    try:
-        magic, rest = raw.split(b"\n", 1)
-        dims, rest = rest.split(b"\n", 1)
-        scale_raw, data = rest.split(b"\n", 1)
-    except ValueError:
-        raise src.error("truncated PFM header") from None
-    if magic == b"PF":
-        raise src.error("color PFM not supported, expected grayscale 'Pf'")
-    if magic != b"Pf":
-        raise src.error(f"bad magic {magic!r}, expected 'Pf'")
-    parts = dims.split()
-    if len(parts) != 2:
-        raise src.error(f"malformed PFM dimension line {dims!r}")
-    try:
-        width, height = int(parts[0]), int(parts[1])
-        scale = float(scale_raw)
-    except ValueError:
-        raise src.error("malformed PFM header") from None
-    if width <= 0 or height <= 0:
-        raise src.error(f"non-positive dimensions {width}x{height}")
-    if scale == 0.0:
-        raise src.error("zero scale in PFM header")
-    endian = "<" if scale < 0 else ">"
-    count = width * height
-    if len(data) != 4 * count:
-        raise src.error(f"payload holds {len(data) // 4} floats, header declares {count}")
-    values = np.frombuffer(data, dtype=f"{endian}f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
+    width, height, scale_text, data = _read_grid(src, _PFM_HEADER, 4, "floats")
+    scale = float(scale_text)
+    if not math.isfinite(scale) or scale == 0.0:
+        raise src.error(f"scale must be finite and non-zero, got {scale_text.decode()}")
+    # The sign of the scale is the byte order; PFM stores rows bottom-to-top.
+    values = np.frombuffer(data, dtype="<f4" if scale < 0 else ">f4")
+    if not np.isfinite(values).all():
         raise src.error("non-finite float values")
-    # PFM stores rows bottom-to-top; flip to top-down.
-    grid = values.reshape(height, width)[::-1].copy()
-    return FloatGrid(width=width, height=height, values=grid)
+    return FloatGrid(width=width, height=height,
+                     values=values.reshape(height, width)[::-1].astype(np.float64))
 
 
 def write_float_grid(grid: FloatGrid, path: str | Path) -> None:
     """Encode in canonical form: 'Pf', little-endian, scale -1.0."""
-    path = Path(path)
     rows = np.ascontiguousarray(grid.values[::-1], dtype="<f4")
-    with path.open("wb") as fh:
-        fh.write(f"Pf\n{grid.width} {grid.height}\n-1.0\n".encode("ascii"))
-        fh.write(rows.tobytes())
-
-
-# -- PGM (binary masks) ------------------------------------------------------
-
-
-# The magic, then width, height and maxval, each after whitespace and ``#``
-# comments (a comment runs to the end of its line), then exactly one
-# whitespace byte. A number has at most 18 digits after its leading zeros:
-# a larger one matches no payload, and int() refuses over 4300 digits.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+0*([0-9]{1,18})" * 3 + rb"\s")
+    Path(path).write_bytes(f"Pf\n{grid.width} {grid.height}\n-1.0\n".encode() + rows.tobytes())
 
 
 def load_mask(path: str | Path) -> BinaryMask:
     """Decode a binary (P5, maxval 255) PGM; gray >= 128 maps to True."""
     src = InputFile(path, "masks")
-    raw = src.read_binary()
-    if raw[:2] != b"P5":
-        raise src.error(f"bad magic {raw[:2]!r}, expected 'P5'")
-    header = _PGM_HEADER.match(raw)
-    if header is None:
-        raise src.error("malformed PGM header")
-    width, height, maxval = map(int, header.groups())
-    if width <= 0 or height <= 0:
-        raise src.error(f"non-positive dimensions {width}x{height}")
-    if maxval != 255:
-        raise src.error(f"maxval must be 255, got {maxval}")
-    data = raw[header.end():]
-    count = width * height
-    if len(data) != count:
-        raise src.error(f"payload holds {len(data)} pixels, header declares {count}")
+    width, height, maxval, data = _read_grid(src, _PGM_HEADER, 1, "pixels")
+    if int(maxval) != 255:
+        raise src.error(f"maxval must be 255, got {int(maxval)}")
     gray = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
     return BinaryMask(width=width, height=height, bits=gray >= 128)
 
 
 def write_mask(mask: BinaryMask, path: str | Path) -> None:
     """Encode in canonical form: 'P5', maxval 255, True -> 255, False -> 0."""
-    path = Path(path)
     gray = np.where(mask.bits, 255, 0).astype(np.uint8)
-    with path.open("wb") as fh:
-        fh.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    Path(path).write_bytes(f"P5\n{mask.width} {mask.height}\n255\n".encode() + gray.tobytes())

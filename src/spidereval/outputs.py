@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .ingest import InputFile, fmt, write_csv, write_json
+from .ingest import InputFile, write_csv, write_json
 
 if TYPE_CHECKING:  # types only; importing these modules costs start-up
     from .error_analysis import ErrorAnalysisReport
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # types only; importing these modules costs start-up
     from .reliability import IccBootstrapReport
 
 __all__ = [
-    "fmt",
     "write_csv",
     "write_json",
     "sha256_file",
@@ -134,6 +133,8 @@ def load_predictions(path) -> PredictionSet:
             raw=src.number(raw, line, "raw"),
             clipped=src.number(clipped, line, "clipped"),
         )
+        if not 0.0 <= p.clipped <= 100.0:
+            raise src.error(f"clipped {clipped} outside [0, 100]", line)
         if (p.repetition, image_id) in entries:
             raise src.error(f"duplicate prediction for rep={p.repetition} image={image_id}", line)
         entries[p.repetition, image_id] = p

@@ -712,6 +712,7 @@ class TestErrorContracts:
         ("points", "not_utf8", "not UTF-8"),
         ("ratings", "1=" + "x" * 140_000, "field larger than field limit"),
         ("predictions", "4=nan", ":2: non-finite clipped"),
+        ("predictions", "4=150", ":2: clipped 150 outside [0, 100]"),
         ("points", "1=nan", ":2: non-finite y"),
         ("targets", "3=-3", ":2: n_a must be an integer >= 1"),
         ("targets", "4=0", ":2: n_b must be an integer >= 1"),
@@ -730,6 +731,10 @@ class TestErrorContracts:
     def test_trailing_blank_line_is_skipped(self, inputs, tmp_path, option):
         bad = self._corrupt(Path(inputs[option]), "trailing_blank_line", tmp_path)
         assert main(_command(self.READER[option], {**inputs, option: bad}, tmp_path / "o")) == 0
+
+    def test_clipped_prediction_at_the_bound_is_scored(self, inputs, tmp_path):
+        good = self._corrupt(Path(inputs["predictions"]), "4=100", tmp_path)
+        assert main(_command("metrics", {**inputs, "predictions": good}, tmp_path / "o")) == 0
 
     @pytest.mark.parametrize("command", ["metrics", "error-analysis"])
     def test_repeated_prediction_row_names_its_line(self, inputs, tmp_path, capsys, command):
@@ -780,6 +785,18 @@ class TestErrorContracts:
         error = _one_error_line(capsys)
         assert (error["type"], error["field"]) == ("validation", "heatmaps")
         assert str(missing) in error["message"]
+
+    def test_non_finite_heatmap_scale_names_the_option(self, inputs, tmp_path, capsys):
+        """A ``nan`` scale names no byte order: bad input, not garbage values."""
+        heatmaps = tmp_path / "heatmaps"
+        shutil.copytree(inputs["heatmaps"], heatmaps)
+        bad = sorted(heatmaps.iterdir())[0]
+        bad.write_bytes(bad.read_bytes().replace(b"\n-1.0\n", b"\nnan\n", 1))
+        assert main(_command("overlap", {**inputs, "heatmaps": heatmaps}, tmp_path / "o")) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "heatmaps",
+            "message": f"{bad}: malformed PFM header",
+        }
 
     @pytest.mark.parametrize("text", ['{"alpha": NaN}', '{"level": Infinity}',
                                       '{"alpha": -Infinity}', '{"alpha": 1e400}'])
@@ -908,6 +925,31 @@ class TestLocale:
         assert "araña-ü" in _read(tmp_path / "c" / "ratings_filtered.csv")
         for name in names:
             assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+    def test_byte_order_mark_is_skipped(self, workspace, tmp_path):
+        """A BOM'd ratings file or config (as Excel's "CSV UTF-8" export
+        writes) gives the bytes its text without the BOM gives."""
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        (bom / "ratings.csv").write_bytes(b"\xef\xbb\xbf" + workspace["ratings"].read_bytes())
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"ratings": str(workspace["ratings"])})
+                           .encode())
+        runs = {"plain": ["--ratings", str(workspace["ratings"])],
+                "bom_ratings": ["--ratings", str(bom / "ratings.csv")],
+                "bom_config": ["--config", str(config)]}
+        for name, argv in runs.items():
+            assert main(["qc", "--out", str(tmp_path / name)] + argv) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        for name in runs:
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+        digests = [sha256_file(p).encode() for p in (bom / "ratings.csv", workspace["ratings"])]
+        for name in names:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "bom_config" / name).read_bytes() == plain
+            # the manifest digests the input file, BOM and all
+            assert (tmp_path / "bom_ratings" / name).read_bytes().replace(*digests) == plain
 
 
 class TestDeterminism:

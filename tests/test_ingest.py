@@ -450,6 +450,72 @@ class TestFloatGrid:
         with pytest.raises(InputError, match="non-finite"):
             load_float_grid(p)
 
+    PAYLOAD = np.array([1.5, -2.0], dtype="<f4").tobytes()  # one row of two
+
+    @pytest.mark.parametrize("header", [
+        b"Pf\n2 1\n-1.0\n",  # as the writer writes it
+        b"Pf\r\n2 1\r\n-1.0\r\n",
+        b"Pf \n\t2\t1 \n -1 \n",
+        b"Pf\n0002 01\n-1.000000\n",
+        b"Pf\n2 1\n-.5\n",
+        b"Pf\n2 1\n-1e0\n",
+        b"Pf\n2 1\n-3.\n",
+    ])
+    def test_header_grammar_accepted(self, tmp_path, header):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(header + self.PAYLOAD)
+        assert load_float_grid(p).values.tolist() == [[1.5, -2.0]]
+
+    @pytest.mark.parametrize("scale", [b"1.0", b"+1", b"2e-3"])
+    def test_positive_scale_is_big_endian(self, tmp_path, scale):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + np.array([1.5, -2.0], dtype=">f4").tobytes())
+        assert load_float_grid(p).values.tolist() == [[1.5, -2.0]]
+
+    @pytest.mark.parametrize("header", [
+        b"Pf\n2 1\nnan\n",
+        b"Pf\n2 1\n-inf\n",
+        b"Pf\n2 1\ninfinity\n",
+        b"Pf\n+2 1\n-1.0\n",
+        b"Pf\n2 0_1\n-1.0\n",
+        b"Pf\n2 -1\n-1.0\n",
+        b"Pf\n2 1\n-1_0\n",
+        b"Pf\n2 1 1\n-1.0\n",
+        b"Pf\n2\n1\n-1.0\n",
+        b"Pf\n2 1\n\n",
+        b"Pf\n2 1\n-1.0 2\n",
+        b"Pf\n2 1\n-1.0",
+        b"Pf2 1\n-1.0\n",
+        b"Pf\n" + b"9" * 19 + b" 1\n-1.0\n",
+        b"Pf\n" + b"9" * 5000 + b" 1\n-1.0\n",
+    ])
+    def test_header_grammar_rejected(self, tmp_path, header):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(header + self.PAYLOAD)
+        with pytest.raises(InputError, match="malformed PFM header") as exc:
+            load_float_grid(p)
+        assert exc.value.field == "heatmaps"
+
+    @pytest.mark.parametrize("scale", [b"0", b"-0.0", b"1e999", b"-1e999"])
+    def test_zero_or_overflowing_scale_rejected(self, tmp_path, scale):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + self.PAYLOAD)
+        with pytest.raises(InputError, match="scale must be finite and non-zero") as exc:
+            load_float_grid(p)
+        assert exc.value.field == "heatmaps"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 1\n-1.0\n", "bad magic"),
+        (b"Pf\n0 1\n-1.0\n", "non-positive dimensions 0x1"),
+        (b"Pf\n3 1\n-1.0\n", "payload holds 2 floats, header declares 3"),
+    ])
+    def test_each_fault_keeps_its_message(self, tmp_path, data, message):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(data + self.PAYLOAD)
+        with pytest.raises(InputError, match=message) as exc:
+            load_float_grid(p)
+        assert exc.value.field == "heatmaps"
+
 
 class TestMask:
     def test_round_trip(self, tmp_path):

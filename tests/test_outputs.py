@@ -13,10 +13,9 @@ import spidereval
 from spidereval.error_analysis import analyze_errors
 from spidereval.errors import InputError
 from spidereval.harness import PredictionSet, make_prediction
-from spidereval.ingest import CategoryTable
+from spidereval.ingest import CategoryTable, fmt
 from spidereval.metrics import MetricReport
 from spidereval.outputs import (
-    fmt,
     load_image_targets,
     load_predictions,
     sha256_file,

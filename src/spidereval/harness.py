@@ -652,9 +652,15 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
     (Bergstra & Bengio, JMLR 2012). Also the failed-trial counts and each
     winner's effective degrees of freedom.
     """
+    def quantile(ordered: list[float], q: float) -> float:  # np.quantile's default rule
+        j, g = divmod((len(ordered) - 1) * q, 1)
+        a, b = ordered[int(j)], ordered[min(int(j) + 1, len(ordered) - 1)]
+        return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
     parameters = {}
     for name, (low, high, scale) in sorted(spec.ranges.items()):
         values = np.array([r.params[name] for r in refits], dtype=np.float64)
+        ordered = sorted(values.tolist())
         lowest = highest = None
         if high > low:
             to_scale = np.log if scale == "log" else np.asarray
@@ -664,7 +670,7 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
         parameters[name] = {
             "range": [low, high, scale],
             "winner_quantiles": {
-                f"{q:g}": float(np.quantile(values, q)) for q in SUMMARY_QUANTILES
+                f"{q:g}": quantile(ordered, q) for q in SUMMARY_QUANTILES
             },
             "winner_share_lowest_tenth": lowest,
             "winner_share_highest_tenth": highest,

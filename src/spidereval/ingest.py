@@ -9,7 +9,9 @@ Tabular inputs are CSV:
 * ``categories.csv`` with header ``image_id,criterion,category``, long form
   over the fixed 12-criterion taxonomy;
 * ``features.csv`` with header ``image_id,f0,...,f{D-1}`` and one embedding
-  row per image.
+  row per image. A plain one (no ``"`` or NUL byte, every CR before an LF,
+  no line over ``csv.field_size_limit()``) goes to numpy's C text reader,
+  any other cell by cell through ``float()``: the same values or errors.
 
 Dense grids use two binary formats, each header matched by one pattern.
 Heatmaps are grayscale PFM: the lines ``Pf``, width and height, and a
@@ -31,6 +33,7 @@ float carries the digits of its CSV cell.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -602,33 +605,59 @@ def load_categories(path: str | Path) -> CategoryTable:
 
 
 def load_features(path: str | Path) -> FeatureTable:
-    """Parse the per-image embedding CSV (header ``image_id,f0..f{D-1}``)."""
+    """Parse the per-image embedding CSV (header ``image_id,f0..f{D-1}``).
+
+    A plain file is read once and parsed by numpy's C reader; any other,
+    or one that reader refuses, or that repeats an id or holds a non-finite
+    value, by :func:`_feature_rows`, the reference parse.
+    """
     src = InputFile(path, "features")
-    rows = src.rows()
-    _, header = next(rows)
-    if len(header) < 2 or header != ["image_id"] + [f"f{i}" for i in range(len(header) - 1)]:
-        raise src.error(f"bad header {header[:3]}..., expected image_id,f0,...,f{{D-1}}", 1)
+    raw = src.read_binary()
+    lines = io.BytesIO(raw)
+    header = lines.readline().removeprefix(b"\xef\xbb\xbf").rstrip(b"\r\n")
+    dim = header.count(b",")
     ids: list[str] = []
-    vectors: list[np.ndarray] = []
-    seen: set[str] = set()
-    for line, row in rows:
-        image = row[0]
-        if image in seen:
-            raise src.error(f"duplicate image {image!r}", line)
-        try:
-            vec = np.array(row[1:], dtype=np.float64)  # each cell as float() reads it
-            finite = np.isfinite(vec).all()
-        except ValueError:
-            finite = False
-        if not finite:  # name the first bad cell
-            vec = np.array([src.number(text, line, column)
-                            for column, text in zip(header[1:], row[1:])])
-        seen.add(image)
-        ids.append(image)
-        vectors.append(vec)
+
+    def cells() -> Iterator[bytes]:  # each row's cells after its id
+        if (b'"' in raw or b"\0" in raw
+                or b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")  # a CR not before an LF
+                or header != b",".join([b"image_id", *(b"f%d" % i for i in range(dim))])):
+            raise ValueError("not a plain file")
+        for line in lines:
+            image, comma, rest = line.rstrip(b"\r\n").partition(b",")
+            if rest and len(line) <= csv.field_size_limit():  # no field over the limit
+                ids.append(image.decode())
+                yield rest
+            elif image or comma:  # not a blank line
+                raise ValueError("not a plain row")
+        if not ids:
+            raise ValueError("no rows")
+
+    try:
+        values = np.loadtxt(cells(), delimiter=",", comments=None, encoding="utf-8", ndmin=2)
+    except ValueError:
+        return _feature_rows(src)
+    if values.shape != (len(ids), dim) or len(set(ids)) < len(ids) or not np.isfinite(values).all():
+        return _feature_rows(src)
+    return FeatureTable.from_array(ids, values)
+
+
+def _feature_rows(src: InputFile) -> FeatureTable:
+    """The reference parse of a features CSV, row by row and cell by cell."""
+    vectors: dict[str, list[float]] = {}  # image id -> its row, in file order
+    for line, row in src.rows():  # the for loop closes the file on an error
+        if line == 1:
+            header = row
+            if len(header) < 2 or header != ["image_id"] + [f"f{i}" for i in range(len(header) - 1)]:
+                raise src.error(f"bad header {header[:3]}..., expected image_id,f0,...,f{{D-1}}", 1)
+        elif row[0] in vectors:
+            raise src.error(f"duplicate image {row[0]!r}", line)
+        else:
+            vectors[row[0]] = [src.number(text, line, column)
+                               for column, text in zip(header[1:], row[1:])]
     if not vectors:
         raise src.error("no feature rows")
-    return FeatureTable.from_array(ids, np.stack(vectors))
+    return FeatureTable.from_array(list(vectors), np.array(list(vectors.values())))
 
 
 def write_features(features: FeatureTable, path: str | Path) -> None:
@@ -682,10 +711,11 @@ def load_float_grid(path: str | Path) -> FloatGrid:
         raise src.error(f"scale must be finite and non-zero, got {scale_text.decode()}")
     # The sign of the scale is the byte order; PFM stores rows bottom-to-top.
     values = np.frombuffer(data, dtype="<f4" if scale < 0 else ">f4")
-    if not np.isfinite(values).all():
-        raise src.error("non-finite float values")
-    return FloatGrid(width=width, height=height,
-                     values=values.reshape(height, width)[::-1].astype(np.float64))
+    try:  # the grid checks that its values are finite; the shape fits by construction
+        return FloatGrid(width=width, height=height,
+                         values=values.reshape(height, width)[::-1].astype(np.float64))
+    except InputError:
+        raise src.error("non-finite float values") from None
 
 
 def write_float_grid(grid: FloatGrid, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .ingest import InputFile, write_csv, write_json
+from .ingest import InputFile, _encode, write_csv, write_json
 
 if TYPE_CHECKING:  # types only; importing these modules costs start-up
     from .error_analysis import ErrorAnalysisReport
@@ -117,8 +117,10 @@ def load_image_targets(path) -> ImageTargets:
 
 def write_predictions(path, ps: PredictionSet) -> None:
     entries = sorted(ps.entries, key=lambda p: (p.repetition, p.fold, p.image_id))
-    rows = [[p.repetition, p.fold, p.image_id, p.raw, p.clipped] for p in entries]
-    write_csv(path, PREDICTIONS_HEADER, rows)
+    write_csv(path, PREDICTIONS_HEADER, columns=[
+        [p.repetition for p in entries], [p.fold for p in entries],
+        _encode([p.image_id for p in entries]),
+        np.array([p.raw for p in entries]), np.array([p.clipped for p in entries])])
 
 
 def load_predictions(path) -> PredictionSet:

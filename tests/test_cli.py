@@ -1167,6 +1167,25 @@ class TestModulesLoaded:
         assert code == "0", done.stderr
         assert modules == sorted("spidereval" + m for m in CORE_MODULES + runs)
 
+    @pytest.mark.parametrize("argv", [["--version"], CV_ARGV + ["--trials", "2"]])
+    def test_command_leaves_numpy_ma_unloaded(self, inputs, tmp_path, argv):
+        """``numpy.ma`` costs ~10 ms to import (``np.quantile`` imports it);
+        these commands load none of it beyond what ``import numpy`` does."""
+        argv = _fill(argv, inputs)
+        if argv != ["--version"]:
+            argv += ["--out", str(tmp_path / "o")]
+        script = ("import sys, numpy\neager = 'numpy.ma' in sys.modules\n" + LOADED
+                  + "print(eager, 'numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        last = done.stdout.splitlines()
+        assert last[-2].split()[0] == "0", done.stderr
+        eager, loaded = last[-1].split()
+        assert loaded == eager
+
     def test_trials_default_has_one_definition(self):
         from spidereval import defaults, harness
         assert harness.N_TRIALS is defaults.N_TRIALS

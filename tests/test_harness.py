@@ -524,6 +524,18 @@ class TestSearchSummary:
         assert lam["winner_share_highest_tenth"] == 0.25
         assert lam["winner_quantiles"]["0.5"] == 4.0
 
+    # Few distinct values give ties; n = 1..9 gives every fraction g of the
+    # quartiles' positions (n - 1) q: 0, 0.25, 0.5 and 0.75.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.sampled_from([1e-4, 0.5, 3.0, 1e2]),
+                              st.floats(1e-4, 1e2)), min_size=1, max_size=9))
+    def test_winner_quantiles_are_numpys_bit_for_bit(self, winners):
+        spec = PredictorSpec(kind="ridge_closed_form", ranges={"lambda": (1e-4, 1e2, "log")})
+        refits = tuple(Refit(0, k, 0, {"lambda": v}, 1.0) for k, v in enumerate(winners))
+        got = search_summary(spec, [], refits)["parameters"]["lambda"]["winner_quantiles"]
+        want = {f"{q:g}": float(np.quantile(winners, q)) for q in harness.SUMMARY_QUANTILES}
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
     @pytest.mark.parametrize("d, trials, level", [
         (4, 3, "fit_set"), (50, 3, "run"), (50, 30, "fold")])
     def test_effective_dof_is_the_hat_matrix_trace(self, d, trials, level):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spidereval import ingest
 from spidereval.errors import InputError
 from spidereval.ingest import (
     CRITERIA,
@@ -382,8 +383,8 @@ class TestFeatures:
         with pytest.raises(InputError, match="non-finite"):
             load_features(p)
 
-    # A row is converted in one numpy call; each cell must read as float()
-    # reads it, which InputFile.number applies to one cell.
+    # numpy's C reader or the row loop converts a cell; each must read it as
+    # float() does, which InputFile.number applies to one cell.
     @pytest.mark.parametrize("text", ["1_0", " 1.5 ", "\u0661", "nan", "Infinity", "1e400",
                                       "+.5", "1.", "-0", "0x10", "1e", "1d5", ""])
     def test_cell_reads_as_float_does(self, tmp_path, text):
@@ -399,6 +400,117 @@ class TestFeatures:
             row = load_features(p).matrix(["i1"])[0]
             assert row.tolist() == [2.0, expected]
             assert np.signbit(row[1]) == np.signbit(expected)
+
+
+def _features_or_error(load, path):
+    """What a features parse gives: ids, shape and value bits, or its error."""
+    try:
+        table = load(path)
+    except InputError as exc:
+        return str(exc), exc.field
+    return table.ids, table.array.shape, table.array.tobytes()
+
+
+def _row_loop(path):
+    return ingest._feature_rows(InputFile(path, "features"))
+
+
+LIMIT = csv.field_size_limit()
+# Cell texts that numpy's C reader and float() both read, that only
+# float() reads, that neither reads, and that the csv module splits or
+# unquotes; the last two are a field over the csv field limit and a field
+# just under it that makes its line longer than the limit.
+SPECIAL_CELLS = [
+    "0", "-0", "+.5", "1.", "4e-320", "2.5E+3", " 1.5 ", "\t7\x0c", "\xa01\u2028",
+    "1_0", "\u0661", "\uff13", "nan", "-inf", "Infinity", "1e999", "", " ", "0x10", "1e",
+    '"2"', '"1,5"', '"1\n5"', 'a"b', "#3", "3\r", "1\x00",
+    " " * LIMIT + "1", "1" + " " * (LIMIT - 2),
+]
+PLAIN_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+HEADERS = ["image_id", "image_id,f1", "image_id, f0", "Image_id,f0", '"image_id",f0', ""]
+
+
+@st.composite
+def feature_files(draw):
+    """Features CSV bytes, with a BOM or not, LF or CRLF line ends, blank
+    lines and lines of spaces. Half the files are well formed but for
+    those; the other half may hold a bad header, short and long rows,
+    repeated or odd ids and cells of every kind above."""
+    dim = draw(st.integers(1, 3))
+    header = ",".join(["image_id", *(f"f{i}" for i in range(dim))])
+    faulty = draw(st.booleans())
+    cells = st.one_of(PLAIN_CELLS, PLAIN_CELLS, st.sampled_from(SPECIAL_CELLS))
+    lines = [draw(st.sampled_from([header] * 6 + HEADERS)) if faulty else header]
+    for k in range(draw(st.integers(0, 5))):
+        if faulty:
+            width = draw(st.sampled_from([dim] * 6 + [dim - 1, dim + 1]))
+            image = draw(st.sampled_from(["i0", "i1", "img 2", "\xe9", "", " i0"]))
+        else:
+            width, image = dim, f"i{k}"
+        lines.append(",".join([image, *draw(st.lists(cells if faulty else PLAIN_CELLS,
+                                                     min_size=width, max_size=width))]))
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from(["", "", "   "] if faulty else [""]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return (("\ufeff" if draw(st.booleans()) else "") + text).encode()
+
+
+class TestFeaturesParse:
+    """``load_features`` gives what the row loop, the reference parse, gives:
+    the same ids and value bits, or the same error message and ``field``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(feature_files())
+    def test_same_result_as_the_row_loop(self, tmp_path, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        assert _features_or_error(load_features, path) == _features_or_error(_row_loop, path)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"image_id,f0,f1\n",
+        b"image_id,f0\n\n\r\n",
+        b"image_id,f0\ni1,1\n   \n",
+        b"image_id,f0\ni1,1\ni1,2\n",
+        b"image_id,f0,f1\ni1,1\n",
+        b"image_id,f0\ni1,1,2\n",
+        b"image_id,f0\ni1,\n",
+        b"image_id,f0\ni1,1\ni2,1e999\n",
+        b"image_id,f0\ni1,1\rx,2\n",
+        b"image_id,f0\ni1,\xff\n",
+        # what only float() reads, or only the csv module unquotes
+        'image_id,f0,f1\ni1,1_0,"2"\n"i,2",\u0661,\uff13\n'.encode(),
+        # a line over the field limit whose fields are all under it
+        (",".join(["image_id", *(f"f{i}" for i in range(20_000))]) + "\ni1"
+         + ",0.12345" * 20_000 + "\n").encode(),
+    ])
+    def test_edge_files(self, tmp_path, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        assert _features_or_error(load_features, path) == _features_or_error(_row_loop, path)
+
+    @pytest.mark.parametrize("data", [
+        b"image_id,f0,f1\ni1,1.5,-2\ni2,0,3e-5\n",
+        b"\xef\xbb\xbfimage_id,f0\r\n\r\ni1, 1.5 \r\n\r\ni2,4e-320\r\n",
+        b"image_id,f0\n\ni1,-0\ni2,2",
+        "image_id,f0\n\xe9 \u2028,7\xa0\n".encode(),
+    ])
+    def test_plain_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch, data):
+        """numpy's C reader parses a plain file, on every supported numpy."""
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        expected = _features_or_error(_row_loop, path)
+        assert len(expected) == 3  # parsed, not an error
+
+        def reached(src):
+            raise AssertionError(f"row loop reached for {src.path}")
+
+        monkeypatch.setattr(ingest, "_feature_rows", reached)
+        assert _features_or_error(load_features, path) == expected
 
 
 class TestFloatGrid:
@@ -449,6 +561,19 @@ class TestFloatGrid:
         p.write_bytes(b"Pf\n1 1\n-1.0\n" + np.float32("nan").tobytes())
         with pytest.raises(InputError, match="non-finite"):
             load_float_grid(p)
+
+    @pytest.mark.parametrize("scale, order", [("-1.0", "<f4"), ("1.0", ">f4")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_file_and_field(self, tmp_path, scale, order, bad):
+        p = tmp_path / "g.pfm"
+        p.write_bytes(f"Pf\n2 1\n{scale}\n".encode() + np.array([1.5, bad], order).tobytes())
+        with pytest.raises(InputError) as info:
+            load_float_grid(p)
+        assert (str(info.value), info.value.field) == (f"{p}: non-finite float values", "heatmaps")
+
+    def test_constructed_grid_is_checked(self):
+        with pytest.raises(InputError, match="grid contains non-finite values"):
+            FloatGrid(width=2, height=1, values=np.array([[0.0, np.nan]]))
 
     PAYLOAD = np.array([1.5, -2.0], dtype="<f4").tobytes()  # one row of two
 

@@ -129,11 +129,6 @@ def _mask_dir(value) -> str:
     return value
 
 
-def _out_dir(value) -> str:
-    os.makedirs(str(value), exist_ok=True)
-    return str(value)
-
-
 def _sizes(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
@@ -179,7 +174,7 @@ class Option:
 
 
 OPTIONS = (
-    Option("out", _out_dir, None, "output directory",
+    Option("out", str, None, "output directory",
            "qc split cv metrics icc curve overlap error-analysis prop-ci synth all"),
     Option("seed", _seed, None, f"master seed (default: ${SEED_ENV})",
            "split cv icc error-analysis synth all", env=SEED_ENV),
@@ -287,7 +282,10 @@ class _Run:
         self.outputs: list[str] = []
 
     def path(self, name: str) -> str:
-        """Path of an artifact under the output directory, recorded as an output."""
+        """Path of an artifact under the output directory, recorded as an
+        output; the first creates the directory, so a refused run makes none."""
+        if not self.outputs:
+            os.makedirs(self.out, exist_ok=True)
         path = os.path.join(self.out, name)
         self.outputs.append(path)
         return path
@@ -574,16 +572,7 @@ def _cmd_synth(opts, run: _Run) -> None:
     write_ratings(table, run.path("ratings.csv"))
     if features is not None:
         write_features(features, run.path("features.csv"))
-    write_json(
-        run.path("ground_truth.json"),
-        {
-            "mu": truth.mu,
-            "image_effects": truth.image_effects,
-            "rater_effects": truth.rater_effects,
-            "outlier_ids": sorted(truth.outlier_ids),
-            "weights": None if truth.weights is None else truth.weights.tolist(),
-        },
-    )
+    write_json(run.path("ground_truth.json"), truth)
 
 
 def _cmd_all(opts, run: _Run) -> None:

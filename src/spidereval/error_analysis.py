@@ -25,7 +25,7 @@ from .defaults import ALPHA, DEFAULT_BOOTSTRAP, MIN_CELL
 from .errors import ComputationError, InputError
 from .harness import PredictionSet
 from .ingest import CategoryTable
-from .ranking import average_ranks, tie_group_sizes
+from .ranking import average_ranks, median, quantile, tie_group_sizes
 from .rng import substream
 from .special import chi2_sf, normal_sf
 
@@ -109,13 +109,14 @@ def category_summaries(
         cis = stratified_bootstrap_ci(groups, criterion, B=bootstrap, level=level, seed=seed)
         for label in sorted(groups):
             v = groups[label]
+            ordered = np.sort(v)
             share = float(v.sum()) / total_ae
             freq = len(v) / n_total
             rows.append(CategorySummary(
                 criterion=criterion, category=label, n=len(v), freq=freq,
                 mean_ae=float(v.mean()), sd_ae=float(v.std(ddof=1)) if len(v) > 1 else 0.0,
-                median_ae=float(np.median(v)),
-                iqr_ae=float(np.quantile(v, 0.75) - np.quantile(v, 0.25)),
+                median_ae=float(median(ordered)),
+                iqr_ae=float(quantile(ordered, 0.75) - quantile(ordered, 0.25)),
                 share=share, delta=share - freq, small=len(v) < min_cell,
                 mean_ci=cis[label]["mean"], share_ci=cis[label]["share"],
             ))
@@ -256,12 +257,12 @@ def stratified_bootstrap_ci(
     shares = np.full_like(sums, np.nan)
     np.divide(sums, total, out=shares, where=total > 0)
     q = [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]
-    mean_q = np.quantile(means, q, axis=0)
-    share_q = np.quantile(shares, q, axis=0)
+    mean_q, share_q = ([quantile(x, p) for p in q]
+                       for x in (np.sort(means, axis=0), np.sort(shares, axis=0)))
     return {
         lab: {
-            "mean": (float(mean_q[0, j]), float(mean_q[1, j])),
-            "share": (float(share_q[0, j]), float(share_q[1, j])),
+            "mean": (float(mean_q[0][j]), float(mean_q[1][j])),
+            "share": (float(share_q[0][j]), float(share_q[1][j])),
         }
         for j, lab in enumerate(labels)
     }

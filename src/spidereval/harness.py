@@ -45,6 +45,7 @@ from .defaults import N_TRIALS
 from .errors import ComputationError, InputError
 from .ingest import FeatureTable
 from .partition import CvPlan, FoldPlan, ImageTargets, assert_no_leakage
+from .ranking import quantile
 from .rng import substream
 
 __all__ = [
@@ -103,10 +104,6 @@ class TrialResult:
     params: dict[str, float]
     loss: float | None
     error: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.loss is not None and not (np.isfinite(self.loss) and self.loss >= 0):
-            raise ComputationError(f"loss must be finite and >= 0, got {self.loss}")
 
 
 @dataclass(frozen=True)
@@ -535,14 +532,12 @@ def random_search(
 
     trials: list[TrialResult] = []
     for t, params in enumerate(draws):
-        error = errors[t]
+        loss, error = None, errors[t]
         if error is None:
-            try:
-                trials.append(TrialResult(trial=t, params=params, loss=float(np.mean(losses[t]))))
-                continue
-            except ComputationError as exc:
-                error = str(exc)
-        trials.append(TrialResult(trial=t, params=params, loss=None, error=error))
+            loss = float(np.mean(losses[t]))
+            if not (np.isfinite(loss) and loss >= 0):
+                loss, error = None, f"loss must be finite and >= 0, got {loss}"
+        trials.append(TrialResult(trial=t, params=params, loss=loss, error=error))
     viable = [tr for tr in trials if tr.loss is not None]
     if not viable:
         details = "; ".join(f"trial {tr.trial}: {tr.error}" for tr in trials)
@@ -627,18 +622,8 @@ def run_nested_cv(
     log: list[dict] = []
     for fp, (preds, trials, refit) in zip(tasks, results):
         entries.extend(preds)
-        for tr in trials:
-            log.append(
-                {
-                    "repetition": fp.repetition,
-                    "fold": fp.fold,
-                    "trial": tr.trial,
-                    "params": tr.params,
-                    "loss": tr.loss,
-                    "error": tr.error,
-                    "selected": tr.trial == refit.trial,
-                }
-            )
+        log.extend({"repetition": fp.repetition, "fold": fp.fold, **vars(tr),
+                    "selected": tr.trial == refit.trial} for tr in trials)
     refits = tuple(refit for _, _, refit in results)
     return PredictionSet(entries=tuple(entries), refits=refits), log
 
@@ -652,15 +637,9 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
     (Bergstra & Bengio, JMLR 2012). Also the failed-trial counts and each
     winner's effective degrees of freedom.
     """
-    def quantile(ordered: list[float], q: float) -> float:  # np.quantile's default rule
-        j, g = divmod((len(ordered) - 1) * q, 1)
-        a, b = ordered[int(j)], ordered[min(int(j) + 1, len(ordered) - 1)]
-        return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
-
     parameters = {}
     for name, (low, high, scale) in sorted(spec.ranges.items()):
         values = np.array([r.params[name] for r in refits], dtype=np.float64)
-        ordered = sorted(values.tolist())
         lowest = highest = None
         if high > low:
             to_scale = np.log if scale == "log" else np.asarray
@@ -670,7 +649,7 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
         parameters[name] = {
             "range": [low, high, scale],
             "winner_quantiles": {
-                f"{q:g}": quantile(ordered, q) for q in SUMMARY_QUANTILES
+                f"{q:g}": float(quantile(np.sort(values), q)) for q in SUMMARY_QUANTILES
             },
             "winner_share_lowest_tenth": lowest,
             "winner_share_highest_tenth": highest,
@@ -683,14 +662,5 @@ def search_summary(spec: PredictorSpec, log: list[dict], refits: tuple[Refit, ..
         "failed_trials": len(failed),
         "folds_with_failed_trials": len({(r["repetition"], r["fold"]) for r in failed}),
         "parameters": parameters,
-        "winners": [
-            {
-                "repetition": r.repetition,
-                "fold": r.fold,
-                "trial": r.trial,
-                "params": r.params,
-                "effective_dof": r.effective_dof,
-            }
-            for r in refits
-        ],
+        "winners": [dict(vars(r)) for r in refits],
     }

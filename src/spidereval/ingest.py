@@ -27,7 +27,8 @@ text is UTF-8 whatever the locale (a leading byte-order mark is skipped)
 and every failure to read it is an :class:`InputError`. Every text
 artifact is written through :func:`write_csv` or :func:`write_json`,
 which share one float rule, 9 significant digits (``%.9g``): a JSON
-float carries the digits of its CSV cell.
+float carries the digits of its CSV cell. A dataclass record is written
+as the dict of its fields (:func:`rounded`), so no writer restates a schema.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 import re
 from array import array
 from itertools import islice
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -99,13 +100,23 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def rounded(obj):
     """``obj`` with every float in it, at any depth, rounded by the float
-    rule: what reading back its text rendering gives."""
+    rule: what reading back its text rendering gives. The record rule: a
+    dataclass becomes the dict of its fields, a set its sorted list and an
+    array its ``tolist()``."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, float):  # numpy's float64 too
         return float(FLOAT_FORMAT % obj)
     if isinstance(obj, dict):
         return {key: rounded(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):  # mostly id lists: strings skip the call
         return [value if type(value) is str else rounded(value) for value in obj]
+    if isinstance(obj, (set, frozenset)):
+        return rounded(sorted(obj))
+    if isinstance(obj, np.ndarray):
+        return rounded(obj.tolist())
+    if is_dataclass(obj):
+        return {f.name: rounded(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

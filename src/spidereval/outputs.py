@@ -80,8 +80,7 @@ def write_qc_summary(path, report: QcReport, counts: Mapping[str, int]) -> None:
 
 
 def write_participant_split(path, split) -> None:
-    write_json(path, {"seed": split.seed, "group_a": sorted(split.group_a),
-                      "group_b": sorted(split.group_b)})
+    write_json(path, split)
 
 
 TARGETS_HEADER = ["image_id", "mean_a", "mean_b", "n_a", "n_b"]

@@ -250,27 +250,7 @@ def assert_no_leakage(plan: CvPlan, targets: ImageTargets | None = None) -> None
 
 
 def write_cv_plan(path, plan: CvPlan) -> None:
-    doc = {
-        "seed": plan.seed,
-        "n_repetitions": plan.n_repetitions,
-        "n_outer_folds": plan.n_outer_folds,
-        "n_inner_folds": plan.n_inner_folds,
-        "validation_fraction": plan.validation_fraction,
-        "inner_search_scope": plan.inner_search_scope,
-        "image_ids": list(plan.image_ids),
-        "folds": [
-            {
-                "repetition": fp.repetition,
-                "fold": fp.fold,
-                "train": list(fp.train),
-                "test": list(fp.test),
-                "validation": list(fp.validation),
-                "inner": [list(part) for part in fp.inner],
-            }
-            for fp in plan.folds
-        ],
-    }
-    write_json(path, doc)
+    write_json(path, plan)
 
 
 def load_cv_plan(path) -> CvPlan:
@@ -280,26 +260,16 @@ def load_cv_plan(path) -> CvPlan:
     src = InputFile(path, "plan")
     doc = src.read_json()
     try:
+        # each field in declaration order, cast to its type
         folds = tuple(
-            FoldPlan(
-                repetition=int(f["repetition"]),
-                fold=int(f["fold"]),
-                train=tuple(f["train"]),
-                test=tuple(f["test"]),
-                validation=tuple(f["validation"]),
-                inner=tuple(tuple(part) for part in f["inner"]),
-            )
+            FoldPlan(int(f["repetition"]), int(f["fold"]), tuple(f["train"]), tuple(f["test"]),
+                     tuple(f["validation"]), tuple(map(tuple, f["inner"])))
             for f in doc["folds"]
         )
         plan = CvPlan(
-            seed=check_seed(int(doc["seed"])),
-            image_ids=tuple(doc["image_ids"]),
-            folds=folds,
-            n_repetitions=int(doc["n_repetitions"]),
-            n_outer_folds=int(doc["n_outer_folds"]),
-            n_inner_folds=int(doc["n_inner_folds"]),
-            validation_fraction=float(doc["validation_fraction"]),
-            inner_search_scope=str(doc["inner_search_scope"]),
+            check_seed(int(doc["seed"])), tuple(doc["image_ids"]), folds,
+            int(doc["n_repetitions"]), int(doc["n_outer_folds"]), int(doc["n_inner_folds"]),
+            float(doc["validation_fraction"]), str(doc["inner_search_scope"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise src.error(f"malformed cv plan: {exc}") from exc

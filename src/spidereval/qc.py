@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ComputationError, InputError
 from .ingest import RatingsTable, first_trial_filter, rows_by_code
-from .ranking import MIN_PAIRS, spearman_rho
+from .ranking import MIN_PAIRS, median, quantile, spearman_rho
 
 __all__ = [
     "QcReport",
@@ -37,7 +37,7 @@ MIN_PARTICIPANTS = 4
 def consensus_median(table: RatingsTable) -> dict[str, float]:
     """Per-image median rating over all participants (first trials only)."""
     by_image = rows_by_code(table.image, table.n_images)
-    return {image_id: float(np.median(table.rating[rows]))
+    return {image_id: float(median(np.sort(table.rating[rows])))
             for image_id, rows in zip(table.image_ids, by_image)}
 
 
@@ -45,8 +45,8 @@ def _fence(scores: dict[str, float], rule: str, upper: bool) -> float:
     """The Tukey fence (1.5 IQR beyond the type-7 quartiles) of the scores."""
     if len(scores) < MIN_PARTICIPANTS:
         raise ComputationError(f"{rule} screening needs at least {MIN_PARTICIPANTS} participants")
-    values = np.array(list(scores.values()), dtype=np.float64)
-    q1, q3 = float(np.quantile(values, 0.25)), float(np.quantile(values, 0.75))
+    values = np.sort(np.array(list(scores.values()), dtype=np.float64))
+    q1, q3 = float(quantile(values, 0.25)), float(quantile(values, 0.75))
     return q3 + 1.5 * (q3 - q1) if upper else q1 - 1.5 * (q3 - q1)
 
 
@@ -103,7 +103,7 @@ def run_qc(table: RatingsTable) -> tuple[QcReport, RatingsTable]:
     by_participant = rows_by_code(filtered.participant, filtered.n_participants)
     for pid, rows in zip(filtered.participant_ids, by_participant):
         own, cons = filtered.rating[rows], consensus[rows]
-        mad[pid] = float(np.median(np.abs(own - cons)))
+        mad[pid] = float(median(np.sort(np.abs(own - cons))))
         rho[pid] = None
         if own.shape[0] >= MIN_PAIRS:
             try:

@@ -1,5 +1,6 @@
 """Rank transforms shared by the rank-based statistics, the Pearson
-correlation, and the Spearman correlation built on both."""
+correlation, the Spearman correlation built on both, and the order
+statistics of sorted samples: the median and the type-7 quantile."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import numpy as np
 
 from .errors import ComputationError
 
-__all__ = ["average_ranks", "pearson_r", "spearman_rho", "tie_group_sizes"]
+__all__ = ["average_ranks", "median", "pearson_r", "quantile", "spearman_rho",
+           "tie_group_sizes"]
 
 MIN_PAIRS = 3
 
@@ -63,3 +65,20 @@ def tie_group_sizes(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     _, counts = np.unique(values, return_counts=True)
     return counts[counts > 1]
+
+
+def median(ordered: np.ndarray):
+    """``np.median`` along axis 0 of ``ordered``, finite values sorted along
+    that axis: the middle value, or the mean of the middle pair."""
+    half = ordered.shape[0] // 2
+    return ordered[half] if ordered.shape[0] % 2 else 0.5 * (ordered[half - 1] + ordered[half])
+
+
+def quantile(ordered: np.ndarray, q: float):
+    """``np.quantile``'s default, the type-7 (linear) rule, along axis 0 of
+    ``ordered``, sorted along that axis by ``np.sort`` (NaNs last)."""
+    n = ordered.shape[0]
+    j, g = divmod((n - 1) * q, 1)
+    a, b = ordered[int(j)], ordered[min(int(j) + 1, n - 1)]
+    value = a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+    return np.where(np.isnan(ordered[-1]), ordered[-1], value)

@@ -1,4 +1,4 @@
-"""Synthetic ratings, features, and heatmap/mask data with known truth.
+"""Synthetic ratings and features with known truth.
 
 The generative model is y_ij = mu + img_i + rater_j + eps_ij truncated
 to [0, 100], with independent normal effects. When a feature dimension

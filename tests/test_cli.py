@@ -479,11 +479,20 @@ class TestSeedHandling:
 class TestErrorContracts:
     def test_nonexistent_input_path(self, tmp_path, capsys):
         assert main([
-            "qc", "--out", str(tmp_path / "o"), "--ratings", str(tmp_path / "ghost.csv"),
+            "qc", "--out", str(tmp_path / "o" / "x"), "--ratings", str(tmp_path / "ghost.csv"),
         ]) == 1
         doc = _stderr_json(capsys)
         assert doc["error"]["type"] == "validation"
         assert doc["error"]["field"] == "ratings"
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("kept")
+        assert main(["qc", "--out", str(out), "--ratings", str(workspace["ratings"])]) == 1
+        error = _one_error_line(capsys)
+        assert (error["type"], error["field"]) == ("validation", "out")
+        assert out.read_text() == "kept"
 
     def test_unknown_flag(self, capsys):
         assert main(["qc", "--frobnicate"]) == 1
@@ -666,7 +675,7 @@ class TestErrorContracts:
         assert main([*_fill(argv, inputs), "--out", str(out), "--config", str(path)]) == 1
         error = _one_error_line(capsys)
         assert (error["type"], error["field"]) == ("validation", field)
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     # option -> the command that reads it in the probes below
     READER = {
@@ -726,6 +735,7 @@ class TestErrorContracts:
         assert (error["type"], error["field"]) == ("validation", option)
         assert message in error["message"]
         assert str(bad) in error["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option", ["targets", "predictions", "points"])
     def test_trailing_blank_line_is_skipped(self, inputs, tmp_path, option):
@@ -757,7 +767,7 @@ class TestErrorContracts:
             out = tmp_path / command
             assert main(_command(command, {**inputs, "predictions": bad}, out)) == 1
             errors.append(_one_error_line(capsys))
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
         assert errors[0] == errors[1]
         return errors[0]
 
@@ -1125,8 +1135,12 @@ except SystemExit as exc:
 print(code, *sorted(m for m in sys.modules if m.startswith("spidereval")))
 """
 
+# `all` with every optional stage on
+ALL_ARGV = ["all", *[a for kv in ALL_FLAGS.items() for a in kv], "--ratings", "{ratings}",
+            "--features", "{features}", "--categories", "{categories}",
+            "--heatmaps", "{heat_a}", "{heat_b}", "--masks", "{masks}"]
 CORE_MODULES = ["", ".cli", ".defaults", ".errors", ".ingest", ".outputs", ".rng"]
-SEARCH = [".harness", ".partition"]
+SEARCH = [".harness", ".partition", ".ranking"]
 
 
 class TestModulesLoaded:
@@ -1138,11 +1152,9 @@ class TestModulesLoaded:
         (CV_ARGV + ["--trials", "2"], SEARCH),
         (["qc", "--ratings", "{ratings}"], [".qc", ".ranking"]),
         (ICC_ARGV + ["--sizes", "3", "--reps", "5"], [".reliability", ".svgplot"]),
-        (["all", *[a for kv in ALL_FLAGS.items() for a in kv], "--ratings", "{ratings}",
-          "--features", "{features}", "--categories", "{categories}",
-          "--heatmaps", "{heat_a}", "{heat_b}", "--masks", "{masks}"],
-         [".attribution", ".error_analysis", ".metrics", ".qc", ".ranking", ".reliability",
-          ".special", ".svgplot", *SEARCH]),
+        (ALL_ARGV,
+         [".attribution", ".error_analysis", ".metrics", ".qc", ".reliability", ".special",
+          ".svgplot", *SEARCH]),
         (["overlap", "--heatmaps", "{heat_a}", "--masks", "{masks}"],
          [".attribution", ".ranking", ".special"]),
         (["metrics", "--predictions", "{predictions}", "--targets", "{targets}"],
@@ -1151,7 +1163,7 @@ class TestModulesLoaded:
         (COMMAND_LINES["curve"], [".curvefit", ".svgplot"]),
         (COMMAND_LINES["split"], [".partition"]),
         (EA_ARGV + ["--bootstrap", "100"],
-         [".error_analysis", ".ranking", ".special", ".svgplot", *SEARCH]),
+         [".error_analysis", ".special", ".svgplot", *SEARCH]),
         (["synth", "--seed", "5", "--images", "30", "--raters", "4", "--dim", "3"], [".synth"]),
     ])
     def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, runs):
@@ -1167,11 +1179,15 @@ class TestModulesLoaded:
         assert code == "0", done.stderr
         assert modules == sorted("spidereval" + m for m in CORE_MODULES + runs)
 
-    @pytest.mark.parametrize("argv", [["--version"], CV_ARGV + ["--trials", "2"]])
+    @pytest.mark.parametrize("argv", [
+        ["--version"], CV_ARGV + ["--trials", "2"], COMMAND_LINES["qc"],
+        EA_ARGV + ["--bootstrap", "100"], ALL_ARGV,
+    ])
     def test_command_leaves_numpy_ma_unloaded(self, inputs, tmp_path, argv):
-        """``numpy.ma`` costs ~10 ms to import (``np.quantile`` imports it);
-        these commands load none of it beyond what ``import numpy`` does."""
-        argv = _fill(argv, inputs)
+        """``numpy.ma`` costs ~10 ms to import (``np.quantile`` and
+        ``np.median`` import it); these commands load none of it beyond
+        what ``import numpy`` does."""
+        argv = _fill(argv, {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])})
         if argv != ["--version"]:
             argv += ["--out", str(tmp_path / "o")]
         script = ("import sys, numpy\neager = 'numpy.ma' in sys.modules\n" + LOADED
@@ -1454,7 +1470,7 @@ class TestTypedOptions:
             "type": "validation", "field": "ranges",
             "message": "range lambda: the ridge penalty needs positive bounds",
         }
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestAllOverlapValidation:

@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import spidereval
 from spidereval.error_analysis import analyze_errors
 from spidereval.errors import InputError
 from spidereval.harness import PredictionSet, make_prediction
-from spidereval.ingest import CategoryTable, fmt
+from spidereval.ingest import CategoryTable, fmt, json_text
 from spidereval.metrics import MetricReport
 from spidereval.outputs import (
     load_image_targets,
@@ -29,6 +30,19 @@ from spidereval.outputs import (
     write_search_log,
 )
 from spidereval.partition import ImageTargets
+
+
+@dataclass(frozen=True)
+class _Inner:
+    values: tuple[float, ...]
+    ids: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    rest: tuple[_Inner, ...]
 
 
 class TestFmt:
@@ -76,6 +90,17 @@ class TestCsvJson:
         assert text.index('"alpha"') < text.index('"zeta"')
         assert text.endswith("\n")
         assert json.loads(text) == {"zeta": 1, "alpha": 2}
+
+    @pytest.mark.parametrize("obj, same", [
+        (_Outer("o", _Inner((1, 2.0000000001), ("b", "a")), (_Inner((), ()),)),
+         {"name": "o", "inner": {"values": [1, 2.0000000001], "ids": ["b", "a"]},
+          "rest": [{"values": [], "ids": []}]}),
+        (frozenset({"b", "c", "a"}), ["a", "b", "c"]),
+        (np.array([[0.1, 1 / 3], [2.0, -0.0]]), [[0.1, 1 / 3], [2.0, -0.0]]),
+    ], ids=["dataclass", "frozenset", "ndarray"])
+    def test_json_text_writes_a_record_as_its_plain_data(self, obj, same):
+        assert json_text(obj) == json_text(same)
+        assert json_text(obj, indent=2) == json_text(same, indent=2)
 
     def test_search_log_is_jsonl(self, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from spidereval.ranking import average_ranks, tie_group_sizes
+from spidereval.ranking import average_ranks, median, quantile, tie_group_sizes
 
 
 def test_simple_ranks():
@@ -69,3 +69,38 @@ def test_matches_loop_oracle_on_edge_cases(values):
 def test_matches_loop_oracle_with_heavy_ties(x):
     assert average_ranks(x).tobytes() == loop_average_ranks(x).tobytes()
 
+
+# Samples of 1..12 values in 1..3 columns. A few values repeat to give
+# ties; adding 0.0 turns -0.0 into 0.0, since sorting and numpy's
+# partition may leave the two zeros in different orders.
+_samples = st.tuples(st.integers(1, 12), st.integers(1, 3)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.5, 3.0, 1e2])
+                         | st.floats(-1e300, 1e300))
+).map(lambda x: x + 0.0)
+
+
+class TestOrderStatistics:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_samples, st.floats(0, 1) | st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.75, 1.0]))
+    def test_quantile_is_numpys_bit_for_bit(self, x, q):
+        assert quantile(np.sort(x, axis=0), q).tobytes() == np.quantile(x, q, axis=0).tobytes()
+        assert float(quantile(np.sort(x[:, 0]), q)).hex() == float(np.quantile(x[:, 0], q)).hex()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_samples)
+    def test_median_is_numpys_bit_for_bit(self, x):
+        assert median(np.sort(x, axis=0)).tobytes() == np.median(x, axis=0).tobytes()
+        assert float(median(np.sort(x[:, 0]))).hex() == float(np.median(x[:, 0])).hex()
+
+    @pytest.mark.parametrize("column", [[1.0, np.nan, 2.0], [np.nan], [5.0, 1.0, np.nan]])
+    def test_quantile_of_a_column_with_nan_is_nan(self, column):
+        x = np.array([column, [1.0, 2.0, 3.0][:len(column)]]).T
+        for q in (0.0, 0.025, 0.5, 1.0):
+            want = np.quantile(x, q, axis=0)
+            assert np.isnan(want[0]) and quantile(np.sort(x, axis=0), q).tobytes() == want.tobytes()
+
+    def test_median_is_not_the_type_7_half_quantile(self):
+        # on an even count, a + (b - a) / 2 and (a + b) / 2 can round apart
+        x = np.array([13.51, 72.149])
+        assert float(median(x)) == float(np.median(x)) == 42.8295
+        assert float(quantile(x, 0.5)) == float(np.quantile(x, 0.5)) == 42.829499999999996

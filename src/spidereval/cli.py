@@ -20,13 +20,13 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .defaults import (ALPHA, DEFAULT_BOOTSTRAP, DEFAULT_REPS, FORMS, MIN_CELL, MISSING_MODES,
-                       N_TRIALS)
+from .defaults import (ALPHA, DEFAULT_BOOTSTRAP, DEFAULT_REPS, FORMS, KIND, MIN_CELL,
+                       MISSING_MODES, N_TRIALS)
 from .errors import ComputationError, InputError
 from .ingest import (
     InputFile,
@@ -60,9 +60,6 @@ from .outputs import (
     write_search_log,
 )
 from .rng import check_seed
-
-if TYPE_CHECKING:
-    from .harness import PredictorSpec
 
 # The split, the search and the analysis modules are imported by the
 # stage that runs them, so a command loads only what it runs.
@@ -143,10 +140,25 @@ def _text(value) -> str:
     return value
 
 
-def _object(value) -> dict:
+def _predictor(value) -> dict:
+    """The config's ``predictor`` object, checked as the spec it makes: its
+    ``ranges`` replace the default search space and are what it resolves to.
+    Its ``kind`` is checked here; the ``kind`` option decides the run's."""
+    from .harness import PredictorSpec, default_spec
     if not isinstance(value, dict):
         raise TypeError("must be a JSON object")
-    return value
+    unknown = sorted(set(value) - {"kind", "ranges"})
+    if unknown:
+        raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
+    try:
+        ranges = {
+            str(name): (_float(lo), _float(hi), str(scale))
+            for name, (lo, hi, scale) in value.get("ranges", default_spec().ranges).items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
+    PredictorSpec(kind=value.get("kind", KIND), ranges=ranges)
+    return {"ranges": ranges}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,8 +200,8 @@ OPTIONS = (
     Option("heatmaps", _dirs, None, "heatmap dirs, averaged (enables overlap)", "overlap all",
            nargs="+"),
     Option("masks", _mask_dir, None, "mask dir (enables overlap)", "overlap all"),
-    Option("kind", str, None, "predictor kind", "cv all"),
-    Option("predictor", _object, {}, None, "cv all"),
+    Option("kind", str, KIND, "predictor kind", "cv all", choices=(KIND,)),
+    Option("predictor", _predictor, {}, None, "cv all"),
     Option("trials", _count, N_TRIALS, "search trials per fold", "cv all"),
     Option("threads", _count, 1, "worker threads", "cv all"),
     Option("sizes", _sizes, None, "comma-separated ICC subsample sizes", "icc all"),
@@ -229,9 +241,9 @@ def _load_config(path: str | None) -> dict:
     config = InputFile(path, "config").read_json()
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object", field="config")
-    if "icc" in config:
-        raise InputError("config key 'icc' is not supported; set 'reps', 'sizes' and "
-                         "'missing' at the top level", field="icc")
+    unknown = sorted(set(config) - {opt.name for opt in OPTIONS})
+    if unknown:
+        raise InputError(f"config key {unknown[0]!r} names no option", field=unknown[0])
     return config
 
 
@@ -324,15 +336,16 @@ def _split(run: _Run, table: RatingsTable, seed: int) -> None:
                             split_participants, write_cv_plan)
     split = split_participants(table.participant_ids, seed)
     targets = image_group_means(table, split)
-    if not targets.mean_a:
-        raise ComputationError("no image has ratings in both participant groups")
     plan = make_cv_plan(targets.image_ids, seed)
     assert_no_leakage(plan, targets)
     write_participant_split(run.path("participant_split.json"), split)
     write_image_targets(run.path("image_targets.csv"), targets)
     write_cv_plan(run.path("cv_plan.json"), plan)
-    log.info("split: groups %d/%d, %d evaluable images, %d dropped", len(split.group_a),
-             len(split.group_b), len(targets.mean_a), len(targets.dropped))
+    dropped = targets.dropped
+    log.log(logging.WARNING if dropped else logging.INFO,
+            "split: groups %d/%d, %d evaluable images, %d dropped%s", len(split.group_a),
+            len(split.group_b), len(targets.mean_a), len(dropped),
+            f" (not rated in both groups; first: {list(dropped[:5])})" if dropped else "")
 
 
 def _icc(run: _Run, opts, table: RatingsTable) -> None:
@@ -375,34 +388,10 @@ def _cmd_split(opts, run: _Run) -> None:
     _split(run, first_trial_filter(load_ratings(opts.ratings)), opts.seed)
 
 
-def _predictor_spec(opts: SimpleNamespace) -> PredictorSpec:
-    """``--kind`` or the config's ``predictor`` object; its ``ranges``
-    replace the default search space. The resolved kind and ranges go back
-    onto ``opts``, so the manifest records the spec however it was
-    spelled."""
-    from .harness import KIND, PredictorSpec, default_spec
-    pconf = opts.predictor
-    unknown = sorted(set(pconf) - {"kind", "ranges"})
-    if unknown:
-        raise InputError(f"unknown predictor config keys {unknown}", field="predictor")
-    kind = opts.kind if opts.kind is not None else pconf.get("kind", KIND)
-    base = default_spec(kind)
-    try:
-        ranges = {
-            str(name): (_float(lo), _float(hi), str(scale))
-            for name, (lo, hi, scale) in pconf.get("ranges", base.ranges).items()
-        }
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed predictor config: {exc}", field="predictor") from exc
-    spec = PredictorSpec(kind=kind, ranges=ranges)
-    opts.kind, opts.predictor = kind, {"ranges": ranges}
-    return spec
-
-
 def _cmd_cv(opts, run: _Run) -> None:
-    from .harness import run_nested_cv, search_summary
+    from .harness import PredictorSpec, run_nested_cv, search_summary
     from .partition import load_cv_plan
-    spec = _predictor_spec(opts)
+    spec = PredictorSpec(kind=opts.kind, ranges=opts.predictor["ranges"])
     plan = load_cv_plan(opts.plan)
     if opts.seed is None:
         opts.seed = plan.seed  # a stored plan fully determines the run
@@ -445,16 +434,7 @@ def _cmd_curve(opts, run: _Run) -> None:
         raise ComputationError(
             f"curve fit has no interior optimum of the rate b (stop reason: {result.stop_reason})"
         )
-    a, b, c = result.params
-    write_fit_results(
-        run.path("learning_curve.csv"),
-        {
-            "model": model_label, "metric": metric_label, "form": form,
-            "a": a, "b": b, "c": c, "rss": result.rss,
-            "iterations": result.iterations, "converged": result.converged,
-            "asymptote": result.asymptote,
-        },
-    )
+    write_fit_results(run.path("learning_curve.csv"), model_label, metric_label, result)
     ns = np.array([n for n, _ in points], dtype=np.float64)
     grid = np.linspace(float(ns.min()), float(ns.max()), 100)
     fitted = model_value(form, np.array(result.params), grid)
@@ -582,7 +562,6 @@ def _cmd_all(opts, run: _Run) -> None:
             f"overlap needs both --masks and --heatmaps; {_flag(absent)} is missing",
             field=absent,
         )
-    _predictor_spec(opts)  # a bad predictor config fails before any stage writes
     cleaned = _qc(run, load_ratings(opts.ratings))
     _split(run, cleaned, opts.seed)
     # the later stages read back what split and cv wrote, as the chain does

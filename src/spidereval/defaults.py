@@ -10,4 +10,5 @@ DEFAULT_BOOTSTRAP = 2000  # error-analysis bootstrap replicates
 MIN_CELL = 10  # smallest category the error-analysis tests use
 ALPHA = 0.05  # FDR significance level
 FORMS = ("decay", "rise")  # learning-curve forms
+KIND = "ridge_closed_form"  # the one predictor kind
 N_TRIALS = 30  # ridge-search trials per (repetition, outer fold)

@@ -41,7 +41,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .defaults import N_TRIALS
+from .defaults import KIND, N_TRIALS
 from .errors import ComputationError, InputError
 from .ingest import FeatureTable
 from .partition import CvPlan, FoldPlan, ImageTargets, assert_no_leakage
@@ -61,7 +61,6 @@ __all__ = [
     "search_summary",
 ]
 
-KIND = "ridge_closed_form"
 SUMMARY_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -94,8 +93,8 @@ class PredictorSpec:
             raise InputError("range lambda: the ridge penalty needs positive bounds", field="ranges")
 
 
-def default_spec(kind: str = KIND) -> PredictorSpec:
-    return PredictorSpec(kind=kind, ranges={"lambda": (1e-4, 1e2, "log")})
+def default_spec() -> PredictorSpec:
+    return PredictorSpec(kind=KIND, ranges={"lambda": (1e-4, 1e2, "log")})
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from . import __version__
 from .ingest import InputFile, _encode, write_csv, write_json
 
 if TYPE_CHECKING:  # types only; importing these modules costs start-up
+    from .curvefit import FitResult
     from .error_analysis import ErrorAnalysisReport
     from .harness import PredictionSet
     from .metrics import MetricReport
@@ -169,9 +170,12 @@ def write_icc_reports(report_path, summary_path, report: IccBootstrapReport) -> 
     )
 
 
-def write_fit_results(path, row: Mapping) -> None:
+def write_fit_results(path, model: str, metric: str, fit: FitResult) -> None:
+    """One learning-curve row: the two labels, then the fit's fields with
+    its parameters as a, b and c (its stop reason is left out)."""
     header = ["model", "metric", "form", "a", "b", "c", "rss", "iterations", "converged",
               "asymptote"]
+    row = {"model": model, "metric": metric, **vars(fit), **dict(zip("abc", fit.params))}
     write_csv(path, header, [[row[key] for key in header]])
 
 

@@ -9,7 +9,6 @@ reuse verbatim.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "write_cv_plan",
     "load_cv_plan",
 ]
-
-log = logging.getLogger(__name__)
 
 N_REPETITIONS = 5
 N_OUTER_FOLDS = 5
@@ -90,21 +87,21 @@ class ImageTargets:
 
 
 def image_group_means(table: RatingsTable, split: ParticipantSplit) -> ImageTargets:
-    """Arithmetic mean rating per image, separately per participant group."""
+    """Arithmetic mean rating per image, separately per participant group,
+    each summed in participant order, so the order of the table's rows
+    cannot change a bit."""
     mean_a, mean_b, n_a, n_b, dropped = {}, {}, {}, {}, []
     # whether each row's participant is in group A, in group B
     in_a = np.array([pid in split.group_a for pid in table.participant_ids])[table.participant]
     in_b = np.array([pid in split.group_b for pid in table.participant_ids])[table.participant]
-    for image_id, rows in zip(table.image_ids, rows_by_code(table.image, table.n_images)):
+    # rows by participant; grouping them by image keeps that order in each image
+    order = np.argsort(table.participant, kind="stable")
+    for image_id, rows in zip(table.image_ids, rows_by_code(table.image[order], table.n_images)):
+        rows = order[rows]
         a_vals = table.rating[rows[in_a[rows]]]
         b_vals = table.rating[rows[in_b[rows]]]
         if not a_vals.size or not b_vals.size:
             dropped.append(image_id)
-            log.warning(
-                "image %s has no ratings in group %s; dropped from modeling",
-                image_id,
-                "A" if not a_vals.size else "B",
-            )
             continue
         mean_a[image_id], mean_b[image_id] = float(np.mean(a_vals)), float(np.mean(b_vals))
         n_a[image_id], n_b[image_id] = len(a_vals), len(b_vals)

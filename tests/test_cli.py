@@ -22,6 +22,7 @@ import spidereval
 from spidereval.cli import main
 from spidereval.ingest import BinaryMask, FloatGrid, write_float_grid, write_mask
 from spidereval.outputs import sha256_file
+from spidereval.partition import split_participants
 
 SIZES_313 = [50, 75, 100, 150, 200, 250, 313]
 MAE_SERIES = [13.533, 12.923, 12.101, 11.562, 11.360, 11.336, 11.025]
@@ -196,6 +197,59 @@ class TestIccCommand:
             "type": "computation",
             "message": "a subsample of 2 raters leaves fewer than 2 images with a rating",
         }
+
+
+class TestSplitCommand:
+    def test_row_order_of_the_ratings_changes_no_byte(self, tmp_path):
+        """Each image's group means sum in participant order, whatever the
+        order of the rows that hold them."""
+        assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "7",
+                     "--images", "120", "--raters", "20"]) == 0
+        header, *rows = (tmp_path / "synth" / "ratings.csv").read_bytes().splitlines(True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_bytes(header + b"".join(rows[k] for k in
+                                               np.random.default_rng(0).permutation(len(rows))))
+        for name, ratings in (("file", tmp_path / "synth" / "ratings.csv"),
+                              ("shuffled", shuffled)):
+            assert main(["split", "--out", str(tmp_path / name), "--seed", "5",
+                         "--ratings", str(ratings)]) == 0
+        for name in ("image_targets.csv", "participant_split.json", "cv_plan.json"):
+            assert (tmp_path / "shuffled" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("shared", [0, 25])
+    def test_images_one_group_rated_make_one_stderr_line(self, tmp_path, shared):
+        # group A rates i00-i29 and group B the 30 images from i{30 - shared}
+        ids = ["p1", "p2", "p3", "p4"]
+        group_a = split_participants(ids, 5).group_a
+        ratings = tmp_path / "ratings.csv"
+        first = {pid: 0 if pid in group_a else 30 - shared for pid in ids}
+        ratings.write_text("participant_id,image_id,trial_index,rating\n" + "".join(
+            f"{pid},i{k:02d},1,{(7 * k + 11 * j) % 100}\n"
+            for j, pid in enumerate(ids) for k in range(first[pid], first[pid] + 30)
+        ))
+        out = tmp_path / "split"
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "spidereval", "split", "--out", str(out), "--seed", "5",
+             "--ratings", str(ratings)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, lines
+        if shared == 0:
+            assert done.returncode == 1
+            assert json.loads(lines[0])["error"] == {
+                "type": "validation", "field": "ratings",
+                "message": "cv plan needs at least 25 images",
+            }
+            assert not out.exists()
+        else:
+            assert done.returncode == 0
+            assert lines[0] == (
+                "WARNING spidereval: split: groups 2/2, 25 evaluable images, 10 dropped "
+                "(not rated in both groups; first: ['i00', 'i01', 'i02', 'i03', 'i04'])"
+            )
 
 
 class TestCurveCommand:
@@ -477,6 +531,23 @@ class TestSeedHandling:
 
 
 class TestErrorContracts:
+    def test_failed_fold_names_its_repetition_and_fold(self, workspace, tmp_path, capsys):
+        # squared residuals of targets near 1e200 overflow every trial's loss
+        header, *rows = csv.reader(io.StringIO(_read(workspace["targets"])))
+        targets = tmp_path / "image_targets.csv"
+        with open(targets, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *([r[0], repr(float(r[1]) * 1e200), *r[2:]] for r in rows)])
+        out = tmp_path / "cv"
+        argv = _fill(CV_ARGV, {**workspace, "targets": targets})
+        assert main([*argv, "--out", str(out), "--trials", "3"]) == 2
+        error = _one_error_line(capsys)
+        assert error["type"] == "computation" and "field" not in error
+        assert error["message"].startswith(
+            "rep=0 fold=0: all 3 search trials failed: trial 0: loss must be finite")
+        assert error["message"].endswith("trial 2: loss must be finite and >= 0, got inf")
+        assert not out.exists()
+
     def test_nonexistent_input_path(self, tmp_path, capsys):
         assert main([
             "qc", "--out", str(tmp_path / "o" / "x"), "--ratings", str(tmp_path / "ghost.csv"),
@@ -1356,6 +1427,50 @@ class TestTypedOptions:
         error = _one_error_line(capsys)
         assert error["type"] == "validation"
         assert error["field"] == field
+
+    @pytest.mark.parametrize("option", ["trials", "threads"])
+    def test_zero_count_names_the_option(self, workspace, tmp_path, capsys, option):
+        out = tmp_path / "o"
+        assert main([*_fill(CV_ARGV, workspace), "--out", str(out), f"--{option}", "0"]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": option,
+            "message": f"option {option}: must be >= 1, got 0",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["rep", "verbose", "config"])
+    def test_config_key_that_names_no_option_is_refused(self, workspace, tmp_path, capsys,
+                                                         key):
+        # `verbose` and `config` are flags only; `rep` is a misspelt `reps`
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"reps": 5, key: 5}))
+        out = tmp_path / "o"
+        assert main([*_fill(ICC_ARGV, workspace), "--out", str(out), "--config", str(path)]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": key, "message": f"config key {key!r} names no option",
+        }
+        assert not out.exists()
+
+    def test_config_keys_of_other_commands_are_accepted(self, workspace, tmp_path):
+        # one file can serve several commands
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"reps": 5, "sizes": "3", "trials": 2, "form": "rise",
+                                    "predictor": {"ranges": {"lambda": [1, 2, "log"]}}}))
+        out = tmp_path / "o"
+        assert main([*_fill(ICC_ARGV, workspace), "--out", str(out), "--config", str(path)]) == 0
+        config = json.loads(_read(out / "run_manifest.json"))["config"]
+        assert config == {"missing": "impute", "reps": 5, "sizes": [3]}
+
+    def test_kind_flag_does_not_hide_an_invalid_predictor_kind(self, workspace, tmp_path,
+                                                                capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"predictor": {"kind": "iterative_stub"}}))
+        assert main([*_fill(CV_ARGV, workspace), "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--kind", "ridge_closed_form"]) == 1
+        assert _one_error_line(capsys) == {
+            "type": "validation", "field": "kind",
+            "message": "unknown predictor kind 'iterative_stub'",
+        }
 
     def test_explicit_zero_reps_reaches_the_library_check(self, workspace, tmp_path, capsys):
         assert main([

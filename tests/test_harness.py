@@ -385,6 +385,26 @@ class TestRandomSearch:
             "trial 1: loss must be finite and >= 0, got inf"
         )
 
+    def test_a_failed_factorization_is_every_trials_error(self, monkeypatch):
+        # d < n: the training set is factored first, then each inner fit
+        # set; the second inner fit set's factorization fails
+        ids, features, targets = _linear_problem(20, 3, noise=1.0, seed=10)
+        eigh, calls = np.linalg.eigh, []
+
+        def failing(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ComputationError) as exc:
+            random_search(default_spec(), _inner_partition(ids), features, targets,
+                          n_trials=2, seed=0)
+        error = "ridge eigendecomposition failed: Eigenvalues did not converge"
+        assert str(exc.value) == f"all 2 search trials failed: trial 0: {error}; trial 1: {error}"
+        assert calls == [(3, 3)] * 6  # the other inner fit sets are still factored
+
     def test_failed_trials_are_recorded_not_fatal(self):
         ids, features, targets = _overflowing_problem(20, 3, seed=10)
         best, trials, _ = random_search(WIDE_PENALTIES, _inner_partition(ids), features,
@@ -485,7 +505,8 @@ class TestRunNestedCv:
         monkeypatch.setattr(harness, "_run_fold", lambda *args: pytest.fail("a fold ran"))
         kernels = _remember_kernels(monkeypatch)
         with pytest.raises(InputError) as exc:
-            run_nested_cv(plan, targets, partial, default_spec(kind), n_trials=2)
+            run_nested_cv(plan, targets, partial,
+                          PredictorSpec(kind=kind, ranges=default_spec().ranges), n_trials=2)
         assert (exc.value.field, str(exc.value)) == (
             "features",
             "no feature vector for 6 planned images "

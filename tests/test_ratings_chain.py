@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spidereval.errors import ComputationError, InputError
@@ -99,6 +99,7 @@ def ref_run_qc(records):
 def ref_group_means(records, split):
     out = {"mean_a": {}, "mean_b": {}, "n_a": {}, "n_b": {}, "dropped": []}
     for image_id, recs in sorted(_group(records, lambda r: r.image_id).items()):
+        recs = sorted(recs, key=lambda r: r.participant_id)  # summed in participant order
         a = [r.rating for r in recs if r.participant_id in split.group_a]
         b = [r.rating for r in recs if r.participant_id in split.group_b]
         if not a or not b:
@@ -238,8 +239,10 @@ class TestAgainstRecordReference:
     def test_group_means_and_matrix(self, records, seed):
         table = first_trial_filter(RatingsTable(records))
         kept = ref_first_trial(records)
-        # the last participant is in neither group, so it counts for neither mean
+        # the last participant is in neither group, so it counts for neither mean;
+        # a split needs two participants
         ids = table.participant_ids
+        assume(len(ids) >= 2)
         split = split_participants(ids[: max(2, len(ids) - 1)], seed)
         targets = image_group_means(table, split)
         want = ref_group_means(kept, split)

@@ -11,9 +11,8 @@ import json
 import re
 import shlex
 from pathlib import Path
-from types import SimpleNamespace
 
-from spidereval.cli import _predictor_spec, main
+from spidereval.cli import _predictor, main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -46,4 +45,4 @@ def test_readme_json_examples_are_valid():
     predictors = [doc for doc in docs if "predictor" in doc]
     assert len(docs) >= 3 and predictors
     for doc in predictors:
-        _predictor_spec(SimpleNamespace(kind=doc.get("kind"), predictor=doc["predictor"]))
+        _predictor(doc["predictor"])

@@ -53,7 +53,9 @@ class PairedTestResult:
 
 
 def composite_heatmap(grids: Sequence[FloatGrid]) -> FloatGrid:
-    """Element-wise mean of equally sized heatmaps (one per repetition)."""
+    """Element-wise mean of equally sized heatmaps (one per repetition),
+    summed in the order of their bytes, so the order of ``grids`` changes
+    no bit."""
     if not grids:
         raise ComputationError("composite_heatmap needs at least one grid")
     first = grids[0]
@@ -63,7 +65,7 @@ def composite_heatmap(grids: Sequence[FloatGrid]) -> FloatGrid:
                 f"heatmap dimensions differ: {g.width}x{g.height} vs "
                 f"{first.width}x{first.height}"
             )
-    stacked = np.stack([g.values for g in grids], axis=0)
+    stacked = np.stack(sorted((g.values for g in grids), key=np.ndarray.tobytes), axis=0)
     return FloatGrid(width=first.width, height=first.height, values=stacked.mean(axis=0))
 
 

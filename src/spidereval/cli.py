@@ -416,12 +416,12 @@ def _cmd_icc(opts, run: _Run) -> None:
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
-    """(n, y) rows; fit_curve checks that they can identify three parameters."""
+    """(n, y) rows, sorted; fit_curve checks that they can identify three parameters."""
     src = InputFile(path, "points")
-    return [
+    return sorted(
         (src.number(n, line, "n"), src.number(y, line, "y"))
         for line, (n, y) in src.rows(["n", "y"])
-    ]
+    )
 
 
 def _cmd_curve(opts, run: _Run) -> None:
@@ -613,11 +613,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        # the handler is set up once per process, the level on every call
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(logging.INFO if args.verbose else logging.WARNING)
         opts = _resolve(args)
         run = _Run(opts.out, opts.inputs)
         COMMANDS[args.command][0](opts, run)

@@ -5,7 +5,7 @@ Tabular inputs are CSV:
 * ``ratings.csv`` with header ``participant_id,image_id,trial_index,rating``,
   one row per rating event, ratings on the 0-100 scale, held as a
   columnar :class:`RatingsTable`: sorted participant and image ids, and
-  per row, in file order, the two id codes, the trial and the rating;
+  the rows' id codes, trials and ratings, sorted by participant, image, trial;
 * ``categories.csv`` with header ``image_id,criterion,category``, long form
   over the fixed 12-criterion taxonomy;
 * ``features.csv`` with header ``image_id,f0,...,f{D-1}`` and one embedding
@@ -314,34 +314,35 @@ def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def rows_by_code(codes: np.ndarray, n: int) -> list[np.ndarray]:
-    """The row indices of each code 0..n-1, each in table (file) order."""
+    """The row indices of each code 0..n-1, each in table order."""
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(n + 1)).tolist()
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class RatingsTable:
-    """Rating events as four aligned read-only columns, in file order.
+    """Rating events as four aligned read-only columns, sorted by participant,
+    image and trial (stably: a repeated row follows the row it repeats).
 
     ``participant_ids`` and ``image_ids`` are the sorted ids that have a
     row; ``participant`` and ``image`` code each row by its position in
     them (:func:`load_ratings` codes ids in the order it first sees them,
     then remaps the codes to these positions), next to its ``trial``
-    (int64) and ``rating`` (float64).
-    ``RatingsTable(records)`` and :attr:`records` convert from and to
-    :class:`RatingRecord` objects.
+    (int64) and ``rating`` (float64). ``RatingsTable(records)``, which
+    sorts them, and :attr:`records` convert from and to :class:`RatingRecord`.
     """
 
     __slots__ = ("participant_ids", "participant", "image_ids", "image", "trial", "rating")
 
     def __init__(self, records: Iterable[RatingRecord] = ()):
-        rows = tuple(records)
+        rows = sorted(records, key=lambda r: (r.participant_id, r.image_id, r.trial_index))
         self._set(*_encode([r.participant_id for r in rows]), *_encode([r.image_id for r in rows]),
                   [r.trial_index for r in rows], [r.rating for r in rows])
 
     @classmethod
     def from_codes(cls, participant_ids, participant, image_ids, image, trial, rating):
-        """A table from sorted id lists and the rows coded by position in them.
+        """A table from sorted id lists and the rows, already in table order
+        (unchecked), coded by position in them.
 
         The table takes ownership of a column whose buffer already holds
         its dtype (intp codes, int64 trials, float64 ratings): the column
@@ -517,7 +518,7 @@ def load_ratings(path: str | Path) -> RatingsTable:
     is named, and a file without rows is an error too. No Python object is
     kept per row: ids are coded in the order first seen, the codes, trials,
     ratings and line numbers go to typed arrays, and at the end the codes
-    are remapped to positions among the sorted ids.
+    are remapped to positions among the sorted ids and the rows sorted.
     """
     src = InputFile(path, "ratings")
     participant_ids: dict[str, int] = {}  # id -> first-seen code
@@ -548,16 +549,17 @@ def load_ratings(path: str | Path) -> RatingsTable:
         ordered = sorted(ids)
         rank = np.argsort([ids[i] for i in ordered])  # first-seen code -> sorted position
         columns += [ordered, rank[np.asarray(column)]]
-    table = RatingsTable.from_codes(*columns, trials, ratings)
-    pair = table.participant * table.n_images + table.image
-    order = np.lexsort((table.trial, pair))  # stable: a repeat follows its first row
-    pair, trial = pair[order], table.trial[order]
-    repeats = order[1:][(pair[1:] == pair[:-1]) & (trial[1:] == trial[:-1])]
+    order = np.lexsort((trials, columns[3], columns[1]))  # stable: a repeat follows its row
+    table = RatingsTable.from_codes(columns[0], columns[1][order], columns[2], columns[3][order],
+                                    np.asarray(trials)[order], np.asarray(ratings)[order])
+    del participants, images, trials, ratings, columns, column  # done with the file-order columns
+    pair, trial = table.participant * table.n_images + table.image, table.trial
+    repeats = np.flatnonzero((pair[1:] == pair[:-1]) & (trial[1:] == trial[:-1])) + 1
     if repeats.size:
-        row = int(repeats.min())
+        row = repeats[np.argmin(order[repeats])]  # of all repeats, the first in the file
         key = (table.participant_ids[table.participant[row]],
-               table.image_ids[table.image[row]], trials[row])
-        raise src.error(f"duplicate (participant, image, trial) {key}", lines[row])
+               table.image_ids[table.image[row]], int(trial[row]))
+        raise src.error(f"duplicate (participant, image, trial) {key}", lines[order[row]])
     if error is not None:
         raise error
     return table
@@ -582,11 +584,9 @@ def write_ratings(table: RatingsTable, path: str | Path) -> np.ndarray:
 
 
 def first_trial_filter(table: RatingsTable) -> RatingsTable:
-    """Keep only the earliest-trial row per (participant, image) pair, in file order."""
+    """Keep only each (participant, image) pair's first row, its earliest trial."""
     pair = table.participant * table.n_images + table.image
-    order = np.lexsort((table.trial, pair))  # stable: of equal trials, the earliest row first
-    _, first = np.unique(pair[order], return_index=True)
-    return table.select(np.sort(order[first]))
+    return table.select(np.diff(pair, prepend=-1) != 0)
 
 
 def load_categories(path: str | Path) -> CategoryTable:

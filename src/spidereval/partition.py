@@ -88,16 +88,12 @@ class ImageTargets:
 
 def image_group_means(table: RatingsTable, split: ParticipantSplit) -> ImageTargets:
     """Arithmetic mean rating per image, separately per participant group,
-    each summed in participant order, so the order of the table's rows
-    cannot change a bit."""
+    each summed in participant order, the order of an image's table rows."""
     mean_a, mean_b, n_a, n_b, dropped = {}, {}, {}, {}, []
     # whether each row's participant is in group A, in group B
     in_a = np.array([pid in split.group_a for pid in table.participant_ids])[table.participant]
     in_b = np.array([pid in split.group_b for pid in table.participant_ids])[table.participant]
-    # rows by participant; grouping them by image keeps that order in each image
-    order = np.argsort(table.participant, kind="stable")
-    for image_id, rows in zip(table.image_ids, rows_by_code(table.image[order], table.n_images)):
-        rows = order[rows]
+    for image_id, rows in zip(table.image_ids, rows_by_code(table.image, table.n_images)):
         a_vals = table.rating[rows[in_a[rows]]]
         b_vals = table.rating[rows[in_b[rows]]]
         if not a_vals.size or not b_vals.size:

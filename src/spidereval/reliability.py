@@ -65,10 +65,9 @@ def build_rating_matrix(table: RatingsTable) -> RatingMatrix:
     """Pivot a (first-trial, QC-filtered) table into images x raters."""
     shape = (table.n_images, table.n_participants)
     cell = table.image * shape[1] + table.participant
-    order = np.argsort(cell, kind="stable")
-    repeats = order[1:][cell[order][1:] == cell[order][:-1]]
+    repeats = np.flatnonzero(cell[1:] == cell[:-1])  # a cell's rows are adjacent
     if repeats.size:
-        row = int(repeats.min())
+        row = int(repeats[0]) + 1
         raise InputError(
             f"duplicate cell for image {table.image_ids[table.image[row]]}, "
             f"rater {table.participant_ids[table.participant[row]]}; "

@@ -1,5 +1,7 @@
 """Heatmap-versus-mask agreement statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,6 +48,15 @@ class TestComposite:
         manual = sum(g.values for g in grids) / 5.0
         assert np.allclose(comp.values, manual, atol=1e-12)
         assert (comp.width, comp.height) == (4, 6)
+
+    def test_order_of_grids_changes_no_bit(self):
+        # float32 values over 24 decades, so a float64 sum of three can round
+        rng = np.random.default_rng(7)
+        grids = [_grid((rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-12, 12, (64, 64)))
+                       .astype(np.float32)) for _ in range(3)]
+        bits = {composite_heatmap(list(order)).values.tobytes()
+                for order in itertools.permutations(grids)}
+        assert len(bits) == 1
 
     def test_dimension_mismatch(self):
         a = _grid(np.zeros((3, 3)))

@@ -252,6 +252,26 @@ class TestSplitCommand:
             )
 
 
+class TestLogging:
+    @pytest.mark.parametrize("verbose_first", [False, True])
+    def test_each_call_logs_at_its_own_level(self, workspace, tmp_path, verbose_first):
+        """Two runs in one process, one with --verbose: its INFO line shows
+        once, whichever runs first. In a subprocess, since in process the
+        root logger belongs to pytest."""
+        qc = ["qc", "--ratings", str(workspace["ratings"])]
+        calls = [qc + ["--out", str(tmp_path / "quiet")],
+                 qc + ["--out", str(tmp_path / "verbose"), "--verbose"]]
+        if verbose_first:
+            calls.reverse()
+        script = f"from spidereval.cli import main\nfor argv in {calls!r}:\n    main(argv)\n"
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("INFO spidereval: qc: excluded "), lines
+
+
 class TestCurveCommand:
     def test_fit_from_points_csv(self, tmp_path):
         points = tmp_path / "points.csv"
@@ -272,6 +292,17 @@ class TestCurveCommand:
         assert rows[1][8] == "true"
         assert float(rows[1][3]) == pytest.approx(5.461, rel=0.05)
         assert (out / "curve_resnet_mae.svg").exists()
+
+    def test_row_order_of_the_points_changes_no_byte(self, inputs, tmp_path):
+        header, *rows = inputs["points"].read_bytes().splitlines()
+        relaid = tmp_path / "points.csv"
+        relaid.write_bytes(b"".join(line + b"\r\n" for line in [header, *rows[::-1]]))
+        for name, points in (("file", inputs["points"]), ("relaid", relaid)):
+            assert main(["curve", "--out", str(tmp_path / name), "--points", str(points),
+                         "--form", "decay"]) == 0
+        for name in ("curve.svg", "learning_curve.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "relaid" / name).read_bytes(), name
 
     def test_model_label_with_markup_gives_a_parsable_plot(self, inputs, tmp_path):
         out = tmp_path / "curve"

@@ -109,7 +109,8 @@ class TestRatings:
         assert table.n_images == 2
         assert table.participant_ids == ("p1", "p2")
         assert table.image_ids == ("i1", "i2")
-        assert [rows.tolist() for rows in rows_by_code(table.image, 2)] == [[0, 1], [2]]
+        # rows in (participant, image, trial) order: p1 i1, p1 i2, p2 i1
+        assert [rows.tolist() for rows in rows_by_code(table.image, 2)] == [[0, 2], [1]]
         by_participant = rows_by_code(table.participant, 2)
         assert [table.rating[rows].tolist() for rows in by_participant] == [[2.0, 3.0], [1.0]]
 

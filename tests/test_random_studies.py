@@ -24,6 +24,11 @@ sd of the rater effects beyond every regular rater: QC missed none of
 fences they are judged by, and QC can keep one of them;
 ``test_two_outliers_can_mask_each_other`` pins such a study as the
 rule's expected behaviour.
+
+On the pinned studies, ``test_input_layout_changes_no_byte`` checks the
+README's promise that the layout of the inputs changes no artifact: the
+row order of every CSV, CRLF line ends, the key order of a JSON input
+and the order of the ``--heatmaps`` directories.
 """
 
 import contextlib
@@ -33,9 +38,12 @@ import io
 import json
 import math
 import os
+import random
+import shutil
 import sys
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -131,13 +139,21 @@ def _pinned(images, dim, trials, threads):
                            threads=threads), 3
 
 
+PINNED = {  # by the factorization level they reach
+    "per fit set": _pinned(40, 8, 3, 1),
+    "per outer fold": _pinned(40, 48, 8, 2),
+    "per run": _pinned(40, 48, 3, 1),
+    "per outer fold where wide, per fit set where narrow": _pinned(62, 49, 3, 2),
+}
+
+
 @settings(max_examples=20, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_study())
-@example(_pinned(40, 8, 3, 1))    # per fit set
-@example(_pinned(40, 48, 8, 2))   # per outer fold
-@example(_pinned(40, 48, 3, 1))   # per run
-@example(_pinned(62, 49, 3, 2))   # per outer fold where wide, per fit set where narrow
+@example(PINNED["per fit set"])
+@example(PINNED["per outer fold"])
+@example(PINNED["per run"])
+@example(PINNED["per outer fold where wide, per fit set where narrow"])
 def test_random_study_meets_the_oracles(study):
     scale, seed = study
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,3 +192,87 @@ def test_two_outliers_can_mask_each_other(tmp_path):
     regular = max(v for p, v in scores.items() if p not in ("p003", "p005"))
     assert sorted(scores.values())[6] == scores["p005"]
     assert 2 * regular < scores["p005"] < summary["mad_threshold"]
+
+
+def _relaid_csv(src, dst, seed):
+    """``src`` with its data rows shuffled and CRLF line ends."""
+    with open(src, "rb") as fh:
+        header, *rows = fh.read().splitlines()
+    random.Random(seed).shuffle(rows)
+    with open(dst, "wb") as fh:
+        fh.write(b"".join(line + b"\r\n" for line in [header, *rows]))
+
+
+def _reversed_keys(obj):
+    """``obj`` with the keys of every JSON object in reverse order."""
+    if isinstance(obj, dict):
+        return {key: _reversed_keys(obj[key]) for key in reversed(obj)}
+    return [_reversed_keys(item) for item in obj] if isinstance(obj, list) else obj
+
+
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+
+
+def _same_outputs(a, b):
+    """Each file of ``a`` is in ``b`` with the same bytes, the manifests
+    apart from the digests of the inputs."""
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in sorted(os.listdir(a)):
+        with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
+            data_a, data_b = fa.read(), fb.read()
+        if name == "run_manifest.json":
+            data_a, data_b = json.loads(data_a), json.loads(data_b)
+            inputs_a, inputs_b = data_a.pop("inputs"), data_b.pop("inputs")
+            assert sorted(inputs_a) == sorted(inputs_b)
+        assert data_a == data_b, name
+
+
+@pytest.mark.parametrize("study", PINNED.values(), ids=PINNED)
+def test_input_layout_changes_no_byte(study, tmp_path):
+    """Every artifact keeps its bytes when the inputs are laid out
+    otherwise: CSV rows shuffled, CRLF line ends, JSON keys reordered
+    and the heatmap directories swapped."""
+    scale, seed = study
+    at = os.path.join
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    os.makedirs(a)
+    PIPELINE.generate(a, seed, scale)
+    shutil.copytree(a, b, ignore=shutil.ignore_patterns("*.csv"))
+    for k, name in enumerate(["ratings.csv", "features.csv", "categories.csv"]):
+        _relaid_csv(at(a, name), at(b, name), k)
+    config = {"seed": seed, "threads": scale.threads, "trials": scale.trials,
+              "bootstrap": scale.bootstrap, "reps": scale.reps}
+    _write_json(at(a, "config.json"), config)
+    _write_json(at(b, "config.json"), _reversed_keys(config))
+    for inputs, heatmaps in ((a, ["heatmaps1", "heatmaps2"]), (b, ["heatmaps2", "heatmaps1"])):
+        assert _run(["all", "--out", at(inputs, "all"), "--config", at(inputs, "config.json"),
+                     "--ratings", at(inputs, "ratings.csv"),
+                     "--features", at(inputs, "features.csv"),
+                     "--categories", at(inputs, "categories.csv"), "--masks", at(inputs, "masks"),
+                     "--heatmaps", *(at(inputs, h) for h in heatmaps)])[0] == 0
+    _same_outputs(at(a, "all"), at(b, "all"))
+
+    # b's copies of the plan, targets and predictions relaid where a keeps its own
+    with open(at(a, "all", "cv_plan.json"), encoding="utf-8") as fh:
+        _write_json(at(b, "all", "cv_plan.json"), _reversed_keys(json.load(fh)))
+    for k, name in enumerate(["image_targets.csv", "predictions.csv"]):
+        _relaid_csv(at(a, "all", name), at(b, "all", name), k)
+    for inputs in (a, b):
+        targets, predictions = at(inputs, "all", "image_targets.csv"), \
+            at(inputs, "all", "predictions.csv")
+        for argv in (["cv", "--seed", str(seed), "--trials", str(scale.trials),
+                      "--plan", at(inputs, "all", "cv_plan.json"), "--targets", targets,
+                      "--features", at(inputs, "features.csv")],
+                     ["metrics", "--targets", targets, "--predictions", predictions],
+                     ["error-analysis", "--seed", str(seed), "--bootstrap", str(scale.bootstrap),
+                      "--targets", targets, "--predictions", predictions,
+                      "--categories", at(inputs, "categories.csv")],
+                     ["icc", "--seed", str(seed), "--reps", str(scale.reps),
+                      "--ratings", at(inputs, "ratings.csv")],
+                     ["overlap", "--targets", targets, "--masks", at(inputs, "masks"),
+                      "--heatmaps", at(inputs, "heatmaps1"), at(inputs, "heatmaps2")]):
+            assert _run(argv + ["--out", at(inputs, argv[0])])[0] == 0, argv
+    for command in ["cv", "metrics", "error-analysis", "icc", "overlap"]:
+        _same_outputs(at(a, command), at(b, command))

@@ -1,10 +1,12 @@
 """The columnar ratings chain against a record-based reference.
 
 The reference functions below are the record-at-a-time implementations
-the columnar table replaced: dicts of records grouped in file order, and
-ranks from a Python loop over tie runs (``test_ranking``). The property tests require the two
-to agree bit for bit, from the first-trial filter through QC, the
-participant split's group means and the ICC rating matrix.
+the columnar table replaced: dicts of records grouped in the order given,
+and ranks from a Python loop over tie runs (``test_ranking``). The
+property tests give them the records in the table's order
+(:func:`canonical`) and require the two to agree bit for bit, from the
+first-trial filter through QC, the participant split's group means and
+the ICC rating matrix.
 """
 
 import csv
@@ -31,6 +33,11 @@ from spidereval.reliability import build_rating_matrix
 from test_ranking import loop_average_ranks
 
 # -- record-based reference ---------------------------------------------------
+
+
+def canonical(records):
+    """The records in a table's (participant, image, trial) order."""
+    return sorted(records, key=lambda r: (r.participant_id, r.image_id, r.trial_index))
 
 
 def _group(records, key):
@@ -205,7 +212,7 @@ class TestAgainstRecordReference:
     def test_first_trial_filter_and_consensus(self, records):
         table = RatingsTable(records)
         filtered = first_trial_filter(table)
-        want = ref_first_trial(records)
+        want = ref_first_trial(canonical(records))
         assert filtered.records == tuple(want)
         assert filtered.participant_ids == tuple(sorted({r.participant_id for r in want}))
         assert filtered.image_ids == tuple(sorted({r.image_id for r in want}))
@@ -219,7 +226,7 @@ class TestAgainstRecordReference:
     @example(ALL_TIED)
     def test_run_qc(self, records):
         got = _outcome(run_qc, RatingsTable(records))
-        want = _outcome(ref_run_qc, records)
+        want = _outcome(ref_run_qc, canonical(records))
         if isinstance(want[0], str):  # both reject the table with the same error type
             assert isinstance(got[0], str) and got[0] == want[0]
             return
@@ -269,14 +276,16 @@ class TestAgainstRecordReference:
         loaded = load_ratings(path)
         assert loaded.records == tuple(
             RatingRecord(r.participant_id, r.image_id, r.trial_index, float(f"{r.rating:.9g}"))
-            for r in records
+            for r in canonical(records)
         )
 
 
 @pytest.mark.parametrize("odd", ODD_IDS)
 def test_write_ratings_renders_ids_as_csv_writer_does(tmp_path, odd):
-    table = RatingsTable([RatingRecord(odd, "i" + odd, 1, 12.5), RatingRecord("p", odd, 2, 1 / 3),
-                          RatingRecord(odd, odd, 3, 1e-300)])
+    records = [RatingRecord(odd, "i" + odd, 1, 12.5), RatingRecord("p", odd, 2, 1 / 3),
+               RatingRecord(odd, odd, 3, 1e-300)]
+    table = RatingsTable(records)
+    assert table.records == tuple(canonical(records))
     path = tmp_path / "ratings.csv"
     ratings = write_ratings(table, path)
     want = io.StringIO()
@@ -285,13 +294,15 @@ def test_write_ratings_renders_ids_as_csv_writer_does(tmp_path, odd):
     writer.writerows([r.participant_id, r.image_id, r.trial_index, f"{r.rating:.9g}"]
                      for r in table.records)
     assert path.read_bytes() == want.getvalue().encode()
-    assert ratings.tolist() == [12.5, 0.333333333, 1e-300]
+    written = {12.5: 12.5, 1 / 3: 0.333333333, 1e-300: 1e-300}
+    assert ratings.tolist() == [written[r.rating] for r in table.records]
 
 
 def test_matrix_duplicate_cell_names_the_later_row():
+    # in table order p1's two rows come first, so p1's second row is the first repeat
     table = RatingsTable([RatingRecord("p1", "i1", 1, 1.0), RatingRecord("p2", "i1", 1, 2.0),
                           RatingRecord("p2", "i1", 2, 3.0), RatingRecord("p1", "i1", 2, 4.0)])
-    with pytest.raises(InputError, match="image i1, rater p2; apply the first-trial filter"):
+    with pytest.raises(InputError, match="image i1, rater p1; apply the first-trial filter"):
         build_rating_matrix(table)
 
 

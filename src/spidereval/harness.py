@@ -217,8 +217,12 @@ def _reflect(a: np.ndarray) -> np.ndarray:
 
 def _factor_kernel(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (rounding below zero clipped) and vectors of
-    ``(P K P)_1:,1:`` for a kernel K of rows centred by a common vector."""
-    eig, vecs = np.linalg.eigh(_reflect(_reflect(gram).T)[1:, 1:])
+    ``(P K P)_1:,1:`` for a kernel K of rows centred by a common vector.
+    Each reflection drops the matrix before it, so a caller that passes
+    its only reference to K frees K, and ``K P``, before the eigh."""
+    gram = _reflect(gram).T
+    gram = _reflect(gram)[1:, 1:]
+    eig, vecs = np.linalg.eigh(gram)
     return np.maximum(eig, 0.0), vecs
 
 
@@ -335,10 +339,10 @@ class _PlanFit:
 
     __slots__ = ("row", "eig", "basis")
 
-    def __init__(self, kernel, ids):
+    def __init__(self, features: FeatureTable, ids):
         self.row = {image_id: k for k, image_id in enumerate(ids)}
         try:
-            self.eig, vecs = _factor_kernel(kernel(ids, ids))
+            self.eig, vecs = _factor_kernel(_centred_gram(features, ids))
         except np.linalg.LinAlgError as exc:
             raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
         self.basis = _basis(vecs)
@@ -412,12 +416,17 @@ def _fit_mask(n: int, held: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _centred_gram(features: FeatureTable, ids) -> np.ndarray:
+    """The Gram matrix of ``ids``' features, centred on their mean."""
+    g = features.matrix(ids)
+    g -= g.mean(axis=0)
+    return g @ g.T
+
+
 def _kernel(features: FeatureTable, ids):
     """Blocks (by image id) of the Gram matrix of ``ids``' centred features."""
     row = {image_id: k for k, image_id in enumerate(ids)}
-    g = features.matrix(ids)
-    g -= g.mean(axis=0)
-    gram = g @ g.T
+    gram = _centred_gram(features, ids)
     return lambda rows, cols: gram[np.ix_([row[i] for i in rows], [row[i] for i in cols])]
 
 
@@ -604,9 +613,11 @@ def run_nested_cv(
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
     level = _factor_level(features, tasks, len(plan.image_ids), n_trials)
-    factors = None if level == "fit_set" else _kernel(features, plan.image_ids)
-    if level == "run":  # its factorization is all the folds read
-        factors = _PlanFit(factors, plan.image_ids)
+    factors = None
+    if level == "fold":
+        factors = _kernel(features, plan.image_ids)
+    elif level == "run":  # its factorization is all the folds read
+        factors = _PlanFit(features, plan.image_ids)
 
     def work(fp: FoldPlan):
         return _run_fold(fp, features, targets, spec, n_trials, seed, factors)

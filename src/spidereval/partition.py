@@ -252,11 +252,16 @@ def load_cv_plan(path) -> CvPlan:
     can key substreams."""
     src = InputFile(path, "plan")
     doc = src.read_json()
+
+    def ids(seq) -> tuple:  # the plan's own id objects, not one copy per fold
+        return tuple(same.get(i, i) for i in seq)
+
     try:
+        same = {i: i for i in doc["image_ids"]}
         # each field in declaration order, cast to its type
         folds = tuple(
-            FoldPlan(int(f["repetition"]), int(f["fold"]), tuple(f["train"]), tuple(f["test"]),
-                     tuple(f["validation"]), tuple(map(tuple, f["inner"])))
+            FoldPlan(int(f["repetition"]), int(f["fold"]), ids(f["train"]), ids(f["test"]),
+                     ids(f["validation"]), tuple(map(ids, f["inner"])))
             for f in doc["folds"]
         )
         plan = CvPlan(

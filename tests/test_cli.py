@@ -562,7 +562,9 @@ class TestSeedHandling:
 
 
 class TestErrorContracts:
-    def test_failed_fold_names_its_repetition_and_fold(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_failed_fold_names_its_repetition_and_fold(self, workspace, tmp_path, capsys,
+                                                       threads):
         # squared residuals of targets near 1e200 overflow every trial's loss
         header, *rows = csv.reader(io.StringIO(_read(workspace["targets"])))
         targets = tmp_path / "image_targets.csv"
@@ -571,7 +573,7 @@ class TestErrorContracts:
                 [header, *([r[0], repr(float(r[1]) * 1e200), *r[2:]] for r in rows)])
         out = tmp_path / "cv"
         argv = _fill(CV_ARGV, {**workspace, "targets": targets})
-        assert main([*argv, "--out", str(out), "--trials", "3"]) == 2
+        assert main([*argv, "--out", str(out), "--trials", "3", "--threads", threads]) == 2
         error = _one_error_line(capsys)
         assert error["type"] == "computation" and "field" not in error
         assert error["message"].startswith(
@@ -946,13 +948,16 @@ class TestErrorContracts:
                        f"{n_train} training images",
         }
 
-    @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed"])
+    @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed", "list_id"])
     def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
         doc = json.loads(_read(workspace["plan"]))
         if edit == "drop_last_fold":
             doc["folds"].pop()
         elif edit == "swap_folds":
             doc["folds"][0], doc["folds"][1] = doc["folds"][1], doc["folds"][0]
+        elif edit == "list_id":
+            train = doc["folds"][0]["train"]
+            train[0] = [train[0]]
         else:
             doc["seed"] = 10 ** 40
         plan = tmp_path / "cv_plan.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -455,6 +456,31 @@ class TestRunNestedCv:
         assert preds1 == preds8
         assert log1 == log8
 
+    @pytest.mark.parametrize("threads", [1, 64])
+    def test_threads_never_outnumber_folds(self, monkeypatch, threads):
+        plan, targets, features = self._setup(n=40)
+        run_fold, caller = harness._run_fold, threading.get_ident()
+        before = threading.active_count()
+        seen = []
+        # with threads to spare, no fold ends before every fold has started
+        everyone = threading.Barrier(25, timeout=30) if threads > 1 else None
+
+        def counting(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            if everyone:
+                everyone.wait()
+            return run_fold(*args)
+
+        monkeypatch.setattr(harness, "_run_fold", counting)
+        run_nested_cv(plan, targets, features, default_spec(), n_trials=2, threads=threads)
+        assert len(plan.folds) == len(seen) == 25
+        if threads == 1:  # every fold on the caller, no thread started
+            assert set(seen) == {(caller, before)}
+        else:  # one worker per fold at most, beside the waiting caller
+            assert caller not in {thread for thread, _ in seen}
+            assert max(live for _, live in seen) <= before + 25
+        assert threading.active_count() == before
+
     def test_seed_defaults_to_plan_seed(self):
         plan, targets, features = self._setup(n=40)
         preds_default, _ = run_nested_cv(plan, targets, features,
@@ -503,7 +529,7 @@ class TestRunNestedCv:
         kept = [i for i in features.ids if i not in gone]
         partial = FeatureTable.from_array(kept, features.matrix(kept))
         monkeypatch.setattr(harness, "_run_fold", lambda *args: pytest.fail("a fold ran"))
-        kernels = _remember_kernels(monkeypatch)
+        grams = _remember_grams(monkeypatch)
         with pytest.raises(InputError) as exc:
             run_nested_cv(plan, targets, partial,
                           PredictorSpec(kind=kind, ranges=default_spec().ranges), n_trials=2)
@@ -512,7 +538,7 @@ class TestRunNestedCv:
             "no feature vector for 6 planned images "
             "(first: ['i003', 'i007', 'i031', 'i044', 'i052'])",
         )
-        assert kernels == []
+        assert grams == []
 
 
 class TestSearchSummary:
@@ -687,17 +713,18 @@ def _remember_designs(monkeypatch) -> list:
     return designs
 
 
-def _remember_kernels(monkeypatch) -> list:
-    """Patch ``_kernel`` to record the ids of every kernel formed."""
-    kernels = []
-    kernel = harness._kernel
+def _remember_grams(monkeypatch) -> list:
+    """Patch ``_centred_gram`` to record the ids of every kernel (Gram
+    matrix) formed, by ``_kernel`` or ``_PlanFit``."""
+    grams = []
+    gram = harness._centred_gram
 
     def recording(features, ids):
-        kernels.append(tuple(ids))
-        return kernel(features, ids)
+        grams.append(tuple(ids))
+        return gram(features, ids)
 
-    monkeypatch.setattr(harness, "_kernel", recording)
-    return kernels
+    monkeypatch.setattr(harness, "_centred_gram", recording)
+    return grams
 
 
 def _count_eigh(monkeypatch) -> list:
@@ -783,18 +810,18 @@ class TestGroupedDeletion:
         # fold's block of it once. d < 48 factors the 5 inner fit sets and
         # the training set.
         designs = _remember_designs(monkeypatch)
-        kernels = _remember_kernels(monkeypatch)
+        grams = _remember_grams(monkeypatch)
         eighs = _count_eigh(monkeypatch)
         ids, features, mean_a = _linear_problem(60, d, noise=2.0, seed=12)
         run_nested_cv(make_cv_plan(ids, seed=21), _targets_from(mean_a), features,
                       default_spec(), n_trials=trials)
         if per_outer_fold == 6:
             assert len(designs) == len(eighs) == 25 * 6
-            assert kernels == []
+            assert grams == []
             assert {(X.shape[0], kernel) for _, X, _, kernel in designs} == {
                 (38, False), (39, False), (48, False)}
             return
-        assert kernels == [tuple(ids)]
+        assert grams == [tuple(ids)]
         if trials == 3:
             assert designs == [] and eighs == [(59, 59)]
         else:
@@ -808,12 +835,12 @@ class TestGroupedDeletion:
         # 15 with 50 factor their 5 inner fit sets of 40 and the training set
         assert _level_of(62, 49, 3) == "fold"
         designs = _remember_designs(monkeypatch)
-        kernels = _remember_kernels(monkeypatch)
+        grams = _remember_grams(monkeypatch)
         ids, features, mean_a = _linear_problem(62, 49, noise=2.0, seed=12)
         plan = make_cv_plan(ids, seed=21)
         assert sorted(len(fp.train) for fp in plan.folds) == [49] * 10 + [50] * 15
         run_nested_cv(plan, _targets_from(mean_a), features, default_spec(), n_trials=3)
-        assert kernels == [tuple(ids)]
+        assert grams == [tuple(ids)]
         assert Counter((X.shape, kernel) for _, X, _, kernel in designs) == {
             ((49, 49), True): 10, ((40, 49), False): 75, ((50, 49), False): 15}
 
@@ -828,13 +855,13 @@ class TestGroupedDeletion:
         assert cv(tmp_path / "per_run", 8) == chosen
         monkeypatch.setattr(harness, "_factor_level", rule)
         designs = _remember_designs(monkeypatch)
-        kernels = _remember_kernels(monkeypatch)
+        grams = _remember_grams(monkeypatch)
         monkeypatch.setattr(harness, "_kernel_route", lambda features, n: False)
         assert cv(tmp_path / "per_fit_set", 8) == chosen
         # the forced route factors the 5 inner fit sets and the training set
         # from X, and forms no kernel
         assert len(designs) == 25 * 6
-        assert kernels == [] and not any(kernel for *_, kernel in designs)
+        assert grams == [] and not any(kernel for *_, kernel in designs)
 
     def test_cli_bytes_do_not_depend_on_threads_per_run(self, tmp_path):
         cv = _cli_cv(tmp_path)
@@ -909,10 +936,11 @@ class TestPlanLevel:
     def test_matches_the_per_fold_route(self, case):
         X, fit, out, y, held, lams = case
         ids = [f"i{k:03d}" for k in range(len(X))]
-        kernel = harness._kernel(FeatureTable.from_array(ids, X), ids)
+        features = FeatureTable.from_array(ids, X)
+        kernel = harness._kernel(features, ids)
         train, test = [ids[i] for i in fit], [ids[i] for i in out]
         fold = harness._RidgeFit(kernel(train, train), y, kernel=True)
-        plan = harness._PlanFit(kernel, ids)
+        plan = harness._PlanFit(features, ids)
         losses, errors, refit = plan.fold(train, y, held, lams)
         assert errors == [None] * len(lams)
         # The bound of TestGroupedDeletion, at the larger condition number of

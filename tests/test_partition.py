@@ -251,6 +251,16 @@ class TestPlanSerialization:
         assert loaded == plan
         assert leakage_audit(loaded) == []
 
+    def test_loaded_folds_hold_the_plan_id_objects(self, tmp_path):
+        plan = make_cv_plan([f"i{k:02d}" for k in range(37)], seed=11)
+        path = tmp_path / "cv_plan.json"
+        write_cv_plan(path, plan)
+        loaded = load_cv_plan(path)
+        own = {i: i for i in loaded.image_ids}
+        for fp in loaded.folds:
+            for part in (fp.train, fp.test, fp.validation, *fp.inner):
+                assert all(i is own[i] for i in part)
+
     def test_scope_recorded(self, tmp_path):
         plan = make_cv_plan([f"i{k:02d}" for k in range(37)], seed=11)
         path = tmp_path / "cv_plan.json"

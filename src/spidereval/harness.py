@@ -2,24 +2,25 @@
 
 Per (repetition, fold): ``n_trials`` random trials (``N_TRIALS`` = 30 by
 default; ``--trials``) are scored by mean MSE over the inner folds of the
-outer training set, the argmin trial wins
-(earliest trial on ties), the winning configuration is refit on the full
-outer training set, and the held-out test images receive one raw and one
-clipped prediction. All losses are computed on raw predictions.
+outer training set, the argmin trial wins (earliest trial on ties), the
+winning configuration is refit on the full outer training set, and the
+held-out test images receive one raw and one clipped prediction. All
+losses are computed on raw predictions.
 
 The one predictor kind, ``ridge_closed_form``, is ridge regression with
 an unpenalized intercept, searched over its penalty lambda; deep models
 are trained elsewhere and only their predictions are scored. A search
 prices every trial's lambda, and returns its refit, from
-eigendecompositions of Gram matrices at one of three levels; the run
-hands each search what it has factored as ``factors``:
+eigendecompositions of Gram matrices at one of three levels. The run
+hands every search one object, ``factors``, whose ``search`` prices it:
 
-* per fit set (d < n): each inner fit set and the training set (None);
-* per outer fold (d >= n): the run forms one kernel of every planned
-  image, and each fold's block of it gives every inner fold's held-out
-  residuals, by grouped deletion (see ``_RidgeFit``), and the refit;
-* per run (d >= n, few trials): one factorization of that kernel, a
-  ``_PlanFit``, prices every fold, deleting its held-out images too.
+* per fit set (d < n), a ``_Kernel`` of no image: each inner fit set and
+  the training set are factored;
+* per outer fold (d >= n), a ``_Kernel`` of every planned image: each
+  fold's block of it gives every inner fold's held-out residuals, by
+  grouped deletion (see ``_RidgeFit``), and the refit;
+* per run (d >= n, few trials), a ``_PlanFit``: one factorization of that
+  kernel prices every fold, deleting its held-out images too.
 
 ``_factor_level`` picks the level by an operation count of the plan
 size, the fold sizes and the trial count: the per-run level saves an
@@ -325,9 +326,8 @@ class _PlanFit:
     an inner fold k at once, by block elimination of D from the grouped
     deletion of ``_RidgeFit``. The fold's targets are centred on F and
     zeroed on D, so no held-out value enters. With M the residual maker
-    of the plan fit, L
-    the Cholesky factor of ``M_DD``, ``B = L^-1 M_DF`` and
-    ``b = L^-1 (M y)_D``:
+    of the plan fit, L the Cholesky factor of ``M_DD``, ``B = L^-1 M_DF``
+    and ``b = L^-1 (M y)_D``:
 
     - inner fold k's residuals solve ``S_k r = (M y)_k - B_k^T b``, with
       ``S_k = M_kk - B_k^T B_k = M_kk - M_kD M_DD^-1 M_Dk``;
@@ -347,7 +347,7 @@ class _PlanFit:
             raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
         self.basis = _basis(vecs)
 
-    def fold(self, train_ids, y: np.ndarray, held, lams: np.ndarray):
+    def search(self, train_ids, y: np.ndarray, held, lams: np.ndarray):
         """Losses ``[t, k]`` of the fit on ``train_ids`` (targets ``y``), as
         ``_RidgeFit.held_out_losses`` gives them, each trial's error (a
         ``M_DD`` that rounding leaves without a Cholesky factor), and
@@ -423,13 +423,6 @@ def _centred_gram(features: FeatureTable, ids) -> np.ndarray:
     return g @ g.T
 
 
-def _kernel(features: FeatureTable, ids):
-    """Blocks (by image id) of the Gram matrix of ``ids``' centred features."""
-    row = {image_id: k for k, image_id in enumerate(ids)}
-    gram = _centred_gram(features, ids)
-    return lambda rows, cols: gram[np.ix_([row[i] for i in rows], [row[i] for i in cols])]
-
-
 def _kernel_route(features: FeatureTable, n: int) -> bool:
     return features.dim >= n  # the kernel is the smaller Gram matrix
 
@@ -440,52 +433,72 @@ def _kernel_route(features: FeatureTable, n: int) -> bool:
 EIGH_COST = 4.5
 
 
-def _factor_level(features: FeatureTable, folds, n_images: int, n_trials: int) -> str:
-    """The factorizations a run prices its searches from, by operation
-    count: ``"fit_set"`` when no fold takes the kernel route (each inner
-    fit set and each training set factored), ``"run"`` when every fold
-    does and factoring the kernel of all ``n_images`` once (``_PlanFit``)
-    is cheaper, else ``"fold"`` (each kernel fold's block factored once).
-    Only sizes and ``n_trials`` count, so the choice, and the bytes, do
-    not depend on the host or the thread count."""
+def _factor_level(features: FeatureTable, folds, ids, n_trials: int):
+    """The ``factors`` a run over the images ``ids`` searches with, by
+    operation count: a ``_Kernel`` of no image when no fold takes the
+    kernel route (each inner fit set and each training set factored), a
+    ``_PlanFit`` when every fold does and factoring the kernel of all ids
+    once is cheaper, else a ``_Kernel`` of all ids (each kernel fold's
+    block factored once). Only sizes and ``n_trials`` count, so the
+    choice, and the bytes, do not depend on the host or the thread count."""
     wide = [_kernel_route(features, len(fp.train)) for fp in folds]
     if not any(wide):
-        return "fit_set"
-    if not all(wide):
-        return "fold"
-    per_fold, per_run = 0.0, EIGH_COST * (n_images - 1) ** 3
+        return _Kernel(features, ())
+    per_fold, per_run = 0.0, EIGH_COST * (len(ids) - 1) ** 3
     for fp in folds:
         n, d = len(fp.train), len(fp.test)
         inner = sum(len(part) ** 2 for part in fp.inner)
         # per trial, the inner blocks M_kk; for the per-run level also rows D
         # of M, the factor of M_DD with B, and B_k^T B_k
         per_fold += EIGH_COST * (n - 1) ** 3 + n_trials * inner * n
-        per_run += n_trials * (d * n_images ** 2 + d * d * (d + n) + inner * (n_images + d))
-    return "run" if per_run < per_fold else "fold"
+        per_run += n_trials * (d * len(ids) ** 2 + d * d * (d + n) + inner * (len(ids) + d))
+    if all(wide) and per_run < per_fold:
+        return _PlanFit(features, ids)
+    return _Kernel(features, ids)
 
 
-def _ridge_losses(X, y, held, lams) -> tuple[np.ndarray, list[str | None]]:
-    """Losses ``[t, k]``, the MSE of trial t's penalty on inner fold k, from
-    one factorization per inner fit set, plus each trial's error: a failed
-    factorization is the error of every trial."""
-    losses = np.zeros((len(lams), len(held)))
-    errors: list[str | None] = [None] * len(lams)
-    for k, rows in enumerate(held):
-        fit = _fit_mask(len(y), rows)
-        try:
-            model = _RidgeFit(X[fit], y[fit])
-        except ComputationError as exc:
-            errors = [err or str(exc) for err in errors]
-            continue
-        resid = model.predict(X[rows], lams) - y[rows][:, None]
-        losses[:, k] = np.einsum("ij,ij->j", resid, resid) / len(rows)
-    return losses, errors
+class _Kernel:
+    """The Gram matrix of ``ids``' centred features, or none when ``ids``
+    is empty: the factors of the fit-set and per-outer-fold levels."""
 
+    __slots__ = ("features", "row", "gram")
 
-def _refit(model: _RidgeFit, rows, lams: np.ndarray):
-    """``refit(ids, t)``: the predictions of ``model``, for the ids whose
-    rows ``rows`` reads, and its effective dof, at penalty t."""
-    return lambda ids, t: (model.predict(rows(ids), lams[t:t + 1])[:, 0], model.dof(lams[t]))
+    def __init__(self, features: FeatureTable, ids):
+        self.features = features
+        self.row = {image_id: k for k, image_id in enumerate(ids)}
+        self.gram = _centred_gram(features, ids) if ids else None
+
+    def block(self, rows, cols) -> np.ndarray:
+        return self.gram[np.ix_([self.row[i] for i in rows], [self.row[i] for i in cols])]
+
+    def search(self, train_ids, y: np.ndarray, held, lams: np.ndarray):
+        """``_PlanFit.search`` from one factorization of the training set's
+        block on the kernel route, else of the training set and of each
+        inner fit set, whose failure is the error of every trial."""
+        errors = [None] * len(lams)
+        kernel = self.gram is not None and _kernel_route(self.features, len(y))
+        if kernel:
+            model = _RidgeFit(self.block(train_ids, train_ids), y, kernel=True)
+            losses = model.held_out_losses(held, lams)
+        else:
+            X = self.features.matrix(train_ids)
+            model = _RidgeFit(X, y)
+            losses = np.zeros((len(lams), len(held)))
+            for k, rows in enumerate(held):
+                fit = _fit_mask(len(y), rows)
+                try:
+                    inner = _RidgeFit(X[fit], y[fit])
+                except ComputationError as exc:
+                    errors = [err or str(exc) for err in errors]
+                    continue
+                resid = inner.predict(X[rows], lams) - y[rows][:, None]
+                losses[:, k] = np.einsum("ij,ij->j", resid, resid) / len(rows)
+
+        def refit(ids, t: int) -> tuple[np.ndarray, float]:
+            rows = self.block(train_ids, ids) if kernel else self.features.matrix(ids)
+            return model.predict(rows, lams[t:t + 1])[:, 0], model.dof(lams[t])
+
+        return losses, errors, refit
 
 
 def random_search(
@@ -508,9 +521,9 @@ def random_search(
     error and skipped; if every trial fails a ComputationError carrying
     the per-trial diagnostics is raised. ``refit(ids, t) -> (raw
     predictions of ids, effective dof)`` is the fit on the whole training
-    set at trial t's penalty. ``factors``, read only when d >= n, is None
-    (the search forms its own ``_kernel``), a ``_kernel`` of every planned
-    image (it factors the training set's block) or a ``_PlanFit``.
+    set at trial t's penalty. ``factors`` prices the trials and builds the
+    refit (see ``_factor_level``); when None, the search factors its own
+    training set: a ``_Kernel`` of its ids when d >= n, else of none.
     """
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}", field="trials")
@@ -525,18 +538,9 @@ def random_search(
         for t in range(n_trials)
     ]
     lams = np.array([params["lambda"] for params in draws], dtype=np.float64)
-    if not _kernel_route(features, len(y)):
-        X = features.matrix(train_ids)
-        model = _RidgeFit(X, y)
-        losses, errors = _ridge_losses(X, y, held, lams)
-        refit = _refit(model, features.matrix, lams)
-    elif isinstance(factors, _PlanFit):
-        losses, errors, refit = factors.fold(train_ids, y, held, lams)
-    else:
-        kernel = factors or _kernel(features, train_ids)
-        model = _RidgeFit(kernel(train_ids, train_ids), y, kernel=True)
-        losses, errors = model.held_out_losses(held, lams), [None] * n_trials
-        refit = _refit(model, lambda ids: kernel(train_ids, ids), lams)
+    if factors is None:
+        factors = _Kernel(features, train_ids if _kernel_route(features, len(y)) else ())
+    losses, errors, refit = factors.search(train_ids, y, held, lams)
 
     trials: list[TrialResult] = []
     for t, params in enumerate(draws):
@@ -612,12 +616,7 @@ def run_nested_cv(
     if seed is None:
         seed = plan.seed
     tasks = sorted(plan.folds, key=lambda fp: (fp.repetition, fp.fold))
-    level = _factor_level(features, tasks, len(plan.image_ids), n_trials)
-    factors = None
-    if level == "fold":
-        factors = _kernel(features, plan.image_ids)
-    elif level == "run":  # its factorization is all the folds read
-        factors = _PlanFit(features, plan.image_ids)
+    factors = _factor_level(features, tasks, plan.image_ids, n_trials)
 
     def work(fp: FoldPlan):
         return _run_fold(fp, features, targets, spec, n_trials, seed, factors)

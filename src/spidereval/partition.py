@@ -9,6 +9,7 @@ reuse verbatim.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,8 +249,8 @@ def write_cv_plan(path, plan: CvPlan) -> None:
 
 def load_cv_plan(path) -> CvPlan:
     """Read a plan written by :func:`write_cv_plan`, checking its shape:
-    one fold per (repetition, outer fold), in that order, and a seed that
-    can key substreams."""
+    each image id once, one fold per (repetition, outer fold), in that
+    order, and a seed that can key substreams."""
     src = InputFile(path, "plan")
     doc = src.read_json()
 
@@ -271,6 +272,9 @@ def load_cv_plan(path) -> CvPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise src.error(f"malformed cv plan: {exc}") from exc
+    if len(same) < len(plan.image_ids):
+        repeated = [i for i, n in Counter(plan.image_ids).items() if n > 1]
+        raise src.error(f"malformed cv plan: image_ids repeats {repeated[:5]}")
     n_outer = plan.n_outer_folds
     if (
         plan.n_repetitions < 1

@@ -948,10 +948,13 @@ class TestErrorContracts:
                        f"{n_train} training images",
         }
 
-    @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed", "list_id"])
+    @pytest.mark.parametrize("edit", ["drop_last_fold", "swap_folds", "huge_seed", "list_id",
+                                      "repeated_id"])
     def test_malformed_plan_shape(self, workspace, tmp_path, capsys, edit):
         doc = json.loads(_read(workspace["plan"]))
-        if edit == "drop_last_fold":
+        if edit == "repeated_id":
+            doc["image_ids"].append(doc["image_ids"][3])
+        elif edit == "drop_last_fold":
             doc["folds"].pop()
         elif edit == "swap_folds":
             doc["folds"][0], doc["folds"][1] = doc["folds"][1], doc["folds"][0]

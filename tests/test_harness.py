@@ -416,6 +416,24 @@ class TestRandomSearch:
         assert min(failed) > max(viable)  # only the heavy penalties overflow
         assert best.error is None and best.params["lambda"] in viable
 
+    @pytest.mark.parametrize("d", [20, 19])
+    def test_with_no_factors_it_factors_its_own_training_set(self, monkeypatch, d):
+        # 20 of 25 images train. At d >= 20 the search forms one kernel of
+        # its training ids and fits its block; below, it forms no kernel and
+        # factors the training set, then the 5 inner fit sets of 16.
+        ids, features, targets = _linear_problem(25, d, noise=1.0, seed=10)
+        designs = _remember_designs(monkeypatch)
+        grams = _remember_grams(monkeypatch)
+        random_search(default_spec(), _inner_partition(ids[:20]), features, targets,
+                      n_trials=3, seed=0)
+        fits = [(X.shape, kernel) for _, X, _, kernel in designs]
+        if d >= 20:
+            assert grams == [tuple(ids[:20])]
+            assert fits == [((20, 20), True)]
+        else:
+            assert grams == []
+            assert fits == [((20, d), False)] + [((16, d), False)] * 5
+
 
 class TestRunNestedCv:
     def _setup(self, n=60, d=4, noise=2.0, seed=12):
@@ -715,7 +733,7 @@ def _remember_designs(monkeypatch) -> list:
 
 def _remember_grams(monkeypatch) -> list:
     """Patch ``_centred_gram`` to record the ids of every kernel (Gram
-    matrix) formed, by ``_kernel`` or ``_PlanFit``."""
+    matrix) formed, by ``_Kernel`` or ``_PlanFit``."""
     grams = []
     gram = harness._centred_gram
 
@@ -740,11 +758,18 @@ def _count_eigh(monkeypatch) -> list:
     return shapes
 
 
+def _fit_set_losses(X, y, held, lams):
+    """Losses and errors of the fit-set level, a ``_Kernel`` of no image,
+    on the rows of X: one factorization per inner fit set."""
+    ids = [f"i{k:03d}" for k in range(len(X))]
+    return harness._Kernel(FeatureTable.from_array(ids, X), ()).search(ids, y, held, lams)[:2]
+
+
 def _kernel_fit(X, y):
-    """The kernel route on the first len(y) rows of X: one ``_kernel`` of
+    """The kernel route on the first len(y) rows of X: one ``_Kernel`` of
     every row, the training block's fit and the test block."""
     ids = [f"i{k:03d}" for k in range(len(X))]
-    kernel = harness._kernel(FeatureTable.from_array(ids, X), ids)
+    kernel = harness._Kernel(FeatureTable.from_array(ids, X), ids).block
     train, test = ids[:len(y)], ids[len(y):]
     return harness._RidgeFit(kernel(train, train), y, kernel=True), kernel(train, test)
 
@@ -759,7 +784,7 @@ class TestGroupedDeletion:
     def test_matches_the_per_fold_route(self, case):
         X, y, held, lams, Xt = case
         fit = harness._RidgeFit(X, y)
-        want, errors = harness._ridge_losses(X, y, held, lams)
+        want, errors = _fit_set_losses(X, y, held, lams)
         assert errors == [None] * len(lams)
         # Both routes take lam + e for eigenvalues e of a Gram matrix, which
         # carry absolute rounding error ~ eps * e_max; each so loses about
@@ -789,7 +814,7 @@ class TestGroupedDeletion:
         held = np.array_split(rng.permutation(200), 5)
         held = [np.sort(rows) for rows in held]
         lams = np.array([1e-8, 1e-4, 1.0, 1e2, 1e6])
-        want = harness._ridge_losses(X, y, held, lams)[0]
+        want = _fit_set_losses(X, y, held, lams)[0]
         got = harness._RidgeFit(X, y).held_out_losses(held, lams)
         assert np.abs(got / want - 1).max() <= 1e-12
         # the kernel route, centred with 50 test images as a run centres them
@@ -851,7 +876,8 @@ class TestGroupedDeletion:
         # rule's crossover, so the run factors each fold's kernel block
         assert _level_of(40, 48, 8) == "fold"
         rule = harness._factor_level
-        monkeypatch.setattr(harness, "_factor_level", lambda *args: "run")
+        monkeypatch.setattr(harness, "_factor_level",
+                            lambda features, folds, ids, trials: harness._PlanFit(features, ids))
         assert cv(tmp_path / "per_run", 8) == chosen
         monkeypatch.setattr(harness, "_factor_level", rule)
         designs = _remember_designs(monkeypatch)
@@ -894,12 +920,15 @@ def _cli_cv(tmp_path, images=40, dim=48):
 
 
 def _level_of(n_images, d, trials):
-    """The factorization level the rule picks for a plan of ``n_images`` at
-    feature dimension d."""
+    """The name of the factorization level the rule picks for a plan of
+    ``n_images`` at feature dimension d."""
     ids = [f"i{k:03d}" for k in range(n_images)]
     features = FeatureTable.from_array(ids, np.zeros((n_images, d)))
     plan = make_cv_plan(ids, seed=0)
-    return harness._factor_level(features, plan.folds, n_images, trials)
+    factors = harness._factor_level(features, plan.folds, tuple(ids), trials)
+    if isinstance(factors, harness._PlanFit):
+        return "run"
+    return "fit_set" if factors.gram is None else "fold"
 
 
 @st.composite
@@ -937,25 +966,26 @@ class TestPlanLevel:
         X, fit, out, y, held, lams = case
         ids = [f"i{k:03d}" for k in range(len(X))]
         features = FeatureTable.from_array(ids, X)
-        kernel = harness._kernel(features, ids)
         train, test = [ids[i] for i in fit], [ids[i] for i in out]
-        fold = harness._RidgeFit(kernel(train, train), y, kernel=True)
+        kernel = harness._Kernel(features, ids)
+        want, errors, want_refit = kernel.search(train, y, held, lams)
+        assert errors == [None] * len(lams)
         plan = harness._PlanFit(features, ids)
-        losses, errors, refit = plan.fold(train, y, held, lams)
+        losses, errors, refit = plan.search(train, y, held, lams)
         assert errors == [None] * len(lams)
         # The bound of TestGroupedDeletion, at the larger condition number of
         # the two factorizations: the per-run level loses eps * cond of the
         # plan kernel, which exceeds the fold's when a held-out row (nearly)
         # repeats another row.
-        cond = np.maximum(*((f.eig.max() + lams) / (f.eig.min() + lams) for f in (fold, plan)))
+        fold_eig = harness._factor_kernel(kernel.block(train, train))[0]
+        cond = np.maximum(*((e.max() + lams) / (e.min() + lams) for e in (fold_eig, plan.eig)))
         rel = 1e-12 + 16 * np.finfo(float).eps * cond
-        want = fold.held_out_losses(held, lams)
         assert (np.abs(losses - want) <= rel[:, None] * np.maximum(want, y.var())).all()
-        got = [refit(test, t) for t in range(len(lams))]
-        want_pred = fold.predict(kernel(train, test), lams)
+        got, ref = ([fitted(test, t) for t in range(len(lams))] for fitted in (refit, want_refit))
+        want_pred = np.array([p for p, _ in ref]).T
         scale = np.maximum(np.abs(want_pred - y.mean()), y.std())
         assert (np.abs(np.array([p for p, _ in got]).T - want_pred) <= rel * scale).all()
-        dof = np.array([[d, fold.dof(lam)] for (_, d), lam in zip(got, lams)])
+        dof = np.array([[d, want_d] for (_, d), (_, want_d) in zip(got, ref)])
         assert (np.abs(dof[:, 0] - dof[:, 1]) <= rel * np.maximum(dof[:, 1], 1)).all()
 
     def test_a_factorless_held_out_block_fails_its_trial_only(self, monkeypatch):

@@ -62,7 +62,7 @@ from .outputs import (
 from .rng import check_seed
 
 # The split, the search and the analysis modules are imported by the
-# stage that runs them, so a command loads only what it runs.
+# command that runs them, so a command loads only what it runs.
 
 log = logging.getLogger("spidereval")
 
@@ -307,13 +307,16 @@ class _Run:
             fh.write(svg)
 
 
-# -- stages that take the ratings table, which `all` keeps in memory ---------
+# -- commands: each loads its inputs and writes its artifacts; `all` runs ---
+# them in turn and hands qc's cleaned table to split and icc, so the ratings
+# are parsed once; main writes the manifest.
 
 
-def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
+def _cmd_qc(opts, run: _Run) -> RatingsTable:
     """Screen the raters; returns the cleaned table as ratings_filtered.csv
     holds it, each rating parsed back from its text there."""
     from .qc import run_qc
+    table = load_ratings(opts.ratings)
     report, cleaned = run_qc(table)
     counts = {
         "n_ratings_input": len(table),
@@ -331,12 +334,15 @@ def _qc(run: _Run, table: RatingsTable) -> RatingsTable:
                                    cleaned.image_ids, cleaned.image, cleaned.trial, rating)
 
 
-def _split(run: _Run, table: RatingsTable, seed: int) -> None:
+def _cmd_split(opts, run: _Run, table: RatingsTable | None = None) -> None:
+    """Split ``table``, by default the first trials of ``--ratings``."""
     from .partition import (assert_no_leakage, image_group_means, make_cv_plan,
                             split_participants, write_cv_plan)
-    split = split_participants(table.participant_ids, seed)
+    if table is None:
+        table = first_trial_filter(load_ratings(opts.ratings))
+    split = split_participants(table.participant_ids, opts.seed)
     targets = image_group_means(table, split)
-    plan = make_cv_plan(targets.image_ids, seed)
+    plan = make_cv_plan(targets.image_ids, opts.seed)
     assert_no_leakage(plan, targets)
     write_participant_split(run.path("participant_split.json"), split)
     write_image_targets(run.path("image_targets.csv"), targets)
@@ -348,9 +354,13 @@ def _split(run: _Run, table: RatingsTable, seed: int) -> None:
             f" (not rated in both groups; first: {list(dropped[:5])})" if dropped else "")
 
 
-def _icc(run: _Run, opts, table: RatingsTable) -> None:
+def _cmd_icc(opts, run: _Run, table: RatingsTable | None = None) -> None:
+    """The ICC(2,k) bootstrap of ``table``, by default the first trials of
+    ``--ratings``."""
     from .reliability import DEFAULT_SIZES, bootstrap_icc, build_rating_matrix, icc2k
     from .svgplot import mean_sd_plot
+    if table is None:
+        table = first_trial_filter(load_ratings(opts.ratings))
     matrix = build_rating_matrix(table)
     if opts.sizes is None:
         n_raters = len(matrix.rater_ids)
@@ -377,17 +387,6 @@ def _icc(run: _Run, opts, table: RatingsTable) -> None:
     )
 
 
-# -- commands: load inputs and run stages; main writes the manifest ----------
-
-
-def _cmd_qc(opts, run: _Run) -> None:
-    _qc(run, load_ratings(opts.ratings))
-
-
-def _cmd_split(opts, run: _Run) -> None:
-    _split(run, first_trial_filter(load_ratings(opts.ratings)), opts.seed)
-
-
 def _cmd_cv(opts, run: _Run) -> None:
     from .harness import PredictorSpec, run_nested_cv, search_summary
     from .partition import load_cv_plan
@@ -409,10 +408,6 @@ def _cmd_metrics(opts, run: _Run) -> None:
     report = metric_report(load_predictions(opts.predictions),
                            load_image_targets(opts.targets).mean_b)
     write_metrics(run.path("metrics.csv"), report, run.path("metrics_by_repetition.csv"))
-
-
-def _cmd_icc(opts, run: _Run) -> None:
-    _icc(run, opts, first_trial_filter(load_ratings(opts.ratings)))
 
 
 def _load_points(path: str) -> list[tuple[float, float]]:
@@ -562,15 +557,15 @@ def _cmd_all(opts, run: _Run) -> None:
             f"overlap needs both --masks and --heatmaps; {_flag(absent)} is missing",
             field=absent,
         )
-    cleaned = _qc(run, load_ratings(opts.ratings))
-    _split(run, cleaned, opts.seed)
+    cleaned = _cmd_qc(opts, run)
+    _cmd_split(opts, run, cleaned)
     # the later stages read back what split and cv wrote, as the chain does
     opts.plan, opts.targets, opts.predictions = (
         os.path.join(opts.out, name)
         for name in ("cv_plan.json", "image_targets.csv", "predictions.csv"))
     _cmd_cv(opts, run)
     _cmd_metrics(opts, run)
-    _icc(run, opts, cleaned)
+    _cmd_icc(opts, run, cleaned)
     if opts.categories is not None:
         _cmd_error_analysis(opts, run)
     if opts.masks is not None:
@@ -578,7 +573,7 @@ def _cmd_all(opts, run: _Run) -> None:
 
 
 # name -> (implementation, help, options that must be set)
-COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, _Run], None], str, str]] = {
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, _Run], Any], str, str]] = {
     "qc": (_cmd_qc, "rater screening", "out ratings"),
     "split": (_cmd_split, "participant split, targets, CV plan", "out seed ratings"),
     "cv": (_cmd_cv, "nested cross-validation", "out plan targets features"),

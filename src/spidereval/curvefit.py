@@ -90,10 +90,18 @@ def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_curve(form: str, points) -> FitResult:
-    """Least-squares fit of ``form`` to (n, y) points by variable projection."""
+    """Least-squares fit of ``form`` to (n, y) points by variable projection.
+
+    Huge finite y overflow its sums of squares without a numpy warning; an
+    amplitude that overflows is refused."""
     if form not in FORMS:
         raise InputError(f"unknown curve form {form!r}", field="form")
     n, y = _as_points(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fit_points(form, n, y)
+
+
+def _fit_points(form: str, n: np.ndarray, y: np.ndarray) -> FitResult:
     span, yc = float(n[-1] - n[0]), y - y.mean()
 
     def profile(log_t: float) -> tuple[float, float, float]:
@@ -126,8 +134,7 @@ def fit_curve(form: str, points) -> FitResult:
             iterations += 1
     _, slope, intercept = profile((lo + hi) / 2.0)
     b = math.exp((lo + hi) / 2.0) / span
-    with np.errstate(over="ignore"):
-        amplitude = float(slope * np.exp(b * n[0]))
+    amplitude = float(slope * np.exp(b * n[0]))
     if not math.isfinite(amplitude):
         raise ComputationError(f"curve fit amplitude overflows at rate b = {b:.6g}")
     a, c = (amplitude, intercept) if form == "decay" else (-amplitude, intercept + amplitude)

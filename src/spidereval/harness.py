@@ -342,7 +342,8 @@ class _PlanFit:
     def __init__(self, features: FeatureTable, ids):
         self.row = {image_id: k for k, image_id in enumerate(ids)}
         try:
-            self.eig, vecs = _factor_kernel(_centred_gram(features, ids))
+            with np.errstate(invalid="ignore"):  # an overflowed kernel factors to nan
+                self.eig, vecs = _factor_kernel(_centred_gram(features, ids))
         except np.linalg.LinAlgError as exc:
             raise ComputationError(f"ridge eigendecomposition failed: {exc}") from exc
         self.basis = _basis(vecs)
@@ -417,10 +418,12 @@ def _fit_mask(n: int, held: np.ndarray) -> np.ndarray:
 
 
 def _centred_gram(features: FeatureTable, ids) -> np.ndarray:
-    """The Gram matrix of ``ids``' features, centred on their mean."""
+    """The Gram matrix of ``ids``' features, centred on their mean; huge
+    finite features overflow it, and the trials priced with it fail."""
     g = features.matrix(ids)
-    g -= g.mean(axis=0)
-    return g @ g.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g -= g.mean(axis=0)
+        return g @ g.T
 
 
 def _kernel_route(features: FeatureTable, n: int) -> bool:
@@ -540,7 +543,8 @@ def random_search(
     lams = np.array([params["lambda"] for params in draws], dtype=np.float64)
     if factors is None:
         factors = _Kernel(features, train_ids if _kernel_route(features, len(y)) else ())
-    losses, errors, refit = factors.search(train_ids, y, held, lams)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow makes a loss refused below
+        losses, errors, refit = factors.search(train_ids, y, held, lams)
 
     trials: list[TrialResult] = []
     for t, params in enumerate(draws):
@@ -608,7 +612,7 @@ def run_nested_cv(
         if lacking:
             raise InputError(f"no group-{group} target for {len(lacking)} planned {part} "
                              f"images (first: {lacking[:5]})", field="targets")
-    assert_no_leakage(plan, targets)
+    assert_no_leakage(plan)  # the targets' side was checked just above
     missing = sorted(set(plan.image_ids) - features.row.keys())
     if missing:
         raise InputError(f"no feature vector for {len(missing)} planned images "

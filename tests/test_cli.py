@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spidereval
+from spidereval import cli
 from spidereval.cli import main
 from spidereval.ingest import BinaryMask, FloatGrid, write_float_grid, write_mask
 from spidereval.outputs import sha256_file
@@ -561,6 +562,61 @@ class TestSeedHandling:
         assert _stderr_json(capsys)["error"]["field"] == "seed"
 
 
+def _scaled(src, dst, columns, factor):
+    """``src`` with the cells of ``columns(header)`` times ``factor``."""
+    header, *rows = csv.reader(io.StringIO(_read(src)))
+    for row in rows:
+        for col in columns(header):
+            row[col] = repr(float(row[col]) * factor)
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return dst
+
+
+@pytest.fixture(scope="module")
+def huge_inputs(tmp_path_factory):
+    """Studies of 40 images and 6 raters at d = 50 and d = 8 (seed 7), their
+    features times 1e200 and their group-A targets times 1e300, and a
+    learning curve whose y alternate between +-1e300."""
+    root = tmp_path_factory.mktemp("huge")
+    files = {}
+    for dim in ("50", "8"):
+        study, split = root / f"d{dim}", root / f"d{dim}_split"
+        assert main(["synth", "--out", str(study), "--seed", "7", "--images", "40",
+                     "--raters", "6", "--dim", dim]) == 0
+        assert main(["split", "--out", str(split), "--seed", "7",
+                     "--ratings", str(study / "ratings.csv")]) == 0
+        files.update({
+            f"plan{dim}": split / "cv_plan.json",
+            f"targets{dim}": split / "image_targets.csv",
+            f"features{dim}": study / "features.csv",
+            f"huge_features{dim}": _scaled(study / "features.csv", root / f"features{dim}.csv",
+                                           lambda header: range(1, len(header)), 1e200),
+            f"huge_targets{dim}": _scaled(split / "image_targets.csv", root / f"targets{dim}.csv",
+                                          lambda header: [header.index("mean_a")], 1e300),
+        })
+    files["points"] = root / "points.csv"
+    files["points"].write_text("n,y\n" + "".join(
+        f"{n},{sign * 1e300!r}\n" for n, sign in zip((50, 100, 150, 200, 313), (1, -1, 1, -1, 1))))
+    return files
+
+
+# Commands whose arithmetic overflows on huge finite inputs, one per place
+# the overflow happens: the cv cases at the per-run (d = 50, 3 trials),
+# per-outer-fold (d = 50, 30 trials) and fit-set (d = 8) levels.
+OVERFLOWS = {
+    "features_per_run": ["cv", "--trials", "3", "--plan", "{plan50}", "--targets", "{targets50}",
+                         "--features", "{huge_features50}"],
+    "features_per_fold": ["cv", "--trials", "30", "--plan", "{plan50}",
+                          "--targets", "{targets50}", "--features", "{huge_features50}"],
+    "features_per_fit_set": ["cv", "--trials", "3", "--plan", "{plan8}",
+                             "--targets", "{targets8}", "--features", "{huge_features8}"],
+    "targets_per_run": ["cv", "--trials", "3", "--plan", "{plan50}",
+                        "--targets", "{huge_targets50}", "--features", "{features50}"],
+    "curve": ["curve", "--form", "rise", "--points", "{points}"],
+}
+
+
 class TestErrorContracts:
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_failed_fold_names_its_repetition_and_fold(self, workspace, tmp_path, capsys,
@@ -579,6 +635,24 @@ class TestErrorContracts:
         assert error["message"].startswith(
             "rep=0 fold=0: all 3 search trials failed: trial 0: loss must be finite")
         assert error["message"].endswith("trial 2: loss must be finite and >= 0, got inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_overflow_on_huge_finite_inputs_prints_only_the_error(self, huge_inputs, tmp_path,
+                                                                  case):
+        """numpy would warn of the overflow before the error line. pytest
+        records the warnings of code it runs, so the command runs in a
+        subprocess here."""
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(spidereval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "spidereval", *_fill(OVERFLOWS[case], huge_inputs),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        lines = done.stderr.splitlines()
+        assert done.returncode == 2 and len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["type"] == "computation"
         assert not out.exists()
 
     def test_nonexistent_input_path(self, tmp_path, capsys):
@@ -1223,6 +1297,39 @@ class TestAllCommand:
         names = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
         assert names == sorted(p.name for p in chain.iterdir() if p.name != "run_manifest.json")
         assert [n for n in names if (out / n).read_bytes() != (chain / n).read_bytes()] == []
+
+    # every stage `all` runs, by the command that runs it alone
+    STAGES = ("_cmd_qc", "_cmd_split", "_cmd_cv", "_cmd_metrics", "_cmd_icc",
+              "_cmd_error_analysis", "_cmd_overlap")
+
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_runs_each_stage_through_its_command_once(self, inputs, tmp_path, monkeypatch,
+                                                      optional):
+        calls = []
+        for name in self.STAGES:
+            def counted(*args, _name=name, _command=getattr(cli, name)):
+                calls.append(_name)
+                return _command(*args)
+            monkeypatch.setattr(cli, name, counted)
+        files = {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])}
+        argv = _fill(ALL_ARGV, files)
+        if not optional:
+            argv = argv[:argv.index("--categories")]
+        assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+        assert calls == list(self.STAGES if optional else self.STAGES[:5])
+
+    def test_parses_the_ratings_once(self, inputs, tmp_path, monkeypatch):
+        """split and icc take qc's cleaned table, not a parse of ratings_filtered.csv."""
+        parsed = []
+
+        def load_ratings(path, _load=cli.load_ratings):
+            parsed.append(path)
+            return _load(path)
+
+        monkeypatch.setattr(cli, "load_ratings", load_ratings)
+        files = {**inputs, **_write_overlap_inputs(tmp_path, _image_ids(inputs)[:5])}
+        assert main([*_fill(ALL_ARGV, files), "--out", str(tmp_path / "all")]) == 0
+        assert parsed == [str(inputs["ratings"])]
 
 
 ALL_FLAGS = {"--seed": "5", "--trials": "2", "--sizes": "3", "--reps": "5",

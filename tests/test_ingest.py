@@ -1,4 +1,5 @@
 import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spidereval import ingest
+from spidereval.cli import main
 from spidereval.errors import InputError
 from spidereval.ingest import (
     CRITERIA,
@@ -30,6 +32,7 @@ from spidereval.ingest import (
     write_ratings,
 )
 from spidereval.ingest import FeatureTable
+from spidereval.outputs import PREDICTIONS_HEADER, TARGETS_HEADER
 
 
 def _table(rows):
@@ -354,6 +357,28 @@ class TestCategories:
         cats = load_categories(p)
         with pytest.raises(InputError):
             cats.label("i9", "texture")
+
+    @pytest.mark.parametrize("last, line, message", [
+        (("i2", "texture", ""), 3, "empty category label"),
+        (("i1", "texture", "bald"), 3, "duplicate entry for ('i1', 'texture')"),
+    ])
+    def test_bad_row_names_its_line_through_error_analysis(self, tmp_path, capsys, last, line,
+                                                           message):
+        p = self._write(tmp_path, [("i1", "texture", "hairy"), last])
+        with pytest.raises(InputError) as info:
+            load_categories(p)
+        assert (str(info.value), info.value.field) == (f"{p}:{line}: {message}", "categories")
+        targets = write_text(tmp_path / "t.csv", ",".join(TARGETS_HEADER) + "\ni1,50,40,2,2\n")
+        predictions = write_text(tmp_path / "p.csv",
+                                 ",".join(PREDICTIONS_HEADER) + "\n0,0,i1,45,45\n")
+        out = tmp_path / "errors"
+        assert main(["error-analysis", "--out", str(out), "--seed", "5",
+                     "--predictions", str(predictions), "--targets", str(targets),
+                     "--categories", str(p)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"] == {
+            "type": "validation", "field": "categories", "message": f"{p}:{line}: {message}"}
+        assert not out.exists()
 
 
 class TestFeatures:
